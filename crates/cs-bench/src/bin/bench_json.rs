@@ -1,6 +1,5 @@
 //! `bench_json` — runs the scoping / matching / scaling / ann / solver
-//! benchmark groups and writes the machine-readable `BENCH_6.json`
-//! baseline.
+//! benchmark groups and writes one machine-readable document.
 //!
 //! Usage:
 //!
@@ -10,8 +9,9 @@
 //!
 //! - `--smoke`: tiny datasets and sample budgets (< 5 s even in debug);
 //!   this is what `scripts/verify.sh` runs as its `bench-smoke` gate.
-//! - `--out PATH`: where to write the document (default `BENCH_6.json`
-//!   in the current directory).
+//! - `--out PATH`: where to write the document (default
+//!   `target/bench.json`; a full-mode run checked in as a baseline is
+//!   renamed to the next `BENCH_<n>.json`).
 //! - `--budget PATH`: regression gate — reads the checked-in budget
 //!   document (`BENCH_BUDGET.json`) and fails with exit code 1 if any
 //!   gated benchmark's median exceeds `2 ×` its budgeted value. Gated:
@@ -89,7 +89,7 @@ fn check_budget(report: &emitter::BenchReport, path: &str) -> Result<Vec<String>
 
 fn main() {
     let mut mode = Mode::Full;
-    let mut out = String::from("BENCH_6.json");
+    let mut out = String::from("target/bench.json");
     let mut budget: Option<String> = None;
     let mut argv = std::env::args().skip(1);
     while let Some(arg) = argv.next() {

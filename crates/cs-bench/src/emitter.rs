@@ -1,17 +1,16 @@
-//! JSON benchmark emitter: the machine-readable companion to the
-//! criterion-style console benches in `benches/`.
+//! JSON benchmark emitter — the workspace's one bench surface.
 //!
-//! The bench targets print human-oriented lines; CI and the paper's
-//! efficiency discussion (Table 4, Figure 7, §4.4) want numbers a script
-//! can diff. This module re-runs the same scoping / matching / scaling /
-//! ann / solver workloads under a configurable [`MeasureConfig`] and
-//! serializes one document — `BENCH_6.json` — via the workspace's
-//! hermetic [`cs_core::json`] writer.
+//! CI and the paper's efficiency discussion (Table 4, Figure 7, §4.4)
+//! want numbers a script can diff. This module runs the scoping /
+//! matching / scaling / ann / solver workloads under a configurable
+//! [`MeasureConfig`] and serializes one document via the workspace's
+//! hermetic [`cs_core::json`] writer; a full-mode run checked in as a
+//! baseline is named `BENCH_<BENCH_ID>.json`.
 //!
 //! Two calibration profiles exist:
 //!
-//! - [`Mode::Full`] mirrors the bench targets (5 ms samples, real OC3 /
-//!   OC3-FO datasets) and produces the checked-in baseline,
+//! - [`Mode::Full`] uses bench-grade calibration (5 ms samples, real
+//!   OC3 / OC3-FO datasets) and produces the checked-in baselines,
 //! - [`Mode::Smoke`] shrinks datasets and sample budgets so the whole
 //!   emitter finishes in well under five seconds even in a debug build —
 //!   that is what `scripts/verify.sh` and the unit tests run.
@@ -38,7 +37,7 @@ use cs_oda::{LofDetector, OutlierDetector, PcaDetector, ZScoreDetector};
 /// Version of the emitted document layout.
 pub const SCHEMA_VERSION: usize = 1;
 
-/// Sequence number of this baseline in the PR stack (`BENCH_6.json`).
+/// Sequence number the emitted document carries (`bench_id`).
 pub const BENCH_ID: usize = 6;
 
 /// Fraction of samples dropped from *each* end before the trimmed mean.
@@ -51,7 +50,7 @@ pub enum Mode {
     /// debug build so it can run inside `cargo test -q` and verify.sh.
     Smoke,
     /// Real OC3 / OC3-FO datasets with bench-grade calibration; produces
-    /// the checked-in `BENCH_6.json` baseline (run in release).
+    /// the checked-in full-mode baselines (run in release).
     Full,
 }
 
@@ -103,7 +102,7 @@ impl MeasureConfig {
         }
     }
 
-    /// Full profile: matches the console bench harness.
+    /// Full profile: 15 samples of at least 5 ms each.
     pub fn full() -> Self {
         Self {
             sample_size: 15,
@@ -479,7 +478,7 @@ fn bench_ann(
             format!("{}/original/{name}", ann.name()),
             || ann.match_pairs(&sets),
         );
-        let hybrid = HybridMatcher::new(config, named_sets(ds));
+        let hybrid = HybridMatcher::new(ann, named_sets(ds));
         push(
             out,
             cfg,
@@ -793,7 +792,7 @@ fn record_json(r: &BenchRecord) -> JsonValue {
     ])
 }
 
-/// Serializes a report into the `BENCH_6.json` document model.
+/// Serializes a report into the benchmark document model.
 pub fn to_json(report: &BenchReport) -> JsonValue {
     let pass_ops: Vec<(&str, JsonValue)> = report
         .datasets

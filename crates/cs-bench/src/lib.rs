@@ -1,19 +1,14 @@
 //! # cs-bench
 //!
-//! Benchmark host crate. The bench targets in `benches/` run on the
-//! in-workspace criterion-compatible [`harness`] (hermetic dependency
-//! policy: no external crates) and are gated behind the `bench` feature:
-//! `cargo bench -p cs-bench --features bench`.
-//!
-//! The [`emitter`] module is the machine-readable counterpart: the
-//! `bench_json` binary (not feature-gated) runs the same workloads and
-//! writes `BENCH_5.json`; `scripts/verify.sh` exercises it with `--smoke`
-//! and gates the PCA hot path against `BENCH_BUDGET.json` via `--budget`.
+//! Benchmark host crate with one bench surface: the [`emitter`] module
+//! and the `bench_json` binary built on it, which measures every
+//! benchmark group and writes one machine-readable document.
+//! `scripts/verify.sh` exercises it with `--smoke` and gates the hot
+//! paths against `BENCH_BUDGET.json` via `--budget`.
 
 pub mod emitter;
-pub mod harness;
 
-/// Standard explained-variance sweep used across bench targets, mirroring
+/// Standard explained-variance sweep the scoping group assesses, mirroring
 /// the paper's `v ∈ (1..0)` grid.
 pub fn variance_grid(steps: usize) -> Vec<f64> {
     assert!(steps >= 2, "need at least two grid points");

@@ -20,7 +20,7 @@ use cs_linalg::pca::ExplainedVariance;
 use cs_linalg::PcaSolver;
 
 /// How the verdicts of the foreign models are combined. The paper uses
-/// [`CombinationRule::Any`]; the others exist for the ablation bench.
+/// [`CombinationRule::Any`]; the others exist for the ablation study.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CombinationRule {
     /// Linkable if ANY foreign model accepts (the paper's rule).

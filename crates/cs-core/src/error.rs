@@ -1,5 +1,6 @@
 //! Typed errors for the scoping pipeline.
 
+use cs_linalg::pool::WorkerPanicked;
 use cs_linalg::{PcaRehydrateError, SvdError};
 
 /// Errors surfaced by scoping and collaborative scoping.
@@ -133,6 +134,12 @@ impl From<PcaRehydrateError> for ScopingError {
     }
 }
 
+impl From<WorkerPanicked> for ScopingError {
+    fn from(e: WorkerPanicked) -> Self {
+        ScopingError::WorkerPanicked { detail: e.detail }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -176,11 +183,11 @@ mod tests {
             rehydrate.to_string(),
             "malformed PCA model: a PCA needs at least one component"
         );
-        assert!(ScopingError::WorkerPanicked {
-            detail: "boom".into()
+        let panicked: ScopingError = WorkerPanicked {
+            detail: "boom".into(),
         }
-        .to_string()
-        .contains("boom"));
+        .into();
+        assert_eq!(panicked.to_string(), "a parallel worker panicked: boom");
     }
 
     #[test]

@@ -31,7 +31,13 @@ pub mod local_model;
 pub mod nonlinear;
 pub mod outcome;
 pub mod pairwise;
-pub mod pool;
+/// The deterministic chunk-deal runtime (DESIGN.md §8), re-exported from
+/// [`cs_linalg::pool`] together with the sanitizer its lock sites record
+/// into.
+pub mod pool {
+    pub use cs_linalg::pool::*;
+    pub use cs_linalg::sanitize;
+}
 pub mod scoper;
 pub mod scoping;
 pub mod signatures;
@@ -51,11 +57,3 @@ pub use scoper::Scoper;
 pub use scoping::GlobalScoper;
 pub use signatures::{encode_catalog, encode_catalog_with, SchemaSignatures};
 pub use sweep::CollaborativeSweep;
-
-/// The catalog of per-schema signature matrices a [`Scoper`] consumes.
-/// Alias of [`SchemaSignatures`] under the name the unified API uses.
-pub type SignatureCatalog = SchemaSignatures;
-
-/// The explained-variance sweep grid. Alias of [`CollaborativeSweep`]
-/// under the name the unified API uses.
-pub type SweepGrid = CollaborativeSweep;

@@ -364,9 +364,9 @@ impl CollaborativeSweep {
         }
         let sweep = self.clone();
         let vs: Arc<[f64]> = vs.into();
-        exec.run_slots(vs.len(), move |i| {
+        Ok(exec.run_slots(vs.len(), move |i| {
             sweep.assess_with_rule_unchecked(vs[i], rule)
-        })
+        })?)
     }
 }
 
@@ -443,7 +443,9 @@ mod tests {
         // against the explicit PCA reconstruction at v = 0.6.
         let v = 0.6;
         let n0 = sweep.components_at(v)[0];
-        let pca = Pca::fit_full(sigs.schema(0)).unwrap().with_components(n0);
+        let pca = Pca::fit_with(sigs.schema(0), PcaConfig::new())
+            .unwrap()
+            .with_components(n0);
         let explicit = pca.reconstruction_errors(sigs.schema(1));
         let table = sweep.inner.cross[1][0].as_ref().unwrap();
         for (e, expected) in explicit.iter().enumerate() {

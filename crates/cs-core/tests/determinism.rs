@@ -277,6 +277,7 @@ fn worker_panic_surfaces_through_scoper_api() {
             assert!(i != 3, "deliberate panic in worker");
             i
         })
+        .map_err(cs_core::ScopingError::from)
         .expect_err("panic must surface");
     assert!(
         matches!(err, cs_core::ScopingError::WorkerPanicked { ref detail } if detail.contains("deliberate")),

@@ -390,10 +390,11 @@ fn run_signature_case(
             band_bits: 4,
             candidate_budget: 8,
             prefilter_dims: 4,
-            threads: 1,
             ..AnnConfig::default()
         };
-        let pairs = AnnMatcher::with_config(config).match_pairs(&sets);
+        let pairs = AnnMatcher::with_config(config)
+            .exec(exec.clone())
+            .match_pairs(&sets);
         format!("ann: pairs={}", pairs.len())
     }));
     lines

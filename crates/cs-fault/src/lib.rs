@@ -7,7 +7,7 @@
 //! The harness drives every public entry point with seeded, reproducible
 //! degenerate inputs — NaN/Inf signature entries, zero-variance and
 //! rank-deficient signature matrices, empty / singleton / duplicate
-//! schemas, forced worker panics inside `cs_core::pool` — and records
+//! schemas, forced worker panics inside the pool (`cs_linalg::pool`) — and records
 //! each stage's outcome as plain text lines. Because every injected
 //! fault is seeded and every pipeline stage is deterministic, the full
 //! fault matrix produces **byte-identical** output under every execution
@@ -33,7 +33,7 @@
 //!   catalogs through the full matrix, digest-compared across thread
 //!   counts by the `fuzz_smoke` binary.
 //!
-//! Worker panics are forced through `cs_core::pool::fault`, a test-only
+//! Worker panics are forced through `cs_linalg::pool::fault`, a test-only
 //! hook that keeps the no-ambient-authority policy intact: the hook is
 //! armed explicitly per case, filters on the target pool's tag (or the
 //! caller thread for the sequential path), and disarms on drop.

@@ -14,7 +14,7 @@
 /// Property-test case-count override honored by [`crate::check::cases`].
 pub const PROP_CASES: &str = "CS_PROP_CASES";
 
-/// Worker-count override honored by `cs_core::pool::ThreadPool::from_env`.
+/// Worker-count override honored by [`crate::pool::ThreadPool::from_env`].
 pub const THREADS: &str = "CS_THREADS";
 
 /// Opt-in flag for the full golden corpus under debug profiles
@@ -32,12 +32,6 @@ pub fn env_knob(name: &str) -> Option<String> {
     std::env::var(name).ok()
 }
 
-/// An environment knob parsed as `usize`; `None` when unset or
-/// unparseable.
-pub fn env_usize(name: &str) -> Option<usize> {
-    env_knob(name).and_then(|s| s.trim().parse().ok())
-}
-
 /// True when an environment flag is set at all (any value, even empty).
 pub fn env_flag(name: &str) -> bool {
     std::env::var_os(name).is_some()
@@ -53,7 +47,6 @@ mod tests {
     #[test]
     fn unset_knobs_are_none() {
         assert_eq!(env_knob("CS_LINT_TEST_UNSET_KNOB"), None);
-        assert_eq!(env_usize("CS_LINT_TEST_UNSET_KNOB"), None);
         assert!(!env_flag("CS_LINT_TEST_UNSET_KNOB"));
     }
 
@@ -61,15 +54,7 @@ mod tests {
     fn set_knobs_round_trip() {
         std::env::set_var("CS_LINT_TEST_SET_KNOB", " 42 ");
         assert_eq!(env_knob("CS_LINT_TEST_SET_KNOB").as_deref(), Some(" 42 "));
-        assert_eq!(env_usize("CS_LINT_TEST_SET_KNOB"), Some(42));
         assert!(env_flag("CS_LINT_TEST_SET_KNOB"));
         std::env::remove_var("CS_LINT_TEST_SET_KNOB");
-    }
-
-    #[test]
-    fn garbage_usize_is_none() {
-        std::env::set_var("CS_LINT_TEST_BAD_KNOB", "not a number");
-        assert_eq!(env_usize("CS_LINT_TEST_BAD_KNOB"), None);
-        std::env::remove_var("CS_LINT_TEST_BAD_KNOB");
     }
 }

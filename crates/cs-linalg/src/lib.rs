@@ -27,6 +27,7 @@ pub mod config;
 pub mod kernels;
 pub mod matrix;
 pub mod pca;
+pub mod pool;
 pub mod projection;
 pub mod qr;
 pub mod rng;

@@ -12,11 +12,10 @@
 //! Fitting goes through one entry point, [`Pca::fit_with`], configured by a
 //! [`PcaConfig`]: a fit *target* (full rank, explained variance, or an
 //! explicit component count) plus a [`PcaSolver`] choosing the eigensolver
-//! behind it. The legacy `fit` / `fit_full` / `fit_with_components` trio
-//! survives as thin shims over `fit_with` under the [`PcaSolver::Auto`]
-//! policy, which preserves their historical numerics bit-for-bit on small
-//! inputs and only reroutes large variance-targeted fits to the truncated
-//! solver (see DESIGN.md §11 for the heuristic and determinism contract).
+//! behind it. The default [`PcaSolver::Auto`] policy preserves the
+//! historical exact numerics bit-for-bit on small inputs and only reroutes
+//! large variance-targeted fits to the truncated solver (see DESIGN.md §11
+//! for the heuristic and determinism contract).
 
 use crate::stats::column_mean;
 use crate::vecops::mse;
@@ -106,13 +105,12 @@ pub const DEFAULT_PCA_SEED: u64 = 0x5CA1_AB1E;
 /// What a [`Pca::fit_with`] call should retain.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PcaTarget {
-    /// All `min(n, d)` components (the historical `fit_full`).
+    /// All `min(n, d)` components.
     FullRank,
     /// The smallest prefix reaching cumulative explained variance `v`
-    /// (Algorithm 1 lines 6–10, the historical `fit`).
+    /// (Algorithm 1 lines 6–10: `GetIndex(CEV, v) + 1`).
     Variance(ExplainedVariance),
-    /// Exactly `n` components, clamped to the available rank (the
-    /// historical `fit_with_components`).
+    /// Exactly `n` components, clamped to the available rank.
     Components(usize),
 }
 
@@ -327,8 +325,7 @@ impl Pca {
         })
     }
 
-    /// Fits under an explicit [`PcaConfig`] — the unified entry point the
-    /// `fit` / `fit_full` / `fit_with_components` shims delegate to.
+    /// Fits under an explicit [`PcaConfig`] — the one fitting entry point.
     ///
     /// Truncated fits retain only the computed spectrum prefix, so
     /// [`Self::truncated`] on the result can re-truncate *within* that
@@ -383,37 +380,6 @@ impl Pca {
                 }
             }
         }
-    }
-
-    /// Fits a full PCA (all `min(n, d)` components) on the rows of `data`.
-    /// Shim over [`Self::fit_with`] with a full-rank target under
-    /// [`PcaSolver::Auto`] — bit-identical to the historical behavior.
-    ///
-    /// # Errors
-    /// [`SvdError::NonFiniteInput`] when the input carries NaN/inf — caught
-    /// up front, before a NaN mean could smear across every centered entry,
-    /// so release builds fail as loudly as debug builds.
-    pub fn fit_full(data: &Matrix) -> Result<Self, SvdError> {
-        Self::fit_with(data, PcaConfig::new())
-    }
-
-    /// Fits and truncates so the kept components' cumulative explained
-    /// variance is `≥ v` (Algorithm 1 lines 6–10: `GetIndex(CEV, v) + 1`).
-    /// Shim over [`Self::fit_with`] under [`PcaSolver::Auto`].
-    ///
-    /// # Errors
-    /// As [`Self::fit_with`].
-    pub fn fit(data: &Matrix, v: ExplainedVariance) -> Result<Self, SvdError> {
-        Self::fit_with(data, PcaConfig::new().with_variance(v))
-    }
-
-    /// Fits with an explicit component count (clamped to the available
-    /// rank). Shim over [`Self::fit_with`] under [`PcaSolver::Auto`].
-    ///
-    /// # Errors
-    /// As [`Self::fit_with`].
-    pub fn fit_with_components(data: &Matrix, n_components: usize) -> Result<Self, SvdError> {
-        Self::fit_with(data, PcaConfig::new().with_components(n_components))
     }
 
     /// The exact path shared by the full-SVD and Gram solvers: center,
@@ -788,7 +754,11 @@ mod tests {
     #[test]
     fn full_pca_reconstructs_exactly() {
         let data = random_data(10, 6, 1);
-        let pca = Pca::fit(&data, ExplainedVariance::new(1.0).unwrap()).unwrap();
+        let pca = Pca::fit_with(
+            &data,
+            PcaConfig::new().with_variance(ExplainedVariance::new(1.0).unwrap()),
+        )
+        .unwrap();
         let err = pca.reconstruction_errors(&data);
         assert!(err.iter().all(|&e| e < 1e-16), "errors {err:?}");
     }
@@ -796,7 +766,7 @@ mod tests {
     #[test]
     fn truncation_orders_error_by_variance() {
         let data = random_data(30, 8, 2);
-        let full = Pca::fit_full(&data).unwrap();
+        let full = Pca::fit_with(&data, PcaConfig::new()).unwrap();
         let hi = full.truncated(ExplainedVariance::new(0.9).unwrap());
         let lo = full.truncated(ExplainedVariance::new(0.3).unwrap());
         assert!(hi.n_components() >= lo.n_components());
@@ -822,14 +792,18 @@ mod tests {
     #[test]
     fn captured_variance_matches_request() {
         let data = random_data(40, 10, 3);
-        let pca = Pca::fit(&data, ExplainedVariance::new(0.7).unwrap()).unwrap();
+        let pca = Pca::fit_with(
+            &data,
+            PcaConfig::new().with_variance(ExplainedVariance::new(0.7).unwrap()),
+        )
+        .unwrap();
         assert!(pca.captured_variance() >= 0.7 - 1e-9);
     }
 
     #[test]
     fn encode_decode_shapes() {
         let data = random_data(12, 20, 4);
-        let pca = Pca::fit_with_components(&data, 3).unwrap();
+        let pca = Pca::fit_with(&data, PcaConfig::new().with_components(3)).unwrap();
         let z = pca.encode(&data);
         assert_eq!(z.shape(), (12, 3));
         let back = pca.decode(&z);
@@ -842,7 +816,11 @@ mod tests {
         let mut rng = Xoshiro256::seed_from(5);
         let dir: Vec<f64> = (0..7).map(|_| rng.next_gaussian()).collect();
         let data = Matrix::from_fn(9, 7, |i, j| (i as f64 + 1.0) * dir[j]);
-        let pca = Pca::fit(&data, ExplainedVariance::new(0.99).unwrap()).unwrap();
+        let pca = Pca::fit_with(
+            &data,
+            PcaConfig::new().with_variance(ExplainedVariance::new(0.99).unwrap()),
+        )
+        .unwrap();
         assert_eq!(pca.n_components(), 1);
         let err = pca.reconstruction_errors(&data);
         assert!(err.iter().all(|&e| e < 1e-14));
@@ -851,7 +829,11 @@ mod tests {
     #[test]
     fn zero_variance_data_reconstructs_via_mean() {
         let data = Matrix::from_fn(5, 4, |_, _| 3.5);
-        let pca = Pca::fit(&data, ExplainedVariance::new(0.5).unwrap()).unwrap();
+        let pca = Pca::fit_with(
+            &data,
+            PcaConfig::new().with_variance(ExplainedVariance::new(0.5).unwrap()),
+        )
+        .unwrap();
         assert_eq!(pca.n_components(), 1);
         let err = pca.reconstruction_errors(&data);
         assert!(err.iter().all(|&e| e < 1e-18));
@@ -888,7 +870,11 @@ mod tests {
             })
             .collect();
         let data = Matrix::from_rows(&rows);
-        let pca = Pca::fit(&data, ExplainedVariance::new(0.95).unwrap()).unwrap();
+        let pca = Pca::fit_with(
+            &data,
+            PcaConfig::new().with_variance(ExplainedVariance::new(0.95).unwrap()),
+        )
+        .unwrap();
         let on_plane = pca.reconstruction_error_one(&[1.0, 1.0, 2.0, 0.0, 0.0]);
         let off_plane = pca.reconstruction_error_one(&[1.0, 1.0, 2.0, 0.0, 8.0]);
         assert!(off_plane > on_plane * 10.0, "{off_plane} vs {on_plane}");
@@ -897,7 +883,7 @@ mod tests {
     #[test]
     fn mean_is_training_mean() {
         let data = Matrix::from_rows(&[vec![0.0, 2.0], vec![2.0, 4.0]]);
-        let pca = Pca::fit_full(&data).unwrap();
+        let pca = Pca::fit_with(&data, PcaConfig::new()).unwrap();
         assert_eq!(pca.mean(), &[1.0, 3.0]);
     }
 
@@ -905,7 +891,7 @@ mod tests {
     #[should_panic(expected = "dimension mismatch")]
     fn encode_wrong_dim_panics() {
         let data = random_data(5, 4, 7);
-        let pca = Pca::fit_full(&data).unwrap();
+        let pca = Pca::fit_with(&data, PcaConfig::new()).unwrap();
         pca.encode(&random_data(3, 5, 8));
     }
 
@@ -913,10 +899,17 @@ mod tests {
     fn non_finite_input_is_typed_error() {
         let mut data = random_data(6, 4, 9);
         data[(2, 1)] = f64::NAN;
-        assert_eq!(Pca::fit_full(&data).unwrap_err(), SvdError::NonFiniteInput);
+        assert_eq!(
+            Pca::fit_with(&data, PcaConfig::new()).unwrap_err(),
+            SvdError::NonFiniteInput
+        );
         data[(2, 1)] = f64::INFINITY;
         assert_eq!(
-            Pca::fit(&data, ExplainedVariance::new(0.5).unwrap()).unwrap_err(),
+            Pca::fit_with(
+                &data,
+                PcaConfig::new().with_variance(ExplainedVariance::new(0.5).unwrap())
+            )
+            .unwrap_err(),
             SvdError::NonFiniteInput
         );
     }
@@ -949,37 +942,15 @@ mod tests {
     #[test]
     fn single_row_training_set() {
         let data = Matrix::from_rows(&[vec![1.0, 2.0, 3.0]]);
-        let pca = Pca::fit(&data, ExplainedVariance::new(0.9).unwrap()).unwrap();
+        let pca = Pca::fit_with(
+            &data,
+            PcaConfig::new().with_variance(ExplainedVariance::new(0.9).unwrap()),
+        )
+        .unwrap();
         // Centering a single row yields zero variance: reconstruction is the
         // row itself.
         let err = pca.reconstruction_errors(&data);
         assert!(err[0] < 1e-18);
-    }
-
-    #[test]
-    fn shims_match_fit_with_bit_for_bit() {
-        let data = random_data(25, 40, 11);
-        let v = ExplainedVariance::new(0.6).unwrap();
-        let shim = Pca::fit(&data, v).unwrap();
-        let unified = Pca::fit_with(&data, PcaConfig::new().with_variance(v)).unwrap();
-        assert_eq!(shim.n_components(), unified.n_components());
-        for (a, b) in shim
-            .components()
-            .as_slice()
-            .iter()
-            .zip(unified.components().as_slice())
-        {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-        let full_shim = Pca::fit_full(&data).unwrap();
-        let full_unified = Pca::fit_with(&data, PcaConfig::new()).unwrap();
-        for (a, b) in full_shim
-            .singular_values()
-            .iter()
-            .zip(full_unified.singular_values())
-        {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
     }
 
     #[test]
@@ -988,7 +959,7 @@ mod tests {
         // iteration actually runs (Gram side ≥ 2 × initial block).
         let data = decaying_data(140, 200, 24, 21);
         let v = ExplainedVariance::new(0.7).unwrap();
-        let exact = Pca::fit(&data, v).unwrap();
+        let exact = Pca::fit_with(&data, PcaConfig::new().with_variance(v)).unwrap();
         let trunc = Pca::fit_with(
             &data,
             PcaConfig::new()
@@ -1032,7 +1003,7 @@ mod tests {
             .with_solver(PcaSolver::truncated());
         let trunc = Pca::fit_with(&data, config).unwrap();
         assert_eq!(trunc.n_components(), 6);
-        let exact = Pca::fit_with_components(&data, 6).unwrap();
+        let exact = Pca::fit_with(&data, PcaConfig::new().with_components(6)).unwrap();
         let e_exact = exact.reconstruction_errors(&data);
         let e_trunc = trunc.reconstruction_errors(&data);
         for (a, b) in e_exact.iter().zip(&e_trunc) {
@@ -1061,7 +1032,7 @@ mod tests {
         // bit-for-bit (the goldens depend on it).
         let data = random_data(30, 80, 99);
         let v = ExplainedVariance::new(0.5).unwrap();
-        let auto = Pca::fit(&data, v).unwrap();
+        let auto = Pca::fit_with(&data, PcaConfig::new().with_variance(v)).unwrap();
         let exact = Pca::fit_exact(&data, ExactPath::Dispatch, PcaTarget::Variance(v)).unwrap();
         for (a, b) in auto
             .components()
@@ -1080,7 +1051,7 @@ mod tests {
         // iteration to run.
         let data = decaying_data(260, 130, 18, 44);
         let v = ExplainedVariance::new(0.6).unwrap();
-        let exact = Pca::fit(&data, v).unwrap();
+        let exact = Pca::fit_with(&data, PcaConfig::new().with_variance(v)).unwrap();
         let trunc = Pca::fit_with(
             &data,
             PcaConfig::new()
@@ -1153,7 +1124,7 @@ mod tests {
             let rank = g.usize_in(8, 20);
             let data = decaying_data(n, d, rank, g.seed() ^ 0xC0DE);
             let v = ExplainedVariance::new(g.f64_in(0.3, 0.9)).unwrap();
-            let reference = Pca::fit(&data, v).unwrap();
+            let reference = Pca::fit_with(&data, PcaConfig::new().with_variance(v)).unwrap();
             for solver in [PcaSolver::FullSvd, PcaSolver::Gram, PcaSolver::truncated()] {
                 let fit =
                     Pca::fit_with(&data, PcaConfig::new().with_variance(v).with_solver(solver))
@@ -1192,7 +1163,7 @@ mod tests {
             }
         );
         // Round-trip of a healthy model.
-        let pca = Pca::fit_full(&random_data(6, 4, 13)).unwrap();
+        let pca = Pca::fit_with(&random_data(6, 4, 13), PcaConfig::new()).unwrap();
         let rebuilt = Pca::from_parts(
             pca.mean().to_vec(),
             pca.components().clone(),

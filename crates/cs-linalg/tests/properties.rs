@@ -7,7 +7,7 @@
 use cs_linalg::check::run;
 use cs_linalg::pca::ExplainedVariance;
 use cs_linalg::svd::symmetric_eigen;
-use cs_linalg::{Matrix, Pca, Svd};
+use cs_linalg::{Matrix, Pca, PcaConfig, Svd};
 
 const CASES: usize = 48;
 
@@ -62,7 +62,7 @@ fn frobenius_identity() {
 fn pca_error_monotone_in_components() {
     run("pca_error_monotone_in_components", CASES, |g| {
         let a = g.matrix(12, 8, -10.0, 10.0);
-        let full = Pca::fit_full(&a).unwrap();
+        let full = Pca::fit_with(&a, PcaConfig::new()).unwrap();
         let mut last = f64::INFINITY;
         for n in 1..=full.components().rows() {
             let model = full.with_components(n);
@@ -77,7 +77,8 @@ fn pca_error_monotone_in_components() {
 fn pca_full_variance_is_lossless() {
     run("pca_full_variance_is_lossless", CASES, |g| {
         let a = g.matrix(10, 6, -10.0, 10.0);
-        let pca = Pca::fit(&a, ExplainedVariance::new(1.0).unwrap()).unwrap();
+        let v = ExplainedVariance::new(1.0).unwrap();
+        let pca = Pca::fit_with(&a, PcaConfig::new().with_variance(v)).unwrap();
         let errs = pca.reconstruction_errors(&a);
         let scale = a.frobenius_norm().max(1.0);
         assert!(errs.iter().all(|&e| e < 1e-10 * scale));

@@ -13,7 +13,7 @@
 //!   bench modules,
 //! - [`crate::rules::LOCK_DISCIPLINE`] — acquiring a second
 //!   `Mutex`/`RwLock` guard while another may still be live within one
-//!   function body of `cs_core::pool` or `cs-embed`.
+//!   function body of `cs_linalg::pool` or `cs-embed`.
 //!
 //! All three are heuristic by design (no type inference), tuned so the
 //! shipped tree is clean without waivers and every false positive has a
@@ -770,7 +770,7 @@ mod tests {
     use crate::rules::lint_rust_source;
 
     const DET: &str = "crates/cs-repro/src/fake.rs";
-    const POOL: &str = "crates/cs-core/src/pool.rs";
+    const POOL: &str = "crates/cs-linalg/src/pool.rs";
 
     fn fired(src: &str, path: &str) -> Vec<&'static str> {
         lint_rust_source(src, path)

@@ -36,7 +36,7 @@ pub const NO_UNORDERED_ITERATION: &str = "no-unordered-iteration";
 /// through `cs_linalg::config`.
 pub const NO_AMBIENT_AUTHORITY: &str = "no-ambient-authority";
 /// Rule: a second `Mutex`/`RwLock` guard acquired while another may still
-/// be live within one function body of `cs_core::pool` / cs-embed.
+/// be live within one function body of `cs_linalg::pool` / cs-embed.
 pub const LOCK_DISCIPLINE: &str = "lock-discipline";
 /// Rule: a justified `cs-lint: allow(<rule>)` pragma whose named rule no
 /// longer fires on the waived line — dead waivers hide real regressions.
@@ -51,7 +51,7 @@ pub const PRAGMA: &str = "pragma";
 pub const DETERMINISM_TAINT: &str = "determinism-taint";
 /// Rule: an unchecked `as` cast between float and integer width (or a
 /// narrowing `as f32`) inside a hot-path kernel of cs-linalg /
-/// `cs_core::pool` — NaN and out-of-range inputs truncate silently.
+/// `cs_linalg::pool` — NaN and out-of-range inputs truncate silently.
 pub const NO_LOSSY_CAST_IN_HOT_PATH: &str = "no-lossy-cast-in-hot-path";
 /// Rule: raw subtraction inside a slice index in chunk-deal code — a
 /// `usize` underflow panics in debug and wraps to a wild index in release.
@@ -117,10 +117,15 @@ const COMPARATOR_FNS: [&str; 7] = [
     "partition_point_by", // future-proofing; not std, but harmless
 ];
 
+/// The chunk-deal pool: outside cs-core, but held to every cs-core rule
+/// plus the lock, hot-path and chunk-deal scopes.
+const POOL_PATH: &str = "crates/cs-linalg/src/pool.rs";
+
 /// Which rules apply to a file, derived from its workspace-relative path.
 #[derive(Debug, Clone, Copy)]
 pub struct FileClass {
-    /// Under `crates/cs-core/src/` — panic-free and unwrap-free.
+    /// Under `crates/cs-core/src/`, or the chunk-deal pool — panic-free
+    /// and unwrap-free.
     pub core_lib: bool,
     /// Under `crates/cs-linalg/src/` — unwrap-free.
     pub linalg_lib: bool,
@@ -132,10 +137,10 @@ pub struct FileClass {
     pub det_scope: bool,
     /// Designated config / bench module: `no-ambient-authority` off.
     pub ambient_exempt: bool,
-    /// `lock-discipline` scope: `cs_core::pool` and cs-embed sources.
+    /// `lock-discipline` scope: `cs_linalg::pool` and cs-embed sources.
     pub lock_scope: bool,
     /// Hot-path kernel scope (`no-lossy-cast-in-hot-path`): cs-linalg
-    /// library sources plus the chunk-deal pool.
+    /// library sources, the chunk-deal pool included.
     pub hot_path: bool,
     /// Chunk-deal / slot-assembly scope (`no-unchecked-index-arith`):
     /// the pool and the cs-linalg kernels.
@@ -149,7 +154,7 @@ impl FileClass {
         let under = |prefix: &[&str]| parts.len() > prefix.len() && parts.starts_with(prefix);
         let basename = parts.last().copied().unwrap_or("");
         FileClass {
-            core_lib: under(&["crates", "cs-core", "src"]),
+            core_lib: under(&["crates", "cs-core", "src"]) || rel_path == POOL_PATH,
             linalg_lib: under(&["crates", "cs-linalg", "src"]),
             test_code: parts[..parts.len().saturating_sub(1)]
                 .iter()
@@ -158,12 +163,9 @@ impl FileClass {
                 .iter()
                 .any(|c| under(&["crates", c, "src"])),
             ambient_exempt: under(&["crates", "cs-bench"]) || basename == "config.rs",
-            lock_scope: rel_path == "crates/cs-core/src/pool.rs"
-                || under(&["crates", "cs-embed", "src"]),
-            hot_path: under(&["crates", "cs-linalg", "src"])
-                || rel_path == "crates/cs-core/src/pool.rs",
-            chunk_deal: rel_path == "crates/cs-core/src/pool.rs"
-                || rel_path == "crates/cs-linalg/src/kernels.rs",
+            lock_scope: rel_path == POOL_PATH || under(&["crates", "cs-embed", "src"]),
+            hot_path: under(&["crates", "cs-linalg", "src"]),
+            chunk_deal: rel_path == POOL_PATH || rel_path == "crates/cs-linalg/src/kernels.rs",
         }
     }
 }
@@ -218,7 +220,7 @@ pub fn lint_rust_source(src: &str, rel_path: &str) -> Vec<Finding> {
                     t.line,
                     "`Mutex<Vec<..>>` accumulates parallel results in arrival order, \
                      breaking the determinism contract (DESIGN.md §8); deal indexed \
-                     chunks and assemble result slots by position (see cs_core::pool)",
+                     chunks and assemble result slots by position (see cs_linalg::pool)",
                 ));
             }
             "unwrap"
@@ -524,8 +526,10 @@ mod tests {
         assert!(b.test_code && b.ambient_exempt);
         let root = FileClass::from_path("tests/hermetic.rs");
         assert!(root.test_code);
-        let pool = FileClass::from_path("crates/cs-core/src/pool.rs");
-        assert!(pool.lock_scope && pool.det_scope);
+        // The pool sits in all five scopes: panic-free and arrival-order
+        // (via core_lib), determinism, locks, hot path and chunk-deal.
+        let pool = FileClass::from_path("crates/cs-linalg/src/pool.rs");
+        assert!(pool.core_lib && pool.det_scope && pool.lock_scope);
         assert!(pool.hot_path && pool.chunk_deal);
         let embed = FileClass::from_path("crates/cs-embed/src/encoder.rs");
         assert!(embed.lock_scope && !embed.det_scope);

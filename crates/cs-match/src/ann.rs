@@ -13,16 +13,20 @@
 //! cliff this module removes.
 //!
 //! Determinism contract: hyperplanes are drawn from a fixed seed, bucket
-//! contents hold row indices in ascending order, query fan-out uses the
-//! chunk-dealt [`crate::par`] map, and every truncation is tie-inclusive
-//! on the exact score — so results are bit-identical across
-//! `CS_THREADS` and invariant to schema order (the projection fits in
+//! contents hold row indices in ascending order, query fan-out runs on
+//! the chunk-deal pool ([`cs_linalg::pool`]) under the matcher's
+//! [`ExecPolicy`], and every truncation is tie-inclusive on the exact
+//! score — so results are bit-identical across execution policies and
+//! `CS_THREADS`, and invariant to schema order (the projection fits in
 //! canonical row order).
 
 use crate::{dedup_pairs, CandidatePair, ElementSet, HyperplaneLsh, Matcher};
+use cs_linalg::pool::ExecPolicy;
 use cs_linalg::vecops::{cosine, sq_euclidean, total_cmp_f64};
 use cs_linalg::{Matrix, TruncatedProjection};
+use cs_schema::ElementId;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Tuning knobs for the ANN index and matcher.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,9 +45,6 @@ pub struct AnnConfig {
     pub prefilter_dims: usize,
     /// Seed for the hyperplane draws and the projection fit.
     pub seed: u64,
-    /// Worker threads for query fan-out; `0` defers to `CS_THREADS`,
-    /// then to the machine. Never affects results, only wall time.
-    pub threads: usize,
 }
 
 impl Default for AnnConfig {
@@ -55,7 +56,6 @@ impl Default for AnnConfig {
             candidate_budget: 128,
             prefilter_dims: 16,
             seed: 0xA2_2B,
-            threads: 0,
         }
     }
 }
@@ -227,47 +227,89 @@ impl AnnIndex {
     }
 }
 
-/// The concatenated rows of every non-empty element set, with maps back
-/// to element ids and schemas.
-struct GlobalRows {
-    data: Matrix,
-    ids: Vec<cs_schema::ElementId>,
+/// One index over the concatenated rows of every non-empty element set,
+/// with maps back to element ids and schemas.
+struct GlobalIndex {
+    index: AnnIndex,
+    ids: Vec<ElementId>,
     schema_of: Vec<usize>,
 }
 
-fn concat_sets(sets: &[ElementSet]) -> Option<GlobalRows> {
-    let nonempty: Vec<&ElementSet> = sets.iter().filter(|s| !s.is_empty()).collect();
-    if nonempty.len() < 2 {
-        return None;
-    }
-    let dim = nonempty[0].signatures.cols();
-    let mut rows: Vec<Vec<f64>> = Vec::new();
-    let mut ids = Vec::new();
-    let mut schema_of = Vec::new();
-    for set in &nonempty {
-        assert_eq!(
-            set.signatures.cols(),
-            dim,
-            "element sets must share signature dimensionality"
-        );
-        for (r, &id) in set.ids.iter().enumerate() {
-            rows.push(set.signatures.row(r).to_vec());
-            ids.push(id);
-            schema_of.push(set.schema);
+impl GlobalIndex {
+    /// `None` when fewer than two sets are non-empty (nothing to pair).
+    fn build(sets: &[ElementSet], config: AnnConfig) -> Option<Self> {
+        let nonempty: Vec<&ElementSet> = sets.iter().filter(|s| !s.is_empty()).collect();
+        if nonempty.len() < 2 {
+            return None;
         }
+        let dim = nonempty[0].signatures.cols();
+        let mut rows: Vec<Vec<f64>> = Vec::new();
+        let mut ids = Vec::new();
+        let mut schema_of = Vec::new();
+        for set in &nonempty {
+            assert_eq!(
+                set.signatures.cols(),
+                dim,
+                "element sets must share signature dimensionality"
+            );
+            for (r, &id) in set.ids.iter().enumerate() {
+                rows.push(set.signatures.row(r).to_vec());
+                ids.push(id);
+                schema_of.push(set.schema);
+            }
+        }
+        // Free the row copies before the index build allocates.
+        let data = Matrix::from_rows(&rows);
+        drop(rows);
+        Some(Self {
+            index: AnnIndex::build(data, config),
+            ids,
+            schema_of,
+        })
     }
-    Some(GlobalRows {
-        data: Matrix::from_rows(&rows),
-        ids,
-        schema_of,
-    })
+}
+
+/// The sequence both ANN matchers share: concatenate `sets`, build one
+/// global index, and run every row's cross-schema top-`k` query on
+/// `exec`. `emit` maps one query's hits to output items; the result
+/// holds one list per query in row order, so it is the same under every
+/// policy.
+///
+/// `Matcher::match_pairs` is infallible, so a query that panicked inside
+/// the pool re-panics here with the worker's detail.
+fn query_cross_schema<T, F>(
+    sets: &[ElementSet],
+    config: AnnConfig,
+    exec: &ExecPolicy,
+    emit: F,
+) -> Vec<Vec<T>>
+where
+    T: Send + 'static,
+    F: Fn(&GlobalIndex, usize, Vec<(usize, f64)>) -> Vec<T> + Send + Sync + 'static,
+{
+    let Some(global) = GlobalIndex::build(sets, config) else {
+        return Vec::new();
+    };
+    let global = Arc::new(global);
+    let queries = global.index.len();
+    let k = config.k;
+    let per_query = exec.run_slots(queries, move |qi| {
+        let qs = global.schema_of[qi];
+        let query = global.index.data().row(qi);
+        let hits = global
+            .index
+            .search_filtered(query, k, |i| global.schema_of[i] != qs);
+        emit(&global, qi, hits)
+    });
+    per_query.unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Sublinear ANN matcher: one global two-stage index, cross-schema
 /// top-`k` retrieval per element.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 pub struct AnnMatcher {
     config: AnnConfig,
+    exec: ExecPolicy,
 }
 
 impl AnnMatcher {
@@ -279,7 +321,17 @@ impl AnnMatcher {
     /// Fully explicit configuration.
     pub fn with_config(config: AnnConfig) -> Self {
         config.validate();
-        Self { config }
+        Self {
+            config,
+            exec: ExecPolicy::Global,
+        }
+    }
+
+    /// Runs the query fan-out under `exec` instead of the global pool.
+    /// Never affects results, only wall time.
+    pub fn exec(mut self, exec: ExecPolicy) -> Self {
+        self.exec = exec;
+        self
     }
 
     /// The active configuration.
@@ -293,23 +345,11 @@ impl AnnMatcher {
     /// This is the ranking the RRF fusion consumes ([`crate::fuse`]);
     /// [`Matcher::match_pairs`] is the same list with scores dropped.
     pub fn ranked_pairs(&self, sets: &[ElementSet]) -> Vec<(CandidatePair, f64)> {
-        let Some(global) = concat_sets(sets) else {
-            return Vec::new();
-        };
-        let index = AnnIndex::build(global.data, self.config);
-        let threads = crate::par::resolve_threads(self.config.threads);
-        let k = self.config.k;
-        let schema_of = &global.schema_of;
-        let ids = &global.ids;
-        let per_query: Vec<Vec<(CandidatePair, f64)>> =
-            crate::par::par_map_indexed(index.len(), threads, |qi| {
-                let qs = schema_of[qi];
-                index
-                    .search_filtered(index.data().row(qi), k, |i| schema_of[i] != qs)
-                    .into_iter()
-                    .map(|(i, d)| (CandidatePair::new(ids[qi], ids[i]), d))
-                    .collect()
-            });
+        let per_query = query_cross_schema(sets, self.config, &self.exec, |g, qi, hits| {
+            hits.into_iter()
+                .map(|(i, d)| (CandidatePair::new(g.ids[qi], g.ids[i]), d))
+                .collect()
+        });
         let mut best: BTreeMap<CandidatePair, f64> = BTreeMap::new();
         for (pair, d) in per_query.into_iter().flatten() {
             best.entry(pair)
@@ -378,26 +418,19 @@ impl Matcher for AnnSimMatcher {
     }
 
     fn match_pairs(&self, sets: &[ElementSet]) -> Vec<CandidatePair> {
-        let Some(global) = concat_sets(sets) else {
-            return Vec::new();
-        };
-        let index = AnnIndex::build(global.data, self.config);
-        let threads = crate::par::resolve_threads(self.config.threads);
-        let k = self.config.k;
-        let schema_of = &global.schema_of;
-        let ids = &global.ids;
         let threshold = self.threshold;
-        let per_query: Vec<Vec<CandidatePair>> =
-            crate::par::par_map_indexed(index.len(), threads, |qi| {
-                let qs = schema_of[qi];
-                let query = index.data().row(qi);
-                index
-                    .search_filtered(query, k, |i| schema_of[i] != qs)
-                    .into_iter()
-                    .filter(|&(i, _)| cosine(query, index.data().row(i)) >= threshold)
-                    .map(|(i, _)| CandidatePair::new(ids[qi], ids[i]))
+        let per_query = query_cross_schema(
+            sets,
+            self.config,
+            &ExecPolicy::Global,
+            move |g, qi, hits| {
+                let data = g.index.data();
+                hits.into_iter()
+                    .filter(|&(i, _)| cosine(data.row(qi), data.row(i)) >= threshold)
+                    .map(|(i, _)| CandidatePair::new(g.ids[qi], g.ids[i]))
                     .collect()
-            });
+            },
+        );
         dedup_pairs(per_query.into_iter().flatten().collect())
     }
 }

@@ -58,7 +58,7 @@ pub fn rrf_fuse(rankings: &[&[(CandidatePair, f64)]], k0: f64) -> Vec<(Candidate
 /// applied to both views.
 #[derive(Debug, Clone)]
 pub struct HybridMatcher {
-    ann: AnnConfig,
+    ann: AnnMatcher,
     names: Vec<NamedSet>,
     lexical_k: usize,
     budget: usize,
@@ -66,12 +66,13 @@ pub struct HybridMatcher {
 }
 
 impl HybridMatcher {
-    /// Fuses an ANN channel under `ann` with a lexical channel over
-    /// `names`, retrieving `ann.k` neighbors per element on both sides.
-    /// No output budget: every fused pair is emitted.
-    pub fn new(ann: AnnConfig, names: Vec<NamedSet>) -> Self {
+    /// Fuses the dense channel of `ann` (its configuration and execution
+    /// policy) with a lexical channel over `names`, retrieving `k`
+    /// neighbors per element on both sides. No output budget: every fused
+    /// pair is emitted.
+    pub fn new(ann: AnnMatcher, names: Vec<NamedSet>) -> Self {
         Self {
-            lexical_k: ann.k,
+            lexical_k: ann.config().k,
             ann,
             names,
             budget: 0,
@@ -95,13 +96,13 @@ impl HybridMatcher {
 
     /// The ANN channel configuration.
     pub fn ann_config(&self) -> &AnnConfig {
-        &self.ann
+        self.ann.config()
     }
 
     /// Fused pairs best-first with their RRF scores; the scored view
     /// behind [`Matcher::match_pairs`].
     pub fn ranked_pairs(&self, sets: &[ElementSet]) -> Vec<(CandidatePair, f64)> {
-        let dense = AnnMatcher::with_config(self.ann).ranked_pairs(sets);
+        let dense = self.ann.ranked_pairs(sets);
         let lexical = ranked_lexical_pairs(&self.names, self.lexical_k);
         let mut fused = rrf_fuse(&[&dense, &lexical], self.rrf_k);
         if self.budget > 0 && fused.len() > self.budget {
@@ -118,7 +119,11 @@ impl HybridMatcher {
 
 impl Matcher for HybridMatcher {
     fn name(&self) -> String {
-        format!("HYBRID(ANN({})+LEX({}))", self.ann.k, self.lexical_k)
+        format!(
+            "HYBRID(ANN({})+LEX({}))",
+            self.ann.config().k,
+            self.lexical_k
+        )
     }
 
     fn match_pairs(&self, sets: &[ElementSet]) -> Vec<CandidatePair> {
@@ -205,7 +210,7 @@ mod tests {
                 ],
             ),
         ];
-        (HybridMatcher::new(AnnConfig::with_k(3), names), sets)
+        (HybridMatcher::new(AnnMatcher::new(3), names), sets)
     }
 
     #[test]

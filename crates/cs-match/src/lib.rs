@@ -27,7 +27,6 @@ pub mod kmeans;
 pub mod lexical;
 pub mod lsh;
 pub mod name;
-mod par;
 pub mod sim;
 
 pub use ann::{AnnConfig, AnnIndex, AnnMatcher, AnnSimMatcher};

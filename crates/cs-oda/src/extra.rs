@@ -7,7 +7,7 @@
 
 use crate::OutlierDetector;
 use cs_linalg::vecops::{euclidean, total_cmp_f64};
-use cs_linalg::{Matrix, Pca};
+use cs_linalg::{Matrix, Pca, PcaConfig};
 
 /// kNN-distance detector: the outlier score of a point is the mean
 /// distance to its `k` nearest neighbors (the "weighted-kNN" variant,
@@ -97,7 +97,7 @@ impl OutlierDetector for MahalanobisDetector {
         if n <= 1 {
             return vec![0.0; n];
         }
-        let pca = Pca::fit_full(data).expect("non-empty, finite data");
+        let pca = Pca::fit_with(data, PcaConfig::new()).expect("non-empty, finite data");
         let z = pca.encode(data);
         // Per-axis variance = σ_i² / n; floor relative to the top axis.
         let variances: Vec<f64> = pca

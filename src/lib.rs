@@ -53,7 +53,7 @@ pub mod prelude {
         encode_catalog, encode_catalog_with, CollaborativeScoper, CollaborativeScoperBuilder,
         CollaborativeSweep, CombinationRule, ExchangeError, GlobalScoper, LocalModel,
         ModelEnvelope, NeuralCollaborativeScoper, SchemaSignatures, Scoper, ScopingError,
-        ScopingOutcome, SignatureCatalog, SourceToTargetScoper, SweepGrid,
+        ScopingOutcome, SourceToTargetScoper,
     };
     pub use cs_datasets::{oc3, oc3_fo, Dataset};
     pub use cs_embed::{EncoderConfig, SignatureEncoder};

@@ -577,7 +577,6 @@ fn ann_pairs_are_a_subset_of_flat_top_k_prime() {
         let ann = AnnMatcher::with_config(AnnConfig {
             candidate_budget: sigs.total_len(),
             prefilter_dims: if g.usize_in(0, 1) == 0 { 0 } else { 8 },
-            threads: 1,
             ..AnnConfig::with_k(k)
         });
         let pairs = ann.match_pairs(&sets);
@@ -684,8 +683,8 @@ fn hybrid_fused_ranking_is_invariant_under_schema_permutation() {
             let sets_p: Vec<ElementSet> = perm.iter().map(|&p| sets[p].clone()).collect();
             let names_p: Vec<NamedSet> = perm.iter().map(|&p| names[p].clone()).collect();
 
-            let ann = AnnConfig::with_k(3);
-            let base = HybridMatcher::new(ann, names).ranked_pairs(&sets);
+            let ann = AnnMatcher::new(3);
+            let base = HybridMatcher::new(ann.clone(), names).ranked_pairs(&sets);
             let shuffled = HybridMatcher::new(ann, names_p).ranked_pairs(&sets_p);
             assert_eq!(
                 base, shuffled,
@@ -714,7 +713,7 @@ fn ann_pipeline_is_stable_across_catalog_regeneration() {
                 let sets = full_sets(&sigs);
                 let ann = AnnMatcher::new(3).ranked_pairs(&sets);
                 let hybrid =
-                    HybridMatcher::new(AnnConfig::with_k(3), named_sets_of(ds)).ranked_pairs(&sets);
+                    HybridMatcher::new(AnnMatcher::new(3), named_sets_of(ds)).ranked_pairs(&sets);
                 (ann, hybrid)
             };
             assert_eq!(rank(&first), rank(&second));
