@@ -3,18 +3,17 @@
 //! Each schema trains its own [`LocalModel`]; models — not data — are
 //! exchanged. A schema's element is kept when at least one *foreign* model
 //! reconstructs it within that model's local linkability range
-//! (Definition 4). Training and assessment are embarrassingly parallel per
-//! schema, mirroring the paper's distributed deployment; the
-//! implementation fans out on the deterministic chunk-deal pool of
-//! [`crate::pool`], whose slot assembly keeps parallel output
-//! bit-identical to the sequential path.
+//! (Definition 4), decided by the one kernel in [`crate::assess`].
+//! Training and assessment are embarrassingly parallel per schema,
+//! mirroring the paper's distributed deployment; the implementation fans
+//! out on the deterministic chunk-deal pool of [`crate::pool`], whose slot
+//! assembly keeps parallel output bit-identical to the sequential path.
 
-use std::sync::Arc;
-
+use crate::assess::assess;
 use crate::error::ScopingError;
 use crate::local_model::LocalModel;
 use crate::outcome::ScopingOutcome;
-use crate::pool::{ExecPolicy, ThreadPool};
+use crate::pool::ExecPolicy;
 use crate::signatures::SchemaSignatures;
 use cs_linalg::pca::ExplainedVariance;
 use cs_linalg::PcaSolver;
@@ -64,9 +63,11 @@ impl CostReport {
     }
 }
 
-/// Result of one collaborative run: the outcome plus diagnostics.
+/// Result of one collaborative run: the outcome plus diagnostics. `M` is
+/// the local model kind (PCA by default, or
+/// [`crate::NeuralLocalModel`]).
 #[derive(Debug, Clone)]
-pub struct CollaborativeRun {
+pub struct CollaborativeRun<M = LocalModel> {
     /// Keep/prune decisions.
     pub outcome: ScopingOutcome,
     /// Per element (unified order): how many foreign models accepted it.
@@ -75,8 +76,8 @@ pub struct CollaborativeRun {
     /// relative to that model's range (`err − l_m`); negative = accepted by
     /// that model. Useful for diagnosing near-misses.
     pub best_margin: Vec<f64>,
-    /// The trained local models (`M_1 … M_k`).
-    pub models: Vec<LocalModel>,
+    /// The local models (`M_1 … M_k`), in schema order.
+    pub models: Vec<M>,
     /// Cost accounting.
     pub cost: CostReport,
 }
@@ -85,11 +86,12 @@ pub struct CollaborativeRun {
 ///
 /// ```
 /// use cs_core::collaborative::{CollaborativeScoper, CombinationRule};
+/// use cs_core::ExecPolicy;
 ///
 /// let scoper = CollaborativeScoper::builder()
 ///     .explained_variance(0.85)
 ///     .combination(CombinationRule::Any)
-///     .parallel(true)
+///     .exec(ExecPolicy::Global)
 ///     .build()
 ///     .unwrap();
 /// assert_eq!(scoper.variance(), 0.85);
@@ -122,30 +124,11 @@ impl CollaborativeScoperBuilder {
         self
     }
 
-    /// Whether training/assessment fan out on the shared pool (on by
-    /// default; off gives bit-identical results on the caller thread).
-    pub fn parallel(mut self, parallel: bool) -> Self {
-        self.exec = if parallel {
-            ExecPolicy::Global
-        } else {
-            ExecPolicy::Sequential
-        };
-        self
-    }
-
-    /// Forces inline execution on the caller thread.
-    pub fn sequential(self) -> Self {
-        self.parallel(false)
-    }
-
-    /// Uses a caller-owned pool instead of the process-wide one (e.g. to
-    /// pin an exact worker count in a determinism test).
-    pub fn pool(mut self, pool: Arc<ThreadPool>) -> Self {
-        self.exec = ExecPolicy::Pool(pool);
-        self
-    }
-
-    /// Sets the execution policy directly.
+    /// Where training and assessment run: the shared pool
+    /// ([`ExecPolicy::Global`], the default), inline on the caller thread
+    /// ([`ExecPolicy::Sequential`]) or a caller-owned pool (e.g. to pin an
+    /// exact worker count in a determinism test). Every policy gives
+    /// bit-identical results.
     pub fn exec(mut self, exec: ExecPolicy) -> Self {
         self.exec = exec;
         self
@@ -209,16 +192,6 @@ impl CollaborativeScoper {
         self.v
     }
 
-    /// Whether per-schema work fans out across threads.
-    pub fn is_parallel(&self) -> bool {
-        self.exec.is_parallel()
-    }
-
-    /// The configured execution policy.
-    pub fn exec_policy(&self) -> &ExecPolicy {
-        &self.exec
-    }
-
     /// The PCA eigensolver local models train with.
     pub fn pca_solver(&self) -> PcaSolver {
         self.solver
@@ -246,64 +219,17 @@ impl CollaborativeScoper {
             .collect()
     }
 
-    /// Runs the full collaborative assessment (Algorithm 2 per schema).
+    /// Runs the full collaborative assessment (Algorithm 2 per schema):
+    /// trains the local models, then hands them to [`assess`].
     pub fn run(&self, signatures: &SchemaSignatures) -> Result<CollaborativeRun, ScopingError> {
-        let models = Arc::new(self.train_models(signatures)?);
-        let k = signatures.schema_count();
-
-        // Per schema: assess against every foreign model (parallel per schema).
-        let sigs = signatures.clone();
-        let shared_models = Arc::clone(&models);
-        let per_schema = self.exec.run_slots(k, move |idx| {
-            let sigs = sigs.schema(idx);
-            let n = sigs.rows();
-            let mut votes = vec![0usize; n];
-            let mut margin = vec![f64::INFINITY; n];
-            for model in shared_models.iter().filter(|m| m.schema_index() != idx) {
-                let errors = model.reconstruction_errors(sigs);
-                for (i, e) in errors.into_iter().enumerate() {
-                    let m = e - model.linkability_range();
-                    if m <= 0.0 {
-                        votes[i] += 1;
-                    }
-                    if m < margin[i] {
-                        margin[i] = m;
-                    }
-                }
-            }
-            (votes, margin)
-        })?;
-
-        let mut accept_votes = Vec::with_capacity(signatures.total_len());
-        let mut best_margin = Vec::with_capacity(signatures.total_len());
-        for (votes, margin) in per_schema {
-            accept_votes.extend(votes);
-            best_margin.extend(margin);
-        }
-        let foreign_count = k - 1;
-        let decisions: Vec<bool> = accept_votes
-            .iter()
-            .map(|&a| self.rule.decide(a, foreign_count))
-            .collect();
-        let outcome = ScopingOutcome::new(
-            format!("Collaborative[PCA] v={}", self.v),
-            signatures.element_ids(),
-            decisions,
-        );
-        let cost = CostReport {
-            pass_operations: signatures.total_len() * foreign_count,
-            models_trained: k,
-        };
-        // Workers may still be dropping their Arc clones for an instant
-        // after the last result lands; fall back to a clone in that case.
-        let models = Arc::try_unwrap(models).unwrap_or_else(|shared| (*shared).clone());
-        Ok(CollaborativeRun {
-            outcome,
-            accept_votes,
-            best_margin,
+        let models = self.train_models(signatures)?;
+        assess(
+            signatures,
             models,
-            cost,
-        })
+            self.rule,
+            &self.exec,
+            format!("Collaborative[PCA] v={}", self.v),
+        )
     }
 }
 
@@ -371,15 +297,7 @@ mod tests {
     fn votes_and_margins_are_consistent_with_decisions() {
         let sigs = shared_and_disjoint();
         let run = CollaborativeScoper::new(0.7).run(&sigs).unwrap();
-        for i in 0..run.outcome.len() {
-            let accepted = run.outcome.decisions[i];
-            assert_eq!(accepted, run.accept_votes[i] >= 1);
-            if accepted {
-                assert!(run.best_margin[i] <= 0.0);
-            } else {
-                assert!(run.best_margin[i] > 0.0);
-            }
-        }
+        crate::assess::assert_kernel_contract(&sigs, run.models);
     }
 
     #[test]
@@ -426,11 +344,10 @@ mod tests {
         let built = CollaborativeScoper::builder()
             .explained_variance(0.9)
             .combination(CombinationRule::AtLeast(2))
-            .parallel(false)
+            .exec(ExecPolicy::Sequential)
             .build()
             .unwrap();
         assert_eq!(built.variance(), 0.9);
-        assert!(!built.is_parallel());
     }
 
     #[test]
@@ -444,7 +361,7 @@ mod tests {
             .unwrap();
         let seq = CollaborativeScoper::builder()
             .explained_variance(0.8)
-            .parallel(false)
+            .exec(ExecPolicy::Sequential)
             .build()
             .unwrap()
             .run(&sigs)

@@ -19,6 +19,7 @@
 //! truncated payload is a typed [`ExchangeError`], never a panic, because
 //! the payload crosses a trust boundary.
 
+use crate::assess::LocalAssessor;
 use crate::json::{self, JsonValue};
 use crate::local_model::LocalModel;
 use cs_linalg::{Matrix, Pca};
@@ -117,28 +118,6 @@ impl ModelEnvelope {
             return Err(ExchangeError::MalformedShape("non-finite values".into()));
         }
         Ok(())
-    }
-
-    /// Reconstruction MSE of foreign signatures under this exchanged model
-    /// — Definition 4 evaluated by the *receiving* schema.
-    pub fn reconstruction_errors(&self, foreign: &Matrix) -> Vec<f64> {
-        assert_eq!(foreign.cols(), self.dim, "dimension mismatch");
-        let centered = foreign.sub_row_vector(&self.mean);
-        let z = centered.matmul_transposed(&self.components);
-        let decoded = z.matmul(&self.components);
-        centered
-            .rows_iter()
-            .zip(decoded.rows_iter())
-            .map(|(a, b)| cs_linalg::vecops::mse(a, b))
-            .collect()
-    }
-
-    /// Which foreign signatures this exchanged model accepts as linkable.
-    pub fn assess(&self, foreign: &Matrix) -> Vec<bool> {
-        self.reconstruction_errors(foreign)
-            .into_iter()
-            .map(|e| e <= self.linkability_range)
-            .collect()
     }
 }
 
@@ -348,13 +327,15 @@ pub fn from_bytes(payload: &[u8]) -> Result<ModelEnvelope, ExchangeError> {
     Ok(envelope)
 }
 
-/// Rehydrates a received envelope into something assessment code can use
-/// alongside natively trained models: the underlying PCA plus range.
+/// Rehydrates a received envelope into a [`LocalModel`], so a received
+/// model scores signatures exactly like the sender's copy (the same
+/// [`Pca::reconstruction_errors`] over the same bits) and plugs into
+/// [`crate::assess::assess`] next to natively trained models.
 ///
 /// Note the explained-variance bookkeeping is not transferred (it is not
 /// part of the paper's `M_k`), so re-truncation is not possible on the
 /// receiving side — by design: the publisher chose the generalization.
-pub fn to_pca(envelope: &ModelEnvelope) -> Result<(Pca, f64), ExchangeError> {
+pub fn to_model(envelope: &ModelEnvelope) -> Result<LocalModel, ExchangeError> {
     envelope.validate()?;
     let n = envelope.components.rows();
     let pca = Pca::from_parts(
@@ -364,15 +345,24 @@ pub fn to_pca(envelope: &ModelEnvelope) -> Result<(Pca, f64), ExchangeError> {
         vec![0.0; n],
     )
     .map_err(|e| ExchangeError::MalformedShape(e.to_string()))?;
-    Ok((pca, envelope.linkability_range))
+    Ok(LocalModel::from_parts(
+        envelope.schema_index,
+        pca,
+        envelope.linkability_range,
+    ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::local_model::LocalModel;
     use cs_linalg::pca::ExplainedVariance;
     use cs_linalg::Xoshiro256;
+
+    /// Raw bits of the reconstruction errors of `data` under `model`.
+    fn error_bits(model: &LocalModel, data: &Matrix) -> Vec<u64> {
+        let errors = model.reconstruction_errors(data);
+        errors.iter().map(|x| x.to_bits()).collect()
+    }
 
     fn trained_model() -> (LocalModel, Matrix) {
         let mut rng = Xoshiro256::seed_from(11);
@@ -393,8 +383,9 @@ mod tests {
         assert_eq!(back.mean, envelope.mean);
         assert_eq!(back.components, envelope.components);
         assert_eq!(back.linkability_range, envelope.linkability_range);
-        // Assessment through the envelope matches the native model.
-        assert_eq!(back.assess(&data), model.assess(&data));
+        // The received model scores exactly like the native one.
+        let received = to_model(&back).unwrap();
+        assert_eq!(error_bits(&received, &data), error_bits(&model, &data));
     }
 
     #[test]
@@ -402,8 +393,8 @@ mod tests {
         let (model, data) = trained_model();
         let envelope = ModelEnvelope::pack("OC-Oracle", &model);
         let json = to_json(&envelope).unwrap();
-        let back = from_json(&json).unwrap();
-        assert_eq!(back.assess(&data), model.assess(&data));
+        let received = to_model(&from_json(&json).unwrap()).unwrap();
+        assert_eq!(error_bits(&received, &data), error_bits(&model, &data));
     }
 
     #[test]
@@ -501,16 +492,17 @@ mod tests {
     }
 
     #[test]
-    fn to_pca_assesses_identically() {
+    fn to_model_assesses_identically() {
         let (model, data) = trained_model();
-        let envelope = ModelEnvelope::pack("X", &model);
-        let (pca, range) = to_pca(&envelope).unwrap();
-        let errs = pca.reconstruction_errors(&data);
-        let native = model.reconstruction_errors(&data);
-        for (a, b) in errs.iter().zip(native.iter()) {
-            assert!((a - b).abs() < 1e-12);
-        }
-        assert_eq!(range, model.linkability_range());
+        let received = to_model(&ModelEnvelope::pack("X", &model)).unwrap();
+        assert_eq!(received.schema_index(), model.schema_index());
+        assert_eq!(received.n_components(), model.n_components());
+        assert_eq!(
+            received.linkability_range().to_bits(),
+            model.linkability_range().to_bits()
+        );
+        assert_eq!(error_bits(&received, &data), error_bits(&model, &data));
+        assert_eq!(received.assess(&data), model.assess(&data));
     }
 
     #[test]

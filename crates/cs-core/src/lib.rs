@@ -17,12 +17,15 @@
 //!    (Algorithm 2) reconstructs each schema's signatures through every
 //!    *other* schema's model; elements recognized by at least one foreign
 //!    model (Definition 4) survive into the streamlined schemas `S'`.
+//!    The vote is cast in one kernel, [`assess::assess`], behind the
+//!    [`LocalAssessor`] trait that PCA and neural models share.
 //!
 //! The baseline [`GlobalScoper`] ranks the unified signature set with a
 //! single outlier detector and keeps the lowest-scoring `p` fraction
 //! (Section 2.4). [`CollaborativeSweep`] evaluates the whole `v ∈ (1..0)`
 //! grid efficiently by caching full-rank latent projections.
 
+pub mod assess;
 pub mod collaborative;
 pub mod error;
 pub mod exchange;
@@ -30,7 +33,6 @@ pub mod json;
 pub mod local_model;
 pub mod nonlinear;
 pub mod outcome;
-pub mod pairwise;
 /// The deterministic chunk-deal runtime (DESIGN.md §8), re-exported from
 /// [`cs_linalg::pool`] together with the sanitizer its lock sites record
 /// into.
@@ -43,6 +45,7 @@ pub mod scoping;
 pub mod signatures;
 pub mod sweep;
 
+pub use assess::LocalAssessor;
 pub use collaborative::{
     CollaborativeScoper, CollaborativeScoperBuilder, CombinationRule, CostReport,
 };
@@ -51,7 +54,6 @@ pub use exchange::{ExchangeError, ModelEnvelope};
 pub use local_model::LocalModel;
 pub use nonlinear::{NeuralCollaborativeScoper, NeuralLocalModel};
 pub use outcome::{DegradedSchema, ScopingOutcome};
-pub use pairwise::SourceToTargetScoper;
 pub use pool::{ExecPolicy, ThreadPool};
 pub use scoper::Scoper;
 pub use scoping::GlobalScoper;

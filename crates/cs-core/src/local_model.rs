@@ -6,6 +6,7 @@
 //! **local linkability range** `l_k` = the largest reconstruction error
 //! among the model's own training signatures (Definition 3).
 
+use crate::assess::LocalAssessor;
 use crate::error::ScopingError;
 use cs_linalg::pca::ExplainedVariance;
 use cs_linalg::{Matrix, Pca, PcaConfig, PcaSolver};
@@ -107,21 +108,17 @@ impl LocalModel {
         check_spectrum(schema_index, signatures, &pca)?;
         let own_errors = pca.reconstruction_errors(signatures);
         let linkability_range = own_errors.iter().copied().fold(0.0, f64::max);
-        Ok(Self {
+        Ok(Self::from_parts(schema_index, pca, linkability_range))
+    }
+
+    /// Rebuilds a model from exchanged parts (see
+    /// [`crate::exchange::to_model`]).
+    pub(crate) fn from_parts(schema_index: usize, pca: Pca, linkability_range: f64) -> Self {
+        Self {
             schema_index,
             pca,
             linkability_range,
-        })
-    }
-
-    /// Index of the schema this model was trained on.
-    pub fn schema_index(&self) -> usize {
-        self.schema_index
-    }
-
-    /// The local linkability range `l_k`.
-    pub fn linkability_range(&self) -> f64 {
-        self.linkability_range
+        }
     }
 
     /// Number of principal components retained for the requested variance.
@@ -133,31 +130,19 @@ impl LocalModel {
     pub fn pca(&self) -> &Pca {
         &self.pca
     }
+}
 
-    /// Reconstruction MSE of foreign signatures under this model
-    /// (the score of Definition 4).
-    pub fn reconstruction_errors(&self, foreign: &Matrix) -> Vec<f64> {
+impl LocalAssessor for LocalModel {
+    fn schema_index(&self) -> usize {
+        self.schema_index
+    }
+
+    fn linkability_range(&self) -> f64 {
+        self.linkability_range
+    }
+
+    fn reconstruction_errors(&self, foreign: &Matrix) -> Vec<f64> {
         self.pca.reconstruction_errors(foreign)
-    }
-
-    /// Definition 4: which foreign signatures this model recognizes as
-    /// linkable (`MSE ≤ l_k`).
-    pub fn assess(&self, foreign: &Matrix) -> Vec<bool> {
-        self.reconstruction_errors(foreign)
-            .into_iter()
-            .map(|e| e <= self.linkability_range)
-            .collect()
-    }
-
-    /// Like [`Self::assess`] with a relaxed range `l_k + ε` — the variant
-    /// the paper discusses (and rejects) after Definition 3; kept for the
-    /// ablation bench.
-    pub fn assess_relaxed(&self, foreign: &Matrix, epsilon: f64) -> Vec<bool> {
-        assert!(epsilon >= 0.0, "epsilon must be non-negative");
-        self.reconstruction_errors(foreign)
-            .into_iter()
-            .map(|e| e <= self.linkability_range + epsilon)
-            .collect()
     }
 }
 
@@ -241,19 +226,6 @@ mod tests {
     }
 
     #[test]
-    fn relaxed_assessment_is_superset() {
-        let data = subspace_data(20, 12, 4, 5);
-        let model = LocalModel::train(0, &data, v(0.6)).unwrap();
-        let mut rng = Xoshiro256::seed_from(7);
-        let foreign = Matrix::from_fn(10, 12, |_, _| rng.next_gaussian());
-        let strict = model.assess(&foreign);
-        let relaxed = model.assess_relaxed(&foreign, 0.05);
-        for (s, r) in strict.iter().zip(relaxed.iter()) {
-            assert!(!s || *r, "strict-accepted must stay accepted when relaxed");
-        }
-    }
-
-    #[test]
     fn empty_schema_is_typed_error() {
         let err = LocalModel::train(4, &Matrix::zeros(0, 8), v(0.5)).unwrap_err();
         assert_eq!(err, ScopingError::EmptySchema { schema: 4 });
@@ -313,13 +285,5 @@ mod tests {
             .collect();
         let model = LocalModel::train(0, &Matrix::from_rows(&rows), v(0.9)).unwrap();
         assert!(model.linkability_range() >= 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "non-negative")]
-    fn negative_epsilon_panics() {
-        let data = subspace_data(5, 6, 2, 8);
-        let model = LocalModel::train(0, &data, v(0.5)).unwrap();
-        model.assess_relaxed(&data, -0.1);
     }
 }

@@ -7,12 +7,13 @@
 //! self-supervised on its own schema's signatures, the **local
 //! linkability range** is still the maximum own reconstruction MSE
 //! (Definition 3), and the collaborative assessment (Algorithm 2 /
-//! Definition 4) is unchanged. The generalization knob is the bottleneck
-//! width instead of the explained variance.
+//! Definition 4) is the same [`crate::assess`] kernel. The generalization
+//! knob is the bottleneck width instead of the explained variance.
 
-use crate::collaborative::{CombinationRule, CostReport};
+use crate::assess::{assess, LocalAssessor};
+use crate::collaborative::{CollaborativeRun, CombinationRule};
 use crate::error::ScopingError;
-use crate::outcome::ScopingOutcome;
+use crate::pool::ExecPolicy;
 use crate::signatures::SchemaSignatures;
 use cs_linalg::Matrix;
 use cs_nn::{train_autoencoder, Mlp, TrainConfig};
@@ -53,32 +54,23 @@ impl NeuralLocalModel {
         })
     }
 
-    /// Index of the schema this model was trained on.
-    pub fn schema_index(&self) -> usize {
-        self.schema_index
-    }
-
-    /// The local linkability range `l_k`.
-    pub fn linkability_range(&self) -> f64 {
-        self.linkability_range
-    }
-
     /// The trained network.
     pub fn network(&self) -> &Mlp {
         &self.network
     }
+}
 
-    /// Reconstruction MSE of foreign signatures.
-    pub fn reconstruction_errors(&self, foreign: &Matrix) -> Vec<f64> {
-        cs_nn::train::reconstruction_errors(&self.network, foreign)
+impl LocalAssessor for NeuralLocalModel {
+    fn schema_index(&self) -> usize {
+        self.schema_index
     }
 
-    /// Definition 4 with the neural reconstruction.
-    pub fn assess(&self, foreign: &Matrix) -> Vec<bool> {
-        self.reconstruction_errors(foreign)
-            .into_iter()
-            .map(|e| e <= self.linkability_range)
-            .collect()
+    fn linkability_range(&self) -> f64 {
+        self.linkability_range
+    }
+
+    fn reconstruction_errors(&self, foreign: &Matrix) -> Vec<f64> {
+        cs_nn::train::reconstruction_errors(&self.network, foreign)
     }
 }
 
@@ -87,19 +79,6 @@ impl NeuralLocalModel {
 pub struct NeuralCollaborativeScoper {
     config: TrainConfig,
     rule: CombinationRule,
-}
-
-/// Result of a neural collaborative run.
-#[derive(Debug, Clone)]
-pub struct NeuralCollaborativeRun {
-    /// Keep/prune decisions.
-    pub outcome: ScopingOutcome,
-    /// Foreign-model acceptance votes per element.
-    pub accept_votes: Vec<usize>,
-    /// The trained local models.
-    pub models: Vec<NeuralLocalModel>,
-    /// Cost accounting.
-    pub cost: CostReport,
 }
 
 impl NeuralCollaborativeScoper {
@@ -118,57 +97,31 @@ impl NeuralCollaborativeScoper {
         self
     }
 
-    /// Trains per-schema autoencoders (in parallel) and assesses
-    /// collaboratively.
+    /// Trains per-schema autoencoders and assesses collaboratively, both
+    /// on the shared pool.
     pub fn run(
         &self,
         signatures: &SchemaSignatures,
-    ) -> Result<NeuralCollaborativeRun, ScopingError> {
+    ) -> Result<CollaborativeRun<NeuralLocalModel>, ScopingError> {
         let k = signatures.schema_count();
         if k < 2 {
             return Err(ScopingError::TooFewSchemas { found: k });
         }
         let sigs = signatures.clone();
         let config = self.config.clone();
-        let models: Vec<NeuralLocalModel> = crate::pool::ExecPolicy::Global
+        let models: Vec<NeuralLocalModel> = ExecPolicy::Global
             .run_slots(k, move |idx| {
                 NeuralLocalModel::train(idx, sigs.schema(idx), &config)
             })?
             .into_iter()
             .collect::<Result<_, _>>()?;
-
-        let mut accept_votes = Vec::with_capacity(signatures.total_len());
-        for sk in 0..k {
-            let sigs = signatures.schema(sk);
-            let mut votes = vec![0usize; sigs.rows()];
-            for model in models.iter().filter(|m| m.schema_index() != sk) {
-                for (i, ok) in model.assess(sigs).into_iter().enumerate() {
-                    if ok {
-                        votes[i] += 1;
-                    }
-                }
-            }
-            accept_votes.extend(votes);
-        }
-        let decisions: Vec<bool> = accept_votes
-            .iter()
-            .map(|&a| self.rule.decide(a, k - 1))
-            .collect();
-        let outcome = ScopingOutcome::new(
-            format!("Collaborative[AE {:?}]", self.config.hidden),
-            signatures.element_ids(),
-            decisions,
-        );
-        let cost = CostReport {
-            pass_operations: signatures.total_len() * (k - 1),
-            models_trained: k,
-        };
-        Ok(NeuralCollaborativeRun {
-            outcome,
-            accept_votes,
+        assess(
+            signatures,
             models,
-            cost,
-        })
+            self.rule,
+            &ExecPolicy::Global,
+            format!("Collaborative[AE {:?}]", self.config.hidden),
+        )
     }
 }
 
@@ -261,6 +214,31 @@ mod tests {
             .unwrap();
         let b = NeuralCollaborativeScoper::new(cfg).run(&sigs).unwrap();
         assert_eq!(a.outcome.decisions, b.outcome.decisions);
+        // The run assesses on the shared pool; inline assessment of the
+        // same trained models must agree bit for bit.
+        let inline = assess(
+            &sigs,
+            a.models.clone(),
+            CombinationRule::Any,
+            &ExecPolicy::Sequential,
+            a.outcome.method.clone(),
+        )
+        .unwrap();
+        assert_eq!(inline.outcome, a.outcome);
+        assert_eq!(inline.accept_votes, a.accept_votes);
+        let bits = |m: &[f64]| m.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&inline.best_margin), bits(&a.best_margin));
+    }
+
+    #[test]
+    fn votes_and_margins_are_consistent_with_decisions() {
+        let sigs = shared_and_disjoint();
+        let cfg = TrainConfig {
+            epochs: 20,
+            ..quick_config()
+        };
+        let run = NeuralCollaborativeScoper::new(cfg).run(&sigs).unwrap();
+        crate::assess::assert_kernel_contract(&sigs, run.models);
     }
 
     #[test]

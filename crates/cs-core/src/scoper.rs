@@ -1,8 +1,8 @@
 //! The unified [`Scoper`] interface.
 //!
 //! Every scoping strategy in the workspace — the paper's collaborative
-//! scoper (linear and neural), the global-scoping baseline, and the
-//! two-schema source-to-target mode — answers the same question: *which
+//! scoper (linear and neural) and the global-scoping baseline — answers
+//! the same question: *which
 //! catalog elements are worth handing to a matcher?* This trait captures
 //! that question once, so experiment drivers and downstream pipelines can
 //! hold a `&dyn Scoper` and swap strategies without caring how the
@@ -12,7 +12,6 @@ use crate::collaborative::CollaborativeScoper;
 use crate::error::ScopingError;
 use crate::nonlinear::NeuralCollaborativeScoper;
 use crate::outcome::ScopingOutcome;
-use crate::pairwise::SourceToTargetScoper;
 use crate::scoping::GlobalScoper;
 use crate::signatures::SchemaSignatures;
 use cs_oda::OutlierDetector;
@@ -56,30 +55,6 @@ impl<D: OutlierDetector> Scoper for GlobalScoper<D> {
     }
 }
 
-impl Scoper for SourceToTargetScoper {
-    /// Interprets the catalog as a source/target pair (exactly two
-    /// schemas) and prunes both sides against each other's model.
-    fn scope(&self, catalog: &SchemaSignatures) -> Result<ScopingOutcome, ScopingError> {
-        let k = catalog.schema_count();
-        if k < 2 {
-            return Err(ScopingError::TooFewSchemas { found: k });
-        }
-        if k != 2 {
-            return Err(ScopingError::InvalidParameter {
-                name: "schema_count",
-                value: k as f64,
-            });
-        }
-        let (src, tgt) = self.prune_both(catalog.schema(0), catalog.schema(1))?;
-        let decisions: Vec<bool> = src.keep_source.into_iter().chain(tgt.keep_source).collect();
-        Ok(ScopingOutcome::new(
-            "SourceToTarget[PCA]".to_string(),
-            catalog.element_ids(),
-            decisions,
-        ))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -115,8 +90,7 @@ mod tests {
         let sigs = two_schemas();
         let collaborative = CollaborativeScoper::new(0.8);
         let global = GlobalScoper::new(ZScoreDetector).with_keep_fraction(0.5);
-        let pairwise = SourceToTargetScoper::new(0.8);
-        let scopers: Vec<&dyn Scoper> = vec![&collaborative, &global, &pairwise];
+        let scopers: Vec<&dyn Scoper> = vec![&collaborative, &global];
         for scoper in scopers {
             let outcome = scoper.scope(&sigs).unwrap();
             assert_eq!(outcome.len(), 27);
@@ -139,37 +113,5 @@ mod tests {
         assert_eq!(Scoper::scope(&scoper, &sigs).unwrap().kept_count(), 27);
         let scoper = GlobalScoper::new(ZScoreDetector).with_keep_fraction(0.0);
         assert_eq!(Scoper::scope(&scoper, &sigs).unwrap().kept_count(), 0);
-    }
-
-    #[test]
-    fn pairwise_matches_collaborative_two_schema_case() {
-        let sigs = two_schemas();
-        let pairwise = SourceToTargetScoper::new(0.8).scope(&sigs).unwrap();
-        let collab = CollaborativeScoper::new(0.8).scope(&sigs).unwrap();
-        assert_eq!(pairwise.decisions, collab.decisions);
-    }
-
-    #[test]
-    fn pairwise_rejects_wrong_schema_counts() {
-        let one = SchemaSignatures::from_matrices(
-            vec![Matrix::from_rows(&[vec![1.0, 2.0]])],
-            vec!["only".into()],
-        );
-        assert!(matches!(
-            SourceToTargetScoper::new(0.8).scope(&one),
-            Err(ScopingError::TooFewSchemas { found: 1 })
-        ));
-        let m = Matrix::from_rows(&[vec![1.0, 2.0]]);
-        let three = SchemaSignatures::from_matrices(
-            vec![m.clone(), m.clone(), m],
-            vec!["a".into(), "b".into(), "c".into()],
-        );
-        assert!(matches!(
-            SourceToTargetScoper::new(0.8).scope(&three),
-            Err(ScopingError::InvalidParameter {
-                name: "schema_count",
-                ..
-            })
-        ));
     }
 }

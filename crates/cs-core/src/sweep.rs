@@ -15,6 +15,7 @@
 
 use std::sync::Arc;
 
+use crate::assess::{assemble, Tally};
 use crate::collaborative::CombinationRule;
 use crate::error::ScopingError;
 use crate::local_model::{check_spectrum, check_trainable};
@@ -303,36 +304,35 @@ impl CollaborativeSweep {
     /// out).
     fn assess_with_rule_unchecked(&self, v: f64, rule: CombinationRule) -> ScopingOutcome {
         let cache = &*self.inner;
-        let k = self.schema_count();
-        // A degraded schema is no assessor: foreign votes are counted
-        // out of the healthy models only.
-        let total_foreign = self.healthy_count().saturating_sub(1);
         let comps = self.components_at(v);
         let ranges = self.ranges_at(v);
-        let mut decisions = Vec::with_capacity(cache.element_ids.len());
-        for sk in 0..k {
-            if cache.own[sk].is_none() {
-                // Degraded schema: its elements are pruned wholesale.
-                decisions.extend(std::iter::repeat(false).take(cache.schema_lens[sk]));
-                continue;
-            }
-            for e in 0..cache.schema_lens[sk] {
-                let mut accepts = 0usize;
-                for m in 0..k {
-                    if let Some(table) = &cache.cross[sk][m] {
-                        if table.error_at(e, comps[m], cache.dim) <= ranges[m] {
-                            accepts += 1;
-                        }
+        let tallies = (0..self.schema_count())
+            .map(|sk| {
+                let n = cache.schema_lens[sk];
+                if cache.own[sk].is_none() {
+                    return Tally::degraded(n);
+                }
+                let mut tally = Tally::new(n);
+                for (m, table) in cache.cross[sk].iter().enumerate() {
+                    if let Some(table) = table {
+                        let errors = (0..n).map(|e| table.error_at(e, comps[m], cache.dim));
+                        tally.fold(errors, ranges[m]);
                     }
                 }
-                decisions.push(rule.decide(accepts, total_foreign));
-            }
-        }
-        ScopingOutcome::new(
+                tally
+            })
+            .collect();
+        // A degraded schema is no assessor: foreign votes are counted out
+        // of the healthy models only.
+        let foreign = self.healthy_count().saturating_sub(1);
+        assemble(
+            tallies,
+            rule,
+            foreign,
             format!("Collaborative[PCA] v={v}"),
             cache.element_ids.clone(),
-            decisions,
         )
+        .outcome
         .with_degraded(cache.degraded.clone())
     }
 

@@ -12,7 +12,8 @@ use std::sync::Arc;
 
 use cs_core::pool::{ExecPolicy, ThreadPool};
 use cs_core::{
-    encode_catalog, CollaborativeScoper, CollaborativeSweep, CombinationRule, SchemaSignatures,
+    encode_catalog, CollaborativeScoper, CollaborativeSweep, CombinationRule, LocalAssessor,
+    SchemaSignatures,
 };
 use cs_datasets::synthetic::{generate, SyntheticConfig};
 use cs_embed::SignatureEncoder;

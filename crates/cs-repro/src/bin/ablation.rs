@@ -6,13 +6,39 @@
 //!
 //! Each variant reports AUC-F1 / AUC-PR over the `v` grid on both datasets.
 
-use cs_core::{encode_catalog_with, CollaborativeScoper, CombinationRule, SchemaSignatures};
+use cs_core::assess::{assess, LocalAssessor};
+use cs_core::{
+    encode_catalog_with, CollaborativeScoper, CombinationRule, ExecPolicy, LocalModel,
+    SchemaSignatures,
+};
+use cs_linalg::Matrix;
 use cs_metrics::{BinaryConfusion, SweepCurve};
 use cs_repro::experiments::{dataset_signatures, v_grid};
 use cs_repro::report::{pct, render_table};
 use cs_schema::SerializeOptions;
 
 const STEPS: usize = 25;
+
+/// A local model judged against the relaxed range `l_k + l_k·frac`.
+#[derive(Clone)]
+struct Relaxed {
+    model: LocalModel,
+    range: f64,
+}
+
+impl LocalAssessor for Relaxed {
+    fn schema_index(&self) -> usize {
+        self.model.schema_index()
+    }
+
+    fn linkability_range(&self) -> f64 {
+        self.range
+    }
+
+    fn reconstruction_errors(&self, foreign: &Matrix) -> Vec<f64> {
+        self.model.reconstruction_errors(foreign)
+    }
+}
 
 fn sweep_with(
     signatures: &SchemaSignatures,
@@ -22,24 +48,24 @@ fn sweep_with(
 ) -> SweepCurve {
     let mut curve = SweepCurve::new();
     for v in v_grid(STEPS) {
-        let scoper = CollaborativeScoper::new(v).with_rule(rule);
-        let models = scoper.train_models(signatures).expect("valid dataset");
-        let k = signatures.schema_count();
-        let mut decisions = Vec::with_capacity(signatures.total_len());
-        for sk in 0..k {
-            let sigs = signatures.schema(sk);
-            let mut votes = vec![0usize; sigs.rows()];
-            for model in models.iter().filter(|m| m.schema_index() != sk) {
-                let eps = model.linkability_range() * epsilon_frac;
-                for (i, ok) in model.assess_relaxed(sigs, eps).into_iter().enumerate() {
-                    if ok {
-                        votes[i] += 1;
-                    }
+        let models = CollaborativeScoper::new(v)
+            .train_models(signatures)
+            .expect("valid dataset")
+            .into_iter()
+            .map(|model| {
+                let l = model.linkability_range();
+                Relaxed {
+                    model,
+                    range: l + l * epsilon_frac,
                 }
-            }
-            decisions.extend(votes.into_iter().map(|a| rule.decide(a, k - 1)));
-        }
-        curve.push(v, BinaryConfusion::from_labels(&decisions, labels));
+            })
+            .collect();
+        let run = assess(signatures, models, rule, &ExecPolicy::Global, "ablation")
+            .expect("valid dataset");
+        curve.push(
+            v,
+            BinaryConfusion::from_labels(&run.outcome.decisions, labels),
+        );
     }
     curve
 }

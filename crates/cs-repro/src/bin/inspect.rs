@@ -4,7 +4,7 @@
 //! Prints false positives and false negatives with qualified names —
 //! the tool for understanding *why* an element was kept or pruned.
 
-use cs_core::CollaborativeScoper;
+use cs_core::{CollaborativeScoper, LocalAssessor};
 use cs_repro::experiments::dataset_signatures;
 
 fn main() {

@@ -3,13 +3,15 @@
 //! The paper's phase III is explicitly designed so schemas never leave
 //! their organizations — only the self-trained encoder-decoders
 //! `M_k = {μ_k, PC_k, l_k}` are shared. This example simulates three
-//! organizations: each trains its local model, publishes it as a compact
-//! binary payload, and each then assesses its *own* elements against the
-//! *received* models — reproducing the exact decisions of a centralized
-//! run without any signature ever crossing the wire.
+//! organizations: each trains its local model and publishes it as a
+//! compact binary payload; the received payloads are rehydrated and every
+//! organization's elements are assessed against them — reproducing the
+//! exact decisions of a centralized run without any signature ever
+//! crossing the wire.
 //!
 //! Run with: `cargo run --release --example model_exchange`
 
+use collaborative_scoping::core::{assess::assess, ExecPolicy};
 use collaborative_scoping::prelude::*;
 
 fn main() {
@@ -19,7 +21,7 @@ fn main() {
     let v = ExplainedVariance::new(0.8).expect("valid variance");
 
     // --- Each organization trains locally and publishes its model. -----
-    let mut wire_payloads = Vec::new();
+    let mut received = Vec::new();
     for k in 0..signatures.schema_count() {
         let model = LocalModel::train(k, signatures.schema(k), v).expect("non-empty schema");
         let envelope = ModelEnvelope::pack(&dataset.catalog.schema(k).name, &model);
@@ -32,30 +34,26 @@ fn main() {
             payload.len(),
             to_json(&envelope).expect("serializable").len(),
         );
-        wire_payloads.push(payload);
+        let envelope = from_bytes(&payload).expect("valid payload");
+        received.push(to_model(&envelope).expect("valid model"));
     }
 
-    // --- Each organization ingests the others' payloads and assesses. --
+    // --- Assess every schema against the received foreign models. -----
+    let distributed = assess(
+        &signatures,
+        received,
+        CombinationRule::Any,
+        &ExecPolicy::Global,
+        "distributed",
+    )
+    .expect("one model per schema");
     println!();
-    let mut total_kept = 0;
     for k in 0..signatures.schema_count() {
-        let own = signatures.schema(k);
-        let mut kept = vec![false; own.rows()];
-        for (m, payload) in wire_payloads.iter().enumerate() {
-            if m == k {
-                continue;
-            }
-            let received = from_bytes(payload).expect("valid payload");
-            for (i, ok) in received.assess(own).into_iter().enumerate() {
-                kept[i] |= ok;
-            }
-        }
-        let count = kept.iter().filter(|&&b| b).count();
-        total_kept += count;
+        let name = &dataset.catalog.schema(k).name;
+        let kept = distributed.outcome.kept_in_schema(k);
         println!(
-            "{} keeps {count}/{} of its own elements after consulting the received models",
-            dataset.catalog.schema(k).name,
-            own.rows()
+            "{name} keeps {kept}/{} of its own elements",
+            signatures.schema_len(k)
         );
     }
 
@@ -64,13 +62,12 @@ fn main() {
         .run(&signatures)
         .expect("valid catalog");
     assert_eq!(
-        total_kept,
-        centralized.outcome.kept_count(),
+        distributed.outcome.decisions, centralized.outcome.decisions,
         "distributed and centralized runs must agree"
     );
     println!(
-        "\ndistributed total ({total_kept}) matches the centralized run ({}) — \
+        "\ndistributed decisions ({} kept) match the centralized run — \
          no signature ever left its organization.",
-        centralized.outcome.kept_count()
+        distributed.outcome.kept_count()
     );
 }

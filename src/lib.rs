@@ -48,12 +48,12 @@ pub use cs_schema as schema;
 /// quickstart pipeline touches, one `use collaborative_scoping::prelude::*;`
 /// away.
 pub mod prelude {
-    pub use cs_core::exchange::{from_bytes, from_json, to_bytes, to_json};
+    pub use cs_core::exchange::{from_bytes, from_json, to_bytes, to_json, to_model};
     pub use cs_core::{
         encode_catalog, encode_catalog_with, CollaborativeScoper, CollaborativeScoperBuilder,
-        CollaborativeSweep, CombinationRule, ExchangeError, GlobalScoper, LocalModel,
-        ModelEnvelope, NeuralCollaborativeScoper, SchemaSignatures, Scoper, ScopingError,
-        ScopingOutcome, SourceToTargetScoper,
+        CollaborativeSweep, CombinationRule, ExchangeError, GlobalScoper, LocalAssessor,
+        LocalModel, ModelEnvelope, NeuralCollaborativeScoper, SchemaSignatures, Scoper,
+        ScopingError, ScopingOutcome,
     };
     pub use cs_datasets::{oc3, oc3_fo, Dataset};
     pub use cs_embed::{EncoderConfig, SignatureEncoder};

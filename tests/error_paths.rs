@@ -8,7 +8,7 @@
 
 use std::sync::Arc;
 
-use collaborative_scoping::core::{pool::fault, CollaborativeSweep, ThreadPool};
+use collaborative_scoping::core::{pool::fault, CollaborativeSweep, ExecPolicy, ThreadPool};
 use collaborative_scoping::linalg::Xoshiro256;
 use collaborative_scoping::prelude::*;
 
@@ -227,7 +227,7 @@ fn worker_panicked_through_pooled_run() {
     });
     let err = CollaborativeScoper::builder()
         .explained_variance(0.9)
-        .pool(pool)
+        .exec(ExecPolicy::Pool(pool))
         .build()
         .unwrap()
         .run(&healthy_sigs())

@@ -2,8 +2,10 @@
 //! model trained on the paper's OC3 dataset: both codecs (JSON and binary)
 //! round-trip exactly, reject non-finite payloads, and refuse versions
 //! they do not understand — all on the in-workspace zero-dependency
-//! implementations.
+//! implementations. A catalog assessed through received models decides
+//! exactly like the centralized run.
 
+use collaborative_scoping::core::{assess::assess, collaborative::CollaborativeRun, ExecPolicy};
 use collaborative_scoping::prelude::*;
 
 /// Trains phase-II local models on OC3 and packs the first schema's model.
@@ -13,6 +15,16 @@ fn trained_oc3_envelope() -> (ModelEnvelope, SchemaSignatures) {
     let models = CollaborativeScoper::new(0.8).train_models(&sigs).unwrap();
     let envelope = ModelEnvelope::pack(dataset.catalog.schema(0).name.clone(), &models[0]);
     (envelope, sigs)
+}
+
+/// Raw bits of the reconstruction errors `foreign` gets under a received
+/// envelope.
+fn received_error_bits(envelope: &ModelEnvelope, foreign: &Matrix) -> Vec<u64> {
+    bits(&to_model(envelope).unwrap().reconstruction_errors(foreign))
+}
+
+fn bits(values: &[f64]) -> Vec<u64> {
+    values.iter().map(|x| x.to_bits()).collect()
 }
 
 #[test]
@@ -30,8 +42,11 @@ fn json_roundtrip_on_trained_oc3_model() {
         back.linkability_range.to_bits(),
         envelope.linkability_range.to_bits()
     );
-    // …and identical downstream assessment of a foreign schema.
-    assert_eq!(back.assess(sigs.schema(1)), envelope.assess(sigs.schema(1)));
+    // …and identical downstream scoring of a foreign schema.
+    assert_eq!(
+        received_error_bits(&back, sigs.schema(1)),
+        received_error_bits(&envelope, sigs.schema(1))
+    );
 }
 
 #[test]
@@ -46,7 +61,46 @@ fn binary_roundtrip_on_trained_oc3_model() {
         back.linkability_range.to_bits(),
         envelope.linkability_range.to_bits()
     );
-    assert_eq!(back.assess(sigs.schema(2)), envelope.assess(sigs.schema(2)));
+    assert_eq!(
+        received_error_bits(&back, sigs.schema(2)),
+        received_error_bits(&envelope, sigs.schema(2))
+    );
+}
+
+#[test]
+fn distributed_assessment_equals_centralized_bit_for_bit() {
+    for dataset in [oc3(), oc3_fo()] {
+        let sigs = encode_catalog(&SignatureEncoder::default(), &dataset.catalog);
+        let centralized = CollaborativeScoper::new(0.8).run(&sigs).unwrap();
+        // Each schema publishes its model over the binary wire format.
+        let received: Vec<LocalModel> = centralized
+            .models
+            .iter()
+            .enumerate()
+            .map(|(k, model)| {
+                let envelope = ModelEnvelope::pack(dataset.catalog.schema(k).name.clone(), model);
+                to_model(&from_bytes(&to_bytes(&envelope)).unwrap()).unwrap()
+            })
+            .collect();
+        let distributed = assess(
+            &sigs,
+            received,
+            CombinationRule::Any,
+            &ExecPolicy::Global,
+            "distributed",
+        )
+        .unwrap();
+        let digest = |run: &CollaborativeRun| {
+            let votes = run.accept_votes.clone();
+            (run.outcome.decisions.clone(), votes, bits(&run.best_margin))
+        };
+        assert_eq!(
+            digest(&distributed),
+            digest(&centralized),
+            "{}",
+            dataset.name
+        );
+    }
 }
 
 #[test]
