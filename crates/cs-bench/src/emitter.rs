@@ -423,28 +423,6 @@ fn bench_matching(
     }
 }
 
-/// Element display names per schema, aligned with [`ElementSet::full`]
-/// ordering — the lexical leg of the hybrid matcher bench.
-fn named_sets(ds: &cs_datasets::Dataset) -> Vec<NamedSet> {
-    (0..ds.catalog.schema_count())
-        .map(|k| {
-            let schema = ds.catalog.schema(k);
-            let mut ids = Vec::new();
-            let mut names = Vec::new();
-            for (e, r) in schema.element_refs().into_iter().enumerate() {
-                ids.push(cs_schema::ElementId::new(k, e));
-                names.push(match r {
-                    cs_schema::ElementRef::Table { table } => schema.tables[table].name.clone(),
-                    cs_schema::ElementRef::Attribute { table, attribute } => {
-                        schema.tables[table].attributes[attribute].name.clone()
-                    }
-                });
-            }
-            NamedSet::new(k, ids, names)
-        })
-        .collect()
-}
-
 /// The sublinear retrieval group: seeded LSH index construction, the
 /// two-stage (PCA prefilter → exact rerank) query path, and the matcher
 /// facades built on it — dense-only [`AnnMatcher`] and the RRF-fused
@@ -478,7 +456,10 @@ fn bench_ann(
             format!("{}/original/{name}", ann.name()),
             || ann.match_pairs(&sets),
         );
-        let hybrid = HybridMatcher::new(ann, named_sets(ds));
+        let names = (0..ds.catalog.schema_count())
+            .map(|k| NamedSet::full(k, ds.catalog.schema(k)))
+            .collect();
+        let hybrid = HybridMatcher::new(ann, names);
         push(
             out,
             cfg,

@@ -21,9 +21,9 @@
 
 use crate::hash::{seeded_direction, trigram_vector};
 use crate::lexicon::{domains, ConceptEntry, Lexicon};
-use crate::token::tokenize;
 use cs_linalg::vecops::{axpy, normalize};
 use cs_linalg::Matrix;
+use cs_schema::text::tokenize;
 use std::collections::HashMap;
 use std::sync::RwLock;
 

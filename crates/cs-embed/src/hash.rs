@@ -3,12 +3,14 @@
 //! Out-of-lexicon tokens still need a stable vector, and in-lexicon tokens
 //! need a small surface-form component so `ORDERDATE` and `ORDER_DATETIME`
 //! do not collapse onto identical points. Both come from hashing the
-//! token's boundary-padded character trigrams: each trigram seeds a unit
+//! token's boundary-padded character trigrams
+//! ([`cs_schema::text::trigrams`]): each trigram seeds a unit
 //! Gaussian direction, and the token vector is the normalized sum. Tokens
 //! sharing trigrams (similar spellings) therefore share vector mass —
 //! a smooth, deterministic analog of subword embeddings.
 
 use cs_linalg::{SplitMix64, Xoshiro256};
+use cs_schema::text::trigrams;
 
 /// FNV-1a hash of a byte string — stable across platforms and runs.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
@@ -29,20 +31,6 @@ pub fn seeded_direction(label: &str, seed: u64, dim: usize) -> Vec<f64> {
     rng.fill_gaussian(&mut v);
     cs_linalg::vecops::normalize(&mut v);
     v
-}
-
-/// Boundary-padded character trigrams of a token: `"CAT"` →
-/// `["^CA", "CAT", "AT$"]`. Tokens shorter than 3 characters yield their
-/// padded form as a single gram.
-pub fn trigrams(token: &str) -> Vec<String> {
-    let padded: Vec<char> = std::iter::once('^')
-        .chain(token.chars())
-        .chain(std::iter::once('$'))
-        .collect();
-    if padded.len() < 3 {
-        return vec![padded.iter().collect()];
-    }
-    padded.windows(3).map(|w| w.iter().collect()).collect()
 }
 
 /// Normalized sum of the trigram directions of `token` — its surface-form
@@ -86,14 +74,6 @@ mod tests {
         // Random 256-d directions are near-orthogonal.
         assert!(cosine(&a, &b).abs() < 0.25);
         assert!(cosine(&a, &c).abs() < 0.25);
-    }
-
-    #[test]
-    fn trigram_extraction() {
-        assert_eq!(trigrams("CAT"), vec!["^CA", "CAT", "AT$"]);
-        assert_eq!(trigrams("AB"), vec!["^AB", "AB$"]);
-        assert_eq!(trigrams("A"), vec!["^A$"]);
-        assert_eq!(trigrams(""), vec!["^$"]);
     }
 
     #[test]

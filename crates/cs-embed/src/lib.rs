@@ -22,19 +22,15 @@
 //! curated concept [`lexicon`], seeded Gaussian concept directions, and
 //! character-trigram [`hash`]ing for out-of-vocabulary tokens, pooled by a
 //! stopword-aware weighted mean (Sentence-BERT's average pooling analog).
-//! Everything is seeded: identical inputs give bit-identical signatures on
-//! every platform, which the experiment harness relies on.
-//!
-//! The [`textsim`] module additionally provides classic string-similarity
-//! measures (Levenshtein, Jaro-Winkler, n-gram Jaccard) used by related-work
-//! baselines and examples.
+//! Texts are split by the workspace's one identifier tokenizer,
+//! [`cs_schema::text::tokenize`], and hashed over its
+//! [`cs_schema::text::trigrams`]. Everything is seeded: identical inputs
+//! give bit-identical signatures on every platform, which the experiment
+//! harness relies on.
 
 pub mod encoder;
 pub mod hash;
 pub mod lexicon;
-pub mod textsim;
-pub mod token;
 
 pub use encoder::{EncoderConfig, SignatureEncoder};
 pub use lexicon::{ConceptEntry, Lexicon};
-pub use token::tokenize;

@@ -97,7 +97,7 @@ impl AnnConfig {
 /// Keeps the first `limit` entries of a `(score, index)`-sorted list plus
 /// every entry tied with the boundary score, so the kept *set* does not
 /// depend on index order (and hence not on schema order).
-fn truncate_with_ties(scored: &mut Vec<(usize, f64)>, limit: usize) {
+pub(crate) fn truncate_with_ties(scored: &mut Vec<(usize, f64)>, limit: usize) {
     if limit == 0 {
         scored.clear();
         return;

@@ -9,7 +9,7 @@
 //! fused score of a pair is a pure function of the score multisets, and
 //! the fused ranking inherits the channels' schema-order invariance.
 
-use crate::ann::{AnnConfig, AnnMatcher};
+use crate::ann::AnnMatcher;
 use crate::lexical::ranked_lexical_pairs;
 use crate::{dedup_pairs, CandidatePair, ElementSet, Matcher, NamedSet};
 use cs_linalg::vecops::total_cmp_f64;
@@ -52,78 +52,37 @@ pub fn rrf_fuse(rankings: &[&[(CandidatePair, f64)]], k0: f64) -> Vec<(Candidate
 /// Hybrid scoping matcher: RRF fusion of the dense ANN channel with the
 /// token-trigram lexical channel.
 ///
-/// Like [`crate::name::NameMatcherOverSets`], the lexical channel's name
-/// data cannot travel through [`ElementSet`]s, so the matcher carries
-/// its own [`NamedSet`]s — any kept-element filtering must already be
-/// applied to both views.
+/// The lexical channel's name data cannot travel through
+/// [`ElementSet`]s, so the matcher carries its own [`NamedSet`]s — any
+/// kept-element filtering must already be applied to both views.
 #[derive(Debug, Clone)]
 pub struct HybridMatcher {
     ann: AnnMatcher,
     names: Vec<NamedSet>,
-    lexical_k: usize,
-    budget: usize,
-    rrf_k: f64,
 }
 
 impl HybridMatcher {
     /// Fuses the dense channel of `ann` (its configuration and execution
-    /// policy) with a lexical channel over `names`, retrieving `k`
-    /// neighbors per element on both sides. No output budget: every fused
-    /// pair is emitted.
+    /// policy) with a lexical channel over `names`, retrieving the ANN
+    /// `k` neighbors per element on both sides. Every fused pair is
+    /// emitted.
     pub fn new(ann: AnnMatcher, names: Vec<NamedSet>) -> Self {
-        Self {
-            lexical_k: ann.config().k,
-            ann,
-            names,
-            budget: 0,
-            rrf_k: RRF_K,
-        }
-    }
-
-    /// Caps the fused output at `budget` pairs (ties at the boundary
-    /// score included; `0` means unlimited).
-    pub fn with_budget(mut self, budget: usize) -> Self {
-        self.budget = budget;
-        self
-    }
-
-    /// Overrides the lexical channel's per-element neighbor count.
-    pub fn with_lexical_k(mut self, k: usize) -> Self {
-        assert!(k >= 1, "lexical top-k must be at least 1");
-        self.lexical_k = k;
-        self
-    }
-
-    /// The ANN channel configuration.
-    pub fn ann_config(&self) -> &AnnConfig {
-        self.ann.config()
+        Self { ann, names }
     }
 
     /// Fused pairs best-first with their RRF scores; the scored view
     /// behind [`Matcher::match_pairs`].
     pub fn ranked_pairs(&self, sets: &[ElementSet]) -> Vec<(CandidatePair, f64)> {
         let dense = self.ann.ranked_pairs(sets);
-        let lexical = ranked_lexical_pairs(&self.names, self.lexical_k);
-        let mut fused = rrf_fuse(&[&dense, &lexical], self.rrf_k);
-        if self.budget > 0 && fused.len() > self.budget {
-            let boundary = fused[self.budget - 1].1;
-            let mut end = self.budget;
-            while end < fused.len() && total_cmp_f64(&fused[end].1, &boundary).is_eq() {
-                end += 1;
-            }
-            fused.truncate(end);
-        }
-        fused
+        let lexical = ranked_lexical_pairs(&self.names, self.ann.config().k);
+        rrf_fuse(&[&dense, &lexical], RRF_K)
     }
 }
 
 impl Matcher for HybridMatcher {
     fn name(&self) -> String {
-        format!(
-            "HYBRID(ANN({})+LEX({}))",
-            self.ann.config().k,
-            self.lexical_k
-        )
+        let k = self.ann.config().k;
+        format!("HYBRID(ANN({k})+LEX({k}))")
     }
 
     fn match_pairs(&self, sets: &[ElementSet]) -> Vec<CandidatePair> {
@@ -226,16 +185,6 @@ mod tests {
         for w in ranked.windows(2) {
             assert!(total_cmp_f64(&w[0].1, &w[1].1).is_ge());
         }
-    }
-
-    #[test]
-    fn budget_caps_output_tie_inclusively() {
-        let (matcher, sets) = hybrid_fixture(23);
-        let full = matcher.ranked_pairs(&sets);
-        let capped = matcher.clone().with_budget(3).ranked_pairs(&sets);
-        assert!(capped.len() >= 3.min(full.len()));
-        assert!(capped.len() <= full.len());
-        assert_eq!(&full[..capped.len()], &capped[..]);
     }
 
     #[test]

@@ -1,88 +1,93 @@
 //! Std-only token-trigram lexical scoring for hybrid scoping
-//! (DESIGN.md §14).
+//! (DESIGN.md §14) and the string-similarity baseline.
 //!
 //! Complements the dense signature channel with the surface signal the
-//! embeddings can wash out: element names are split on delimiter and
-//! camel-case boundaries, each token is padded and shredded into
-//! character trigrams, and names are compared by Jaccard similarity of
-//! their trigram *sets*. An inverted trigram index (ordered postings —
-//! the `no-unordered-iteration` gate applies here) makes top-`k` lookup
-//! touch only rows sharing at least one trigram instead of the full
-//! cross product.
-//!
-//! Distinct from [`cs_embed::textsim::ngram_jaccard`]: that measure
-//! shreds the raw string; this one tokenizes first, so `ORDER_DATE`,
-//! `orderDate`, and `date_of_order` land on overlapping token grams.
+//! embeddings can wash out: element names are split by the shared
+//! identifier tokenizer ([`cs_schema::text::tokenize`]: delimiter,
+//! camel-case and letter/digit boundaries, case folded), each token is
+//! shredded into its padded character [`cs_schema::text::trigrams`], and
+//! names are compared by Jaccard similarity of their trigram *sets* — so
+//! `ORDER_DATE`, `orderDate` and `date_of_order` land on overlapping
+//! grams. An inverted trigram index (ordered postings — the
+//! `no-unordered-iteration` gate applies here) makes top-`k` lookup touch
+//! only rows sharing at least one trigram instead of the full cross
+//! product.
 
-use crate::{CandidatePair, NamedSet};
+use crate::ann::truncate_with_ties;
+use crate::CandidatePair;
 use cs_linalg::vecops::total_cmp_f64;
-use std::collections::{BTreeMap, BTreeSet};
+use cs_schema::text::{tokenize, trigrams};
+use cs_schema::{ElementId, ElementRef, Schema};
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 
-/// Splits a name on non-alphanumeric delimiters and lower→upper
-/// camel-case boundaries; tokens come back lowercased.
-pub fn tokenize(name: &str) -> Vec<String> {
-    let mut tokens = Vec::new();
-    let mut cur = String::new();
-    let mut prev_lower = false;
-    for ch in name.chars() {
-        if !ch.is_alphanumeric() {
-            if !cur.is_empty() {
-                tokens.push(std::mem::take(&mut cur));
+/// One schema's elements with their display names (signatures are not
+/// needed for lexical matching).
+#[derive(Debug, Clone)]
+pub struct NamedSet {
+    /// Schema index in the catalog.
+    pub schema: usize,
+    /// Element ids aligned with `names`.
+    pub ids: Vec<ElementId>,
+    /// Element names as given (the tokenizer folds case).
+    pub names: Vec<String>,
+}
+
+impl NamedSet {
+    /// Builds a set from aligned ids and names.
+    pub fn new(schema: usize, ids: Vec<ElementId>, names: Vec<String>) -> Self {
+        assert_eq!(ids.len(), names.len(), "ids/names misaligned");
+        Self { schema, ids, names }
+    }
+
+    /// Every element of `source` with its unqualified name (attribute or
+    /// table name), in the canonical order of [`crate::ElementSet::full`].
+    pub fn full(schema: usize, source: &Schema) -> Self {
+        Self::from_schema(schema, source, |_| true)
+    }
+
+    /// Like [`NamedSet::full`], keeping only elements in `keep`
+    /// (streamlined schemas), aligned with [`crate::ElementSet::filtered`].
+    pub fn filtered(schema: usize, source: &Schema, keep: &HashSet<ElementId>) -> Self {
+        Self::from_schema(schema, source, |id| keep.contains(&id))
+    }
+
+    fn from_schema(schema: usize, source: &Schema, keep: impl Fn(ElementId) -> bool) -> Self {
+        let mut ids = Vec::new();
+        let mut names = Vec::new();
+        for (e, r) in source.element_refs().into_iter().enumerate() {
+            let id = ElementId::new(schema, e);
+            if keep(id) {
+                ids.push(id);
+                names.push(match r {
+                    ElementRef::Table { table } => source.tables[table].name.clone(),
+                    ElementRef::Attribute { table, attribute } => {
+                        source.tables[table].attributes[attribute].name.clone()
+                    }
+                });
             }
-            prev_lower = false;
-            continue;
         }
-        if ch.is_uppercase() && prev_lower && !cur.is_empty() {
-            tokens.push(std::mem::take(&mut cur));
-        }
-        prev_lower = ch.is_lowercase() || ch.is_numeric();
-        cur.extend(ch.to_lowercase());
+        Self { schema, ids, names }
     }
-    if !cur.is_empty() {
-        tokens.push(cur);
-    }
-    tokens
-}
 
-/// The boundary-padded character trigrams of a name's tokens.
-pub fn name_trigrams(name: &str) -> BTreeSet<String> {
-    let mut grams = BTreeSet::new();
-    for token in tokenize(name) {
-        let padded: Vec<char> = std::iter::once('#')
-            .chain(token.chars())
-            .chain(std::iter::once('#'))
-            .collect();
-        for w in padded.windows(3) {
-            grams.insert(w.iter().collect());
-        }
-    }
-    grams
-}
-
-/// Jaccard similarity of two names' trigram sets (`0.0` when both are
-/// empty).
-pub fn trigram_similarity(a: &str, b: &str) -> f64 {
-    let (ga, gb) = (name_trigrams(a), name_trigrams(b));
-    let inter = ga.intersection(&gb).count();
-    let union = ga.len() + gb.len() - inter;
-    if union == 0 {
-        0.0
-    } else {
-        inter as f64 / union as f64
+    /// True if empty.
+    pub fn is_empty(&self) -> bool {
+        self.ids.is_empty()
     }
 }
 
 /// Inverted token-trigram index over a list of names.
-#[derive(Debug, Clone)]
-pub struct LexicalIndex {
+struct LexicalIndex {
     grams: Vec<BTreeSet<String>>,
     postings: BTreeMap<String, Vec<usize>>,
 }
 
 impl LexicalIndex {
     /// Indexes `names` by row.
-    pub fn build(names: &[String]) -> Self {
-        let grams: Vec<BTreeSet<String>> = names.iter().map(|n| name_trigrams(n)).collect();
+    fn build(names: &[String]) -> Self {
+        let grams: Vec<BTreeSet<String>> = names
+            .iter()
+            .map(|n| tokenize(n).iter().flat_map(|t| trigrams(t)).collect())
+            .collect();
         let mut postings: BTreeMap<String, Vec<usize>> = BTreeMap::new();
         for (row, set) in grams.iter().enumerate() {
             for g in set {
@@ -92,39 +97,15 @@ impl LexicalIndex {
         Self { grams, postings }
     }
 
-    /// Number of indexed names.
-    pub fn len(&self) -> usize {
-        self.grams.len()
-    }
-
-    /// True if nothing is indexed.
-    pub fn is_empty(&self) -> bool {
-        self.grams.is_empty()
-    }
-
-    /// Jaccard similarity between two indexed rows.
-    pub fn similarity(&self, a: usize, b: usize) -> f64 {
-        let inter = self.grams[a].intersection(&self.grams[b]).count();
-        let union = self.grams[a].len() + self.grams[b].len() - inter;
-        if union == 0 {
-            0.0
-        } else {
-            inter as f64 / union as f64
-        }
-    }
-
     /// Top-`k` rows most similar to indexed row `query` among rows
     /// passing `keep`, best first (ties at the boundary included; rows
     /// sharing no trigram never appear).
-    pub fn search_filtered(
+    fn search_filtered(
         &self,
         query: usize,
         k: usize,
         keep: impl Fn(usize) -> bool,
     ) -> Vec<(usize, f64)> {
-        if k == 0 || self.grams[query].is_empty() {
-            return Vec::new();
-        }
         // Postings store each row once per gram, so occurrence counts
         // across the query's grams are exactly |intersection|.
         let mut overlap: BTreeMap<usize, usize> = BTreeMap::new();
@@ -146,14 +127,7 @@ impl LexicalIndex {
             })
             .collect();
         scored.sort_by(|a, b| total_cmp_f64(&b.1, &a.1).then(a.0.cmp(&b.0)));
-        if scored.len() > k {
-            let boundary = scored[k - 1].1;
-            let mut end = k;
-            while end < scored.len() && total_cmp_f64(&scored[end].1, &boundary).is_eq() {
-                end += 1;
-            }
-            scored.truncate(end);
-        }
+        truncate_with_ties(&mut scored, k);
         scored
     }
 }
@@ -178,7 +152,7 @@ pub fn ranked_lexical_pairs(sets: &[NamedSet], k: usize) -> Vec<(CandidatePair, 
     }
     let index = LexicalIndex::build(&names);
     let mut best: BTreeMap<CandidatePair, f64> = BTreeMap::new();
-    for qi in 0..index.len() {
+    for qi in 0..names.len() {
         for (r, score) in index.search_filtered(qi, k, |i| schema_of[i] != schema_of[qi]) {
             let pair = CandidatePair::new(ids[qi], ids[r]);
             best.entry(pair)
@@ -198,39 +172,73 @@ pub fn ranked_lexical_pairs(sets: &[NamedSet], k: usize) -> Vec<(CandidatePair, 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cs_schema::ElementId;
+    use cs_schema::{Attribute, Constraint, DataType, Table};
+
+    fn strings(names: &[&str]) -> Vec<String> {
+        names.iter().map(|s| s.to_string()).collect()
+    }
+
+    /// Exhaustive reference: Jaccard of two names' trigram sets.
+    fn jaccard(a: &str, b: &str) -> f64 {
+        let grams = |n: &str| -> BTreeSet<String> {
+            tokenize(n).iter().flat_map(|t| trigrams(t)).collect()
+        };
+        let (ga, gb) = (grams(a), grams(b));
+        let inter = ga.intersection(&gb).count();
+        inter as f64 / (ga.len() + gb.len() - inter) as f64
+    }
 
     #[test]
-    fn tokenizer_splits_delimiters_and_camel_case() {
-        assert_eq!(tokenize("ORDER_DATE"), vec!["order", "date"]);
-        assert_eq!(tokenize("orderDate"), vec!["order", "date"]);
-        assert_eq!(tokenize("date-of.order2"), vec!["date", "of", "order2"]);
-        assert!(tokenize("__ ~~").is_empty());
+    fn camel_case_twin_scores_exactly_one() {
+        let sets = vec![
+            NamedSet::new(0, vec![ElementId::new(0, 0)], strings(&["customerId"])),
+            NamedSet::new(1, vec![ElementId::new(1, 0)], strings(&["CUSTOMER_ID"])),
+        ];
+        let ranked = ranked_lexical_pairs(&sets, 1);
+        assert_eq!(ranked.len(), 1);
+        assert_eq!(ranked[0].1, 1.0, "same tokens must score 1");
     }
 
     #[test]
     fn shared_tokens_score_high_across_conventions() {
-        let s = trigram_similarity("ORDER_DATE", "orderDate");
-        assert!((s - 1.0).abs() < 1e-12, "same tokens must score 1: {s}");
-        assert!(trigram_similarity("ORDER_DATE", "date_of_order") > 0.5);
-        assert!(trigram_similarity("ORDER_DATE", "ZIP") < 0.1);
-        assert_eq!(trigram_similarity("", ""), 0.0);
+        let names = strings(&["ORDER_DATE", "orderDate", "date_of_order", "ZIP"]);
+        let hits = LexicalIndex::build(&names).search_filtered(0, 3, |_| true);
+        assert_eq!(hits[0], (1, 1.0));
+        assert_eq!(hits[1].0, 2);
+        assert!(hits[1].1 > 0.5);
+        // ZIP shares no trigram with ORDER_DATE.
+        assert_eq!(hits.len(), 2);
     }
 
     #[test]
-    fn index_search_matches_pairwise_similarity() {
-        let names: Vec<String> = ["CUSTOMER_ID", "customerId", "CUSTOMER_NAME", "ZIP_CODE"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
+    fn index_scores_equal_exhaustive_jaccard() {
+        let names = strings(&[
+            "CUSTOMER_ID",
+            "customerId",
+            "CUSTOMER_NAME",
+            "ZIP_CODE",
+            "ADDRESS_LINE1",
+            "addressLine2",
+        ]);
         let index = LexicalIndex::build(&names);
-        assert_eq!(index.len(), 4);
-        let hits = index.search_filtered(0, 2, |_| true);
-        assert_eq!(hits[0].0, 1, "identical token stream first");
-        assert!((hits[0].1 - index.similarity(0, 1)).abs() < 1e-12);
-        assert!(hits[0].1 > hits[1].1);
-        // ZIP_CODE shares no trigram with CUSTOMER_ID.
-        assert!(hits.iter().all(|&(r, _)| r != 3));
+        for q in 0..names.len() {
+            let hits = index.search_filtered(q, names.len(), |_| true);
+            let mut expect: Vec<(usize, f64)> = (0..names.len())
+                .filter(|&r| r != q)
+                .map(|r| (r, jaccard(&names[q], &names[r])))
+                .filter(|&(_, s)| s > 0.0)
+                .collect();
+            expect.sort_by(|a, b| total_cmp_f64(&b.1, &a.1).then(a.0.cmp(&b.0)));
+            assert_eq!(hits, expect, "query {}", names[q]);
+        }
+    }
+
+    #[test]
+    fn search_cut_keeps_boundary_ties() {
+        let names = strings(&["ORDER_ID", "ORDER_KEY", "ORDER_NUM", "ZIP"]);
+        let hits = LexicalIndex::build(&names).search_filtered(0, 1, |_| true);
+        assert_eq!(hits.len(), 2, "{hits:?}");
+        assert_eq!(hits[0].1, hits[1].1);
     }
 
     #[test]
@@ -239,12 +247,12 @@ mod tests {
             NamedSet::new(
                 0,
                 vec![ElementId::new(0, 0), ElementId::new(0, 1)],
-                vec!["CUSTOMER_ID".into(), "ORDER_DATE".into()],
+                strings(&["CUSTOMER_ID", "ORDER_DATE"]),
             ),
             NamedSet::new(
                 1,
                 vec![ElementId::new(1, 0), ElementId::new(1, 1)],
-                vec!["customerId".into(), "orderDate".into()],
+                strings(&["customerId", "orderDate"]),
             ),
         ];
         let ranked = ranked_lexical_pairs(&sets, 2);
@@ -272,7 +280,7 @@ mod tests {
         let one = vec![NamedSet::new(
             0,
             vec![ElementId::new(0, 0)],
-            vec!["A".into()],
+            strings(&["A"]),
         )];
         assert!(ranked_lexical_pairs(&one, 3).is_empty());
         let empties = vec![
@@ -280,5 +288,37 @@ mod tests {
             NamedSet::new(1, vec![], vec![]),
         ];
         assert!(ranked_lexical_pairs(&empties, 3).is_empty());
+    }
+
+    #[test]
+    fn named_sets_follow_element_set_order() {
+        let attr = |n: &str| Attribute::new(n, DataType::Integer, Constraint::None);
+        let schema = Schema::new(
+            "S",
+            vec![Table::new(
+                "ORDERS",
+                vec![attr("orderId"), attr("ORDER_DATE")],
+            )],
+        );
+        let full = NamedSet::full(2, &schema);
+        assert_eq!(full.schema, 2);
+        assert_eq!(
+            full.ids,
+            (0..3).map(|e| ElementId::new(2, e)).collect::<Vec<_>>()
+        );
+        assert_eq!(full.names, strings(&["orderId", "ORDER_DATE", "ORDERS"]));
+
+        let keep: HashSet<ElementId> = [ElementId::new(2, 0), ElementId::new(2, 2)]
+            .into_iter()
+            .collect();
+        let kept = NamedSet::filtered(2, &schema, &keep);
+        assert_eq!(kept.ids, vec![ElementId::new(2, 0), ElementId::new(2, 2)]);
+        assert_eq!(kept.names, strings(&["orderId", "ORDERS"]));
+    }
+
+    #[test]
+    #[should_panic(expected = "misaligned")]
+    fn misaligned_named_set_panics() {
+        NamedSet::new(0, vec![ElementId::new(0, 0)], vec![]);
     }
 }

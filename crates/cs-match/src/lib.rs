@@ -26,7 +26,6 @@ pub mod fuse;
 pub mod kmeans;
 pub mod lexical;
 pub mod lsh;
-pub mod name;
 pub mod sim;
 
 pub use ann::{AnnConfig, AnnIndex, AnnMatcher, AnnSimMatcher};
@@ -34,9 +33,8 @@ pub use cluster::ClusterMatcher;
 pub use flat::FlatIndex;
 pub use fuse::{HybridMatcher, RRF_K};
 pub use kmeans::KMeans;
-pub use lexical::LexicalIndex;
+pub use lexical::NamedSet;
 pub use lsh::{HyperplaneLsh, LshMatcher};
-pub use name::{NameMatcher, NameMeasure, NamedSet};
 pub use sim::SimMatcher;
 
 use cs_linalg::Matrix;

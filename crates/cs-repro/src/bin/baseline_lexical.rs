@@ -2,41 +2,20 @@
 //!
 //! Section 2.2 of the paper argues that relying exclusively on string
 //! similarity between schema names "suffers from labeling conflicts".
-//! This binary quantifies that on the evaluation datasets: a Jaro-Winkler
-//! / Levenshtein name matcher against the cosine SIM matcher, both with
-//! and without collaborative streamlining.
+//! This binary quantifies that on the evaluation datasets: a token-trigram
+//! Jaccard name matcher (the hybrid scoper's lexical channel, every pair
+//! scoring at least 0.5) against the cosine SIM matcher, both with and
+//! without collaborative streamlining.
 
 use cs_core::CollaborativeScoper;
-use cs_match::{dedup_pairs, ElementSet, Matcher, NameMatcher, NameMeasure, NamedSet, SimMatcher};
+use cs_match::lexical::ranked_lexical_pairs;
+use cs_match::{dedup_pairs, ElementSet, Matcher, NamedSet, SimMatcher};
 use cs_metrics::match_quality;
 use cs_repro::experiments::dataset_signatures;
 use cs_repro::report::render_table;
-use cs_schema::ElementId;
-use std::collections::HashSet;
 
-/// Element display names per schema (attribute or table name only).
-fn named_sets(ds: &cs_datasets::Dataset, keep: Option<&HashSet<ElementId>>) -> Vec<NamedSet> {
-    (0..ds.catalog.schema_count())
-        .map(|k| {
-            let schema = ds.catalog.schema(k);
-            let mut ids = Vec::new();
-            let mut names = Vec::new();
-            for (e, r) in schema.element_refs().into_iter().enumerate() {
-                let id = ElementId::new(k, e);
-                if keep.is_none_or(|s| s.contains(&id)) {
-                    ids.push(id);
-                    names.push(match r {
-                        cs_schema::ElementRef::Table { table } => schema.tables[table].name.clone(),
-                        cs_schema::ElementRef::Attribute { table, attribute } => {
-                            schema.tables[table].attributes[attribute].name.clone()
-                        }
-                    });
-                }
-            }
-            NamedSet::new(k, ids, names)
-        })
-        .collect()
-}
+/// Jaccard threshold of the lexical matcher.
+const TRIGRAM_THRESHOLD: f64 = 0.5;
 
 fn score(pairs: Vec<cs_match::CandidatePair>, ds: &cs_datasets::Dataset) -> Vec<String> {
     let pairs = dedup_pairs(pairs);
@@ -70,18 +49,23 @@ fn main() {
 
         let mut rows = Vec::new();
         for (label, keep) in [("original", None), ("streamlined", Some(&kept))] {
-            // Lexical matchers.
-            let names = named_sets(&ds, keep);
-            for (mname, measure, t) in [
-                ("Levenshtein(0.8)", NameMeasure::Levenshtein, 0.8),
-                ("JaroWinkler(0.9)", NameMeasure::JaroWinkler, 0.9),
-                ("Trigram(0.5)", NameMeasure::TrigramJaccard, 0.5),
-            ] {
-                let pairs = NameMatcher::new(measure, t).match_names(&names);
-                let mut row = vec![format!("{mname} {label}")];
-                row.extend(score(pairs, &ds));
-                rows.push(row);
-            }
+            // Lexical matcher: with k = every element, the trigram index
+            // returns each pair sharing a trigram, i.e. every pair with a
+            // positive score, so the threshold cut is exact.
+            let names: Vec<NamedSet> = (0..ds.catalog.schema_count())
+                .map(|k| match keep {
+                    Some(set) => NamedSet::filtered(k, ds.catalog.schema(k), set),
+                    None => NamedSet::full(k, ds.catalog.schema(k)),
+                })
+                .collect();
+            let pairs = ranked_lexical_pairs(&names, ds.catalog.element_count())
+                .into_iter()
+                .filter(|&(_, s)| s >= TRIGRAM_THRESHOLD)
+                .map(|(p, _)| p)
+                .collect();
+            let mut row = vec![format!("TokenTrigram({TRIGRAM_THRESHOLD}) {label}")];
+            row.extend(score(pairs, &ds));
+            rows.push(row);
             // Semantic reference.
             let sets: Vec<ElementSet> = (0..signatures.schema_count())
                 .map(|k| match keep {

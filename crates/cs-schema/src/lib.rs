@@ -9,7 +9,9 @@
 //! - [`ddl`] — a SQL `CREATE TABLE` parser so datasets load from DDL text,
 //! - [`serialize`] — the paper's `T^a` / `T^t` metadata-to-text functions,
 //! - [`linkage`] — ground-truth [`LinkageSet`] with linkability labels
-//!   (Definition 1) and unlinkable-overhead computation (Section 2.1).
+//!   (Definition 1) and unlinkable-overhead computation (Section 2.1),
+//! - [`text`] — the identifier tokenizer and trigram shredder shared by
+//!   the encoder, schema profiles and the lexical matcher.
 
 pub mod catalog;
 pub mod ddl;
@@ -17,6 +19,7 @@ pub mod linkage;
 pub mod model;
 pub mod profile;
 pub mod serialize;
+pub mod text;
 
 pub use catalog::{Catalog, ElementId, ElementInfo};
 pub use ddl::{parse_schema, DdlError};

@@ -10,6 +10,7 @@
 
 use crate::catalog::Catalog;
 use crate::model::Schema;
+use crate::text::tokenize;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Per-schema structural profile.
@@ -30,8 +31,9 @@ pub struct SchemaProfile {
     pub type_histogram: BTreeMap<String, usize>,
     /// Number of key-constrained attributes (PK or FK).
     pub key_attributes: usize,
-    /// The schema's name-token vocabulary (upper-cased, split like the
-    /// encoder tokenizes); ordered for the same reason as the histogram.
+    /// The schema's name-token vocabulary ([`tokenize`] tokens of table
+    /// and attribute names, all-digit tokens dropped); ordered for the
+    /// same reason as the histogram.
     pub vocabulary: BTreeSet<String>,
 }
 
@@ -46,9 +48,7 @@ impl SchemaProfile {
         let mut max_table_width = 0;
         for table in &schema.tables {
             max_table_width = max_table_width.max(table.attributes.len());
-            for tok in tokenize_name(&table.name) {
-                vocabulary.insert(tok);
-            }
+            vocabulary.extend(vocabulary_tokens(&table.name));
             for attr in &table.attributes {
                 *type_histogram
                     .entry(attr.data_type.canonical_word().to_string())
@@ -56,9 +56,7 @@ impl SchemaProfile {
                 if attr.constraint != crate::model::Constraint::None {
                     key_attributes += 1;
                 }
-                for tok in tokenize_name(&attr.name) {
-                    vocabulary.insert(tok);
-                }
+                vocabulary.extend(vocabulary_tokens(&attr.name));
             }
         }
         Self {
@@ -78,31 +76,12 @@ impl SchemaProfile {
     }
 }
 
-/// Splits an identifier into uppercase word tokens (underscores, dashes,
-/// digit boundaries; no camel-case handling needed for vocabularies —
-/// kept dependency-free of `cs-embed`).
-fn tokenize_name(name: &str) -> Vec<String> {
-    name.split(|c: char| !c.is_alphanumeric())
-        .flat_map(|part| {
-            // Split letter/digit boundaries.
-            let mut words = Vec::new();
-            let mut current = String::new();
-            let mut prev_digit = None;
-            for ch in part.chars() {
-                let is_digit = ch.is_ascii_digit();
-                if prev_digit.is_some() && prev_digit != Some(is_digit) && !current.is_empty() {
-                    words.push(std::mem::take(&mut current));
-                }
-                current.extend(ch.to_uppercase());
-                prev_digit = Some(is_digit);
-            }
-            if !current.is_empty() {
-                words.push(current);
-            }
-            words
-        })
+/// The name's [`tokenize`] tokens, all-digit tokens dropped (bare
+/// numbers carry no vocabulary).
+fn vocabulary_tokens(name: &str) -> impl Iterator<Item = String> {
+    tokenize(name)
+        .into_iter()
         .filter(|w| !w.chars().all(|c| c.is_ascii_digit()))
-        .collect()
 }
 
 /// Catalog-level heterogeneity indices, all in `[0, 1]` (0 = homogeneous).
@@ -289,10 +268,11 @@ mod tests {
     }
 
     #[test]
-    fn name_tokenizer_splits_and_filters_digits() {
-        assert_eq!(tokenize_name("ADDRESS_LINE1"), vec!["ADDRESS", "LINE"]);
-        assert_eq!(tokenize_name("q1_time"), vec!["Q", "TIME"]);
-        assert!(tokenize_name("123").is_empty());
+    fn vocabulary_tokens_split_and_filter_digits() {
+        let words = |name: &str| vocabulary_tokens(name).collect::<Vec<_>>();
+        assert_eq!(words("ADDRESS_LINE1"), vec!["ADDRESS", "LINE"]);
+        assert_eq!(words("q1_time"), vec!["Q", "TIME"]);
+        assert!(words("123").is_empty());
     }
 
     #[test]

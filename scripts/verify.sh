@@ -7,6 +7,23 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Pinned digests: the behavioural spec of the encoder, the generator and
+# the scoping path. A deliberate change to any of them must update the
+# pin here and explain the new value in CHANGES.md.
+PIN_FAULT="fb61f7cb32a564a2"
+PIN_SANITIZER="30172e6b94ab5bdd"
+PIN_FUZZ="04622c4569582d9f"
+
+# pin_check LINE EXPECTED — LINE is "<name> digest: <hex>[ <detail>]".
+pin_check() {
+  local got="${1#*digest: }"
+  if [ "${got%% *}" != "$2" ]; then
+    echo "FAIL: $1 differs from the pinned $2" >&2
+    echo "  a deliberate change must update the pin in scripts/verify.sh and explain it in CHANGES.md" >&2
+    exit 1
+  fi
+}
+
 echo "==> cargo build --release --offline (warnings deny the gate)"
 RUSTFLAGS="-D warnings" cargo build --workspace --release --offline
 
@@ -22,12 +39,13 @@ cargo run -q -p cs-bench --release --offline --bin bench_json -- --smoke --out t
 echo "==> ann_gate (ANN recall@10 >= 0.9 and SIM-F1 parity on the scaling-quality grid)"
 cargo run -q -p cs-repro --release --offline --bin ann_gate
 
-echo "==> cs-fault smoke (fault matrix, digest stable across CS_THREADS)"
+echo "==> cs-fault smoke (fault matrix, digest pinned and stable across CS_THREADS)"
 digest=""
 for threads in 1 2 8; do
   out="$(CS_THREADS=$threads cargo run -q -p cs-fault --release --offline --bin fault_smoke)"
   line="$(printf '%s\n' "$out" | grep '^fault-matrix digest: ')"
   if [ -z "$digest" ]; then
+    pin_check "$line" "$PIN_FAULT"
     digest="$line"
     printf '%s (CS_THREADS=%s)\n' "$line" "$threads"
   elif [ "$line" != "$digest" ]; then
@@ -38,7 +56,7 @@ for threads in 1 2 8; do
   fi
 done
 
-echo "==> cs-fault smoke under sanitizer (lock-order + float-env digests stable)"
+echo "==> cs-fault smoke under sanitizer (lock-order + float-env digests pinned and stable)"
 fault_digest=""
 san_digest=""
 for threads in 1 2 8; do
@@ -46,6 +64,8 @@ for threads in 1 2 8; do
   fline="$(printf '%s\n' "$out" | grep '^fault-matrix digest: ')"
   sline="$(printf '%s\n' "$out" | grep '^sanitizer digest: ')"
   if [ -z "$san_digest" ]; then
+    pin_check "$fline" "$PIN_FAULT"
+    pin_check "$sline" "$PIN_SANITIZER"
     fault_digest="$fline"
     san_digest="$sline"
     printf '%s (CS_SANITIZE=1 CS_THREADS=%s)\n' "$fline" "$threads"
@@ -58,12 +78,13 @@ for threads in 1 2 8; do
   fi
 done
 
-echo "==> cs-fault generator fuzz (knob lattice, digest stable across CS_THREADS)"
+echo "==> cs-fault generator fuzz (knob lattice, digest pinned and stable across CS_THREADS)"
 fuzz_digest=""
 for threads in 1 2 8; do
   out="$(CS_THREADS=$threads cargo run -q -p cs-fault --release --offline --bin fuzz_smoke)"
   line="$(printf '%s\n' "$out" | grep '^generator-fuzz digest: ')"
   if [ -z "$fuzz_digest" ]; then
+    pin_check "$line" "$PIN_FUZZ"
     fuzz_digest="$line"
     printf '%s (CS_THREADS=%s)\n' "$line" "$threads"
   elif [ "$line" != "$fuzz_digest" ]; then

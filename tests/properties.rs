@@ -510,23 +510,8 @@ fn full_sets(sigs: &SchemaSignatures) -> Vec<ElementSet> {
 
 /// Element display names aligned with [`ElementSet::full`] ordering.
 fn named_sets_of(ds: &Dataset) -> Vec<NamedSet> {
-    use collaborative_scoping::schema::ElementRef;
     (0..ds.catalog.schema_count())
-        .map(|k| {
-            let schema = ds.catalog.schema(k);
-            let mut ids = Vec::new();
-            let mut names = Vec::new();
-            for (e, r) in schema.element_refs().into_iter().enumerate() {
-                ids.push(ElementId::new(k, e));
-                names.push(match r {
-                    ElementRef::Table { table } => schema.tables[table].name.clone(),
-                    ElementRef::Attribute { table, attribute } => {
-                        schema.tables[table].attributes[attribute].name.clone()
-                    }
-                });
-            }
-            NamedSet::new(k, ids, names)
-        })
+        .map(|k| NamedSet::full(k, ds.catalog.schema(k)))
         .collect()
 }
 

@@ -213,3 +213,25 @@ fn pass_operations_match_paper_exactly() {
         .fraction_of(oc3_fo().catalog.cartesian_element_pairs());
     assert!((fracfo - 0.0378).abs() < 0.0005, "{fracfo}");
 }
+
+#[test]
+fn heterogeneity_indices_match_experiments() {
+    // Section 2.4's three axes as EXPERIMENTS.md quotes them; the
+    // vocabulary sizes pin the shared identifier tokenizer's output on
+    // the evaluation schemas.
+    use collaborative_scoping::schema::HeterogeneityReport;
+    let cases = [
+        (oc3(), [0.159, 0.260, 0.841], vec![48, 53, 44]),
+        (oc3_fo(), [0.315, 0.253, 0.888], vec![48, 53, 44, 64]),
+    ];
+    for (ds, indices, vocab) in cases {
+        let report = HeterogeneityReport::of(&ds.catalog);
+        let got = [report.volume, report.design, report.domain]
+            .map(|x| format!("{x:.3}"))
+            .to_vec();
+        let want: Vec<String> = indices.iter().map(|x| format!("{x:.3}")).collect();
+        assert_eq!(got, want, "{} volume/design/domain", ds.name);
+        let sizes: Vec<usize> = report.profiles.iter().map(|p| p.vocabulary.len()).collect();
+        assert_eq!(sizes, vocab, "{} vocabulary sizes", ds.name);
+    }
+}
