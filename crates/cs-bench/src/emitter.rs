@@ -707,23 +707,12 @@ fn bench_solver(mode: Mode, cfg: &MeasureConfig, out: &mut Vec<BenchRecord>) {
     let a = Matrix::from_fn(m, m, |_, _| rng.next_gaussian());
     let b = Matrix::from_fn(m, m, |_, _| rng.next_gaussian());
     let q = Matrix::from_fn(m, 8, |_, _| rng.next_gaussian());
-    let w = Matrix::from_fn(8, m, |_, _| rng.next_gaussian());
     push(out, cfg, "solver", format!("matmul_blocked/{m}"), || {
         a.matmul(&b)
-    });
-    push(out, cfg, "solver", format!("matmul_f32acc/{m}"), || {
-        kernels::matmul_f32acc(&a, &b, kernels::TILE)
     });
     push(out, cfg, "solver", format!("matmul_narrow/{m}x8"), || {
         kernels::matmul_narrow(&a, &q)
     });
-    push(
-        out,
-        cfg,
-        "solver",
-        format!("matmul_chain/{m}x8x{m}"),
-        || kernels::matmul_chain(&[&a, &q, &w]),
-    );
 }
 
 /// Runs every benchmark group under `mode` and returns the report.

@@ -192,133 +192,6 @@ pub fn matmul_narrow(a: &Matrix, b: &Matrix) -> Matrix {
     out
 }
 
-/// Blocked matrix product accumulating in `f32`, returning `f64` output.
-///
-/// Operands are demoted to `f32` once up front and tiles accumulate in
-/// single precision — roughly twice the effective cache capacity and SIMD
-/// width of the `f64` kernels. The result is **deterministic** (fixed
-/// accumulation order, no threading) but **not** bit-identical to the
-/// `f64` kernels; relative error is bounded by the usual `f32` epsilon
-/// times the reduction length. Use it only where the caller tolerates
-/// ~1e-6 relative error — e.g. candidate scoring that is re-ranked
-/// exactly downstream; the PCA solvers never call it.
-///
-/// # Panics
-/// If `a.cols() != b.rows()` or `tile == 0`.
-pub fn matmul_f32acc(a: &Matrix, b: &Matrix, tile: usize) -> Matrix {
-    assert!(tile > 0, "tile must be positive");
-    assert_eq!(
-        a.cols(),
-        b.rows(),
-        "matmul_f32acc shape mismatch: {:?} · {:?}",
-        a.shape(),
-        b.shape()
-    );
-    let (n, kd) = a.shape();
-    let p = b.cols();
-    // cs-lint: allow(no-lossy-cast-in-hot-path) -- f32-accumulator kernel: the demotion IS the contract (see doc comment)
-    let a32: Vec<f32> = a.as_slice().iter().map(|&x| x as f32).collect();
-    // cs-lint: allow(no-lossy-cast-in-hot-path) -- f32-accumulator kernel: the demotion IS the contract (see doc comment)
-    let b32: Vec<f32> = b.as_slice().iter().map(|&x| x as f32).collect();
-    let mut acc = vec![0.0f32; n * p];
-    for i0 in (0..n).step_by(tile) {
-        let i1 = (i0 + tile).min(n);
-        for k0 in (0..kd).step_by(tile) {
-            let k1 = (k0 + tile).min(kd);
-            for j0 in (0..p).step_by(tile) {
-                let j1 = (j0 + tile).min(p);
-                for i in i0..i1 {
-                    let a_row = &a32[i * kd..(i + 1) * kd];
-                    let acc_row = &mut acc[i * p + j0..i * p + j1];
-                    for k in k0..k1 {
-                        let av = a_row[k];
-                        if av == 0.0 {
-                            continue;
-                        }
-                        let b_row = &b32[k * p + j0..k * p + j1];
-                        for (o, &bv) in acc_row.iter_mut().zip(b_row.iter()) {
-                            *o += av * bv;
-                        }
-                    }
-                }
-            }
-        }
-    }
-    let mut out = Matrix::zeros(n, p);
-    for (o, &v) in out.as_mut_slice().iter_mut().zip(acc.iter()) {
-        *o = v as f64;
-    }
-    out
-}
-
-/// Multiplies a chain of matrices in the flop-optimal association order
-/// (classic dynamic-programming matrix-chain ordering, ties broken toward
-/// the lowest split index so the order — and therefore the floating-point
-/// result — is deterministic for a given shape sequence).
-///
-/// The batched-small-matrix path: pipelines like `Qᵀ·(G·Q)` or projection
-/// stacks multiply several small factors where association order changes
-/// the flop count by integer factors. Each pairwise product goes through
-/// [`Matrix::matmul`] (and its blocked dispatch), so determinism is
-/// inherited.
-///
-/// # Panics
-/// If the chain is empty or adjacent shapes are incompatible.
-pub fn matmul_chain(ms: &[&Matrix]) -> Matrix {
-    assert!(!ms.is_empty(), "matmul_chain needs at least one matrix");
-    let n = ms.len();
-    if n == 1 {
-        return ms[0].clone();
-    }
-    for w in ms.windows(2) {
-        assert_eq!(
-            w[0].cols(),
-            w[1].rows(),
-            "matmul_chain shape mismatch: {:?} · {:?}",
-            w[0].shape(),
-            w[1].shape()
-        );
-    }
-    // dims[i]..dims[i+1] is the shape of matrix i.
-    let mut dims = Vec::with_capacity(n + 1);
-    dims.push(ms[0].rows());
-    for m in ms {
-        dims.push(m.cols());
-    }
-    // cost[i][j] = minimal flops for the product of matrices i..=j;
-    // split[i][j] = the k achieving it (lowest k on ties).
-    let mut cost = vec![vec![0u128; n]; n];
-    let mut split = vec![vec![0usize; n]; n];
-    for len in 2..=n {
-        for i in 0..=(n - len) {
-            let j = i + len - 1;
-            let mut best = u128::MAX;
-            let mut best_k = i;
-            for k in i..j {
-                let c = cost[i][k]
-                    + cost[k + 1][j]
-                    + (dims[i] as u128) * (dims[k + 1] as u128) * (dims[j + 1] as u128);
-                if c < best {
-                    best = c;
-                    best_k = k;
-                }
-            }
-            cost[i][j] = best;
-            split[i][j] = best_k;
-        }
-    }
-    fn multiply(ms: &[&Matrix], split: &[Vec<usize>], i: usize, j: usize) -> Matrix {
-        if i == j {
-            return ms[i].clone();
-        }
-        let k = split[i][j];
-        let left = multiply(ms, split, i, k);
-        let right = multiply(ms, split, k + 1, j);
-        left.matmul(&right)
-    }
-    multiply(ms, &split, 0, n - 1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -497,77 +370,5 @@ mod tests {
             }
             assert_bits_equal(&got, &want, "matmul_narrow");
         });
-    }
-
-    #[test]
-    fn f32acc_matmul_within_single_precision_error() {
-        run("matmul_f32acc", 32, |g| {
-            let n = g.usize_in(1, 20);
-            let kd = g.usize_in(1, 60);
-            let p = g.usize_in(1, 20);
-            let mut rng = Xoshiro256::seed_from(g.seed() ^ 0xF32A);
-            let a = Matrix::from_fn(n, kd, |_, _| rng.next_gaussian());
-            let b = Matrix::from_fn(kd, p, |_, _| rng.next_gaussian());
-            let tile = g.usize_in(1, 9);
-            let got = matmul_f32acc(&a, &b, tile);
-            let want = naive_matmul(&a, &b);
-            for (x, y) in got.as_slice().iter().zip(want.as_slice()) {
-                // f32 epsilon times reduction length, against the operand
-                // scale (gaussian entries keep it O(√kd)).
-                let bound = 1e-5 * (kd as f64) * (1.0 + y.abs());
-                assert!((x - y).abs() <= bound, "{x} vs {y} (kd = {kd})");
-            }
-        });
-    }
-
-    #[test]
-    fn f32acc_matmul_is_deterministic() {
-        let a = random(33, 70, 21);
-        let b = random(70, 17, 22);
-        let x = matmul_f32acc(&a, &b, TILE);
-        let y = matmul_f32acc(&a, &b, TILE);
-        assert_bits_equal(&x, &y, "f32acc determinism");
-    }
-
-    #[test]
-    fn chain_matches_pairwise_products() {
-        // Shapes chosen so the optimal order differs from left-to-right:
-        // (10×2)·(2×30)·(30×3) is cheapest as a·(b·c).
-        let a = random(10, 2, 31);
-        let b = random(2, 30, 32);
-        let c = random(30, 3, 33);
-        let got = matmul_chain(&[&a, &b, &c]);
-        let want = a.matmul(&b.matmul(&c));
-        assert_bits_equal(&got, &want, "chain optimal order");
-        // Values also agree with the other association within fp noise.
-        let alt = a.matmul(&b).matmul(&c);
-        for (x, y) in got.as_slice().iter().zip(alt.as_slice()) {
-            assert!((x - y).abs() <= 1e-10 * (1.0 + y.abs()), "{x} vs {y}");
-        }
-    }
-
-    #[test]
-    fn chain_handles_short_chains() {
-        let a = random(4, 5, 41);
-        assert_bits_equal(&matmul_chain(&[&a]), &a, "chain of one");
-        let b = random(5, 3, 42);
-        assert_bits_equal(&matmul_chain(&[&a, &b]), &a.matmul(&b), "chain of two");
-    }
-
-    #[test]
-    fn chain_is_deterministic_across_calls() {
-        let a = random(6, 9, 51);
-        let b = random(9, 2, 52);
-        let c = random(2, 11, 53);
-        let d = random(11, 4, 54);
-        let x = matmul_chain(&[&a, &b, &c, &d]);
-        let y = matmul_chain(&[&a, &b, &c, &d]);
-        assert_bits_equal(&x, &y, "chain determinism");
-    }
-
-    #[test]
-    #[should_panic(expected = "matmul_chain needs at least one matrix")]
-    fn empty_chain_rejected() {
-        matmul_chain(&[]);
     }
 }

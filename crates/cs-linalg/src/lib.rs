@@ -39,7 +39,7 @@ pub mod vecops;
 pub use matrix::Matrix;
 pub use pca::{ExplainedVariance, Pca, PcaConfig, PcaRehydrateError, PcaSolver, PcaTarget};
 pub use projection::TruncatedProjection;
-pub use qr::{qr, randomized_svd};
+pub use qr::qr;
 pub use rng::{SplitMix64, Xoshiro256};
 pub use svd::{Svd, SvdError};
 pub use vecops::total_cmp_f64;

@@ -1,14 +1,6 @@
-//! Thin QR factorization (modified Gram–Schmidt) and randomized SVD.
-//!
-//! Signature sets in this workspace are small, but downstream users may
-//! scope catalogs with thousands of elements; [`randomized_svd`] provides
-//! the standard Halko–Martinsson–Tropp sketching path: sample the range
-//! with a Gaussian test matrix, orthonormalize, and decompose the small
-//! projected problem. Accuracy against the exact decomposition is pinned
-//! by tests and benchmarked in `cs-bench`.
+//! Thin QR factorization (modified Gram–Schmidt), the orthonormalization
+//! step of the truncated PCA solver's block subspace iteration.
 
-use crate::rng::Xoshiro256;
-use crate::svd::{Svd, SvdError};
 use crate::Matrix;
 
 /// Thin QR of `a` (`m × n`, `m ≥ n` not required): returns `(Q, R)` with
@@ -59,79 +51,14 @@ pub fn qr(a: &Matrix) -> (Matrix, Matrix) {
     (q, rmat)
 }
 
-/// Randomized truncated SVD: the best rank-`rank` approximation of `a`,
-/// sketched with `oversample` extra Gaussian probes and `power_iters`
-/// subspace iterations (0–2 is typical; more sharpens decaying spectra).
-pub fn randomized_svd(
-    a: &Matrix,
-    rank: usize,
-    oversample: usize,
-    power_iters: usize,
-    seed: u64,
-) -> Result<Svd, SvdError> {
-    if a.rows() == 0 || a.cols() == 0 {
-        return Err(SvdError::EmptyMatrix);
-    }
-    if a.has_non_finite() {
-        return Err(SvdError::NonFiniteInput);
-    }
-    assert!(rank >= 1, "rank must be at least 1");
-    let (m, n) = a.shape();
-    let sketch = (rank + oversample).min(m.min(n));
-
-    // Range sampling: Y = A·Ω with Gaussian Ω (n × sketch).
-    let mut rng = Xoshiro256::seed_from(seed);
-    let omega = Matrix::from_fn(n, sketch, |_, _| rng.next_gaussian());
-    let mut y = a.matmul(&omega);
-    // Power iterations with re-orthonormalization: Y ← A·(Aᵀ·Y).
-    for _ in 0..power_iters {
-        let (qy, _) = qr(&y);
-        let at_q = a.transpose().matmul(&qy);
-        let (qz, _) = qr(&at_q);
-        y = a.matmul(&qz);
-    }
-    let (q, _) = qr(&y); // m × sketch
-
-    // Project: B = Qᵀ·A (sketch × n) — small; decompose exactly.
-    let b = q.transpose().matmul(a);
-    let svd_b = Svd::compute(&b)?;
-
-    // Lift: U = Q·U_B, truncate to `rank`.
-    let u_full = q.matmul(&svd_b.u);
-    let keep = rank.min(svd_b.singular_values.len());
-    let mut u = Matrix::zeros(m, keep);
-    for i in 0..m {
-        for j in 0..keep {
-            u[(i, j)] = u_full[(i, j)];
-        }
-    }
-    let idx: Vec<usize> = (0..keep).collect();
-    Ok(Svd {
-        u,
-        singular_values: svd_b.singular_values[..keep].to_vec(),
-        vt: svd_b.vt.select_rows(&idx),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::Xoshiro256;
 
     fn random_matrix(rows: usize, cols: usize, seed: u64) -> Matrix {
         let mut rng = Xoshiro256::seed_from(seed);
         Matrix::from_fn(rows, cols, |_, _| rng.next_gaussian())
-    }
-
-    /// Low-rank matrix plus small noise.
-    fn low_rank_plus_noise(m: usize, n: usize, rank: usize, noise: f64, seed: u64) -> Matrix {
-        let a = random_matrix(m, rank, seed);
-        let b = random_matrix(rank, n, seed + 1);
-        let mut out = a.matmul(&b);
-        let mut rng = Xoshiro256::seed_from(seed + 2);
-        for x in out.as_mut_slice() {
-            *x += rng.next_gaussian() * noise;
-        }
-        out
     }
 
     #[test]
@@ -166,59 +93,5 @@ mod tests {
         assert!(q.matmul(&r).max_abs_diff(&a) < 1e-10);
         // R's diagonal shows the rank deficiency.
         assert!(r[(1, 1)].abs() < 1e-10);
-    }
-
-    #[test]
-    fn randomized_svd_recovers_low_rank_spectrum() {
-        let a = low_rank_plus_noise(40, 30, 5, 1e-6, 3);
-        let exact = Svd::compute(&a).unwrap();
-        let approx = randomized_svd(&a, 5, 5, 1, 42).unwrap();
-        for i in 0..5 {
-            let rel = (approx.singular_values[i] - exact.singular_values[i]).abs()
-                / exact.singular_values[i];
-            assert!(rel < 1e-6, "σ_{i}: {rel}");
-        }
-        // Rank-5 reconstruction matches the matrix up to noise.
-        assert!(approx.reconstruct().max_abs_diff(&a) < 1e-3);
-    }
-
-    #[test]
-    fn randomized_svd_with_noise_approximates_top_values() {
-        let a = low_rank_plus_noise(60, 50, 8, 0.05, 5);
-        let exact = Svd::compute(&a).unwrap();
-        let approx = randomized_svd(&a, 8, 8, 2, 7).unwrap();
-        for i in 0..8 {
-            let rel = (approx.singular_values[i] - exact.singular_values[i]).abs()
-                / exact.singular_values[i];
-            assert!(rel < 0.05, "σ_{i} off by {rel}");
-        }
-    }
-
-    #[test]
-    fn randomized_svd_rejects_bad_input() {
-        assert!(matches!(
-            randomized_svd(&Matrix::zeros(0, 4), 2, 2, 0, 1),
-            Err(SvdError::EmptyMatrix)
-        ));
-        let mut nan = Matrix::zeros(2, 2);
-        nan[(0, 0)] = f64::NAN;
-        assert!(matches!(
-            randomized_svd(&nan, 1, 1, 0, 1),
-            Err(SvdError::NonFiniteInput)
-        ));
-    }
-
-    #[test]
-    fn randomized_svd_rank_clamps() {
-        let a = random_matrix(5, 4, 9);
-        let svd = randomized_svd(&a, 10, 4, 0, 1).unwrap();
-        assert!(svd.singular_values.len() <= 4);
-    }
-
-    #[test]
-    #[should_panic(expected = "rank must be at least 1")]
-    fn zero_rank_panics() {
-        let a = random_matrix(3, 3, 10);
-        let _ = randomized_svd(&a, 0, 1, 0, 1);
     }
 }

@@ -1,60 +1,90 @@
-//! Interprocedural determinism-taint dataflow (DESIGN.md §7/§8) plus the
-//! hot-path item rules.
+//! The determinism pass (DESIGN.md §7/§8): one per-function scanner for
+//! nondeterministically-ordered producers, the interprocedural
+//! determinism-taint dataflow built on it, and the hot-path item rules.
 //!
-//! The intraprocedural pack in [`crate::concurrency`] answers "does this
-//! one function iterate a hash map into a sum?". This module answers the
-//! question the pack cannot: *does a nondeterministically-ordered value
-//! produced in one function reach an order-sensitive float reduction in
-//! another?* It builds an intra-crate call graph from the
-//! [`crate::items`] brace tree and propagates taint across it:
+//! [`analyze_workspace`] reads every [`ParsedFile`] once. In each non-test
+//! fn body of a crate's library sources, the one scanner finds the
+//! **sources**: hasher-ordered `HashMap`/`HashSet` iteration (method form
+//! `m.values()` and loop form `for x in &m {`, minus chains that restore an
+//! order: a sort, a BTree collect, an order-insensitive terminal),
+//! `Instant::now` / `SystemTime::now` reads, arrival-order
+//! `.lock()..push(..)` chains and `Mutex<Vec<..>>` accumulators. Each
+//! source both emits its intra-function rule and seeds the taint:
 //!
-//! - **Sources** — producers whose value depends on hasher state, arrival
-//!   order, or the clock: unexonerated `HashMap`/`HashSet` iteration
-//!   (the same exoneration machinery as `no-unordered-iteration`:
-//!   sort-in-chain, BTree collect, order-insensitive terminals),
-//!   `Instant::now` / `SystemTime::now` reads, and arrival-order
-//!   `.lock()..push(..)` chains.
-//! - **Sinks** — order-sensitive float reductions: `.sum()` /
-//!   `.product()` / `.fold(..)`, float `+=` accumulation inside loops,
-//!   and calls into `kernels::*` entry points.
-//! - **Propagation** — both directions through the call graph: a sink
-//!   function that (transitively) *calls* a tainted function (return
-//!   flow), and a tainted function that (transitively) calls a sink
-//!   function (argument flow). No return-value/argument distinction is
-//!   attempted — shared-state channels (a locked accumulator both ends
-//!   can see) make that distinction unsound for a lite analysis, so a
-//!   call edge conducts taint either way.
+//! - hash iteration emits [`crate::rules::NO_UNORDERED_ITERATION`] in the
+//!   deterministic-pipeline crates,
+//! - the arrival-order sites emit [`crate::rules::NO_ARRIVAL_ORDER_REDUCE`]
+//!   in cs-core and the pool, as does a `Mutex<Vec<..>>` declared outside
+//!   a body (a struct field, a static, a fn signature).
 //!
-//! A finding reports the full source → call-chain → sink path and is
-//! emitted only when source and sink live in *different* functions — the
-//! same-function case is exactly `no-unordered-iteration`'s territory.
-//! Waivers (`// cs-lint: allow(determinism-taint) -- ..`) apply at either
-//! end of the path: the source line in the source file or the sink line
-//! in the sink file. Staleness for those pragmas is checked here too,
-//! since only this pass knows which lines anchor a taint path.
+//! **Sinks** are order-sensitive float reductions: `.sum()` / `.product()`
+//! / `.fold(..)`, float `+=` accumulation inside loops, and calls into
+//! `kernels::*` entry points. **Propagation** runs both directions through
+//! the intra-crate call graph: a sink function that (transitively) *calls*
+//! a tainted function (return flow), and a tainted function that
+//! (transitively) calls a sink function (argument flow). No
+//! return-value/argument distinction is attempted — shared-state channels
+//! (a locked accumulator both ends can see) make that distinction unsound
+//! for a lite analysis, so a call edge conducts taint either way.
+//!
+//! A [`crate::rules::DETERMINISM_TAINT`] finding reports the full source →
+//! call-chain → sink path and is emitted only when source and sink live in
+//! *different* functions; the same-function case is the intra rule the
+//! source already emitted (no intra rule covers a clock read or a source
+//! outside those crates). Its waivers (`// cs-lint: allow(determinism-taint)
+//! -- ..`) apply at either end of the path, because the finding carries its
+//! source line as a second anchor for the one waiver pass in
+//! [`crate::rules`].
 //!
 //! Two cheaper item-level rules ride along on the same brace tree
-//! (`lint_hot_path_items`, invoked per-file from
-//! [`crate::rules::lint_rust_source`]):
+//! ([`lint_hot_path_items`], run per file):
 //!
 //! - [`crate::rules::NO_LOSSY_CAST_IN_HOT_PATH`] — float↔int (and
 //!   `as f32` narrowing) `as` casts in cs-linalg / pool kernels,
 //! - [`crate::rules::NO_UNCHECKED_INDEX_ARITH`] — raw subtraction inside
 //!   slice indexing in chunk-deal code.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-use crate::concurrency::{
-    chain_restores_order, for_loop_over_hash, hash_fields, hash_symbols, hash_type_names,
-    seek_close, statement_end, ITER_METHODS,
+use crate::items::{
+    let_binding_before, matching_delim, statement_end, struct_fields, type_end, Item, ItemKind,
 };
-use crate::items::{self, Item, UseMap};
-use crate::lexer::{lex, Pragma, Tok};
+use crate::lexer::Tok;
 use crate::report::Finding;
 use crate::rules::{
-    find_test_regions, FileClass, DETERMINISM_TAINT, NO_LOSSY_CAST_IN_HOT_PATH,
-    NO_UNCHECKED_INDEX_ARITH, STALE_WAIVER,
+    FileClass, ParsedFile, DETERMINISM_TAINT, NO_ARRIVAL_ORDER_REDUCE, NO_LOSSY_CAST_IN_HOT_PATH,
+    NO_UNCHECKED_INDEX_ARITH, NO_UNORDERED_ITERATION,
 };
+
+/// Iterator-producing methods on hash collections whose order is
+/// hasher-dependent.
+const ITER_METHODS: [&str; 9] = [
+    "iter",
+    "iter_mut",
+    "keys",
+    "values",
+    "values_mut",
+    "into_iter",
+    "into_keys",
+    "into_values",
+    "drain",
+];
+
+/// Chain methods that impose an explicit order downstream of an unordered
+/// iterator.
+const SORT_METHODS: [&str; 6] = [
+    "sort",
+    "sort_by",
+    "sort_unstable",
+    "sort_unstable_by",
+    "sort_by_key",
+    "sort_unstable_by_key",
+];
+
+/// Terminal adapters whose result does not depend on iteration order
+/// (counting and boolean folds; float `sum` is *not* here — float
+/// addition is order-sensitive, which is this pass's whole point).
+const ORDER_INSENSITIVE_TERMINALS: [&str; 3] = ["count", "any", "all"];
 
 /// Float-returning methods that mark a cast operand as float-derived even
 /// without a tracked receiver symbol.
@@ -68,88 +98,128 @@ const INT_CAST_TARGETS: [&str; 12] = [
     "usize", "isize", "u8", "u16", "u32", "u64", "u128", "i8", "i16", "i32", "i64", "i128",
 ];
 
-/// One taint source or sink location inside a function.
+/// The message of every `no-arrival-order-reduce` finding.
+const ARRIVAL_MESSAGE: &str = "`Mutex<Vec<..>>` accumulates parallel results in arrival order, \
+                               breaking the determinism contract (DESIGN.md §8); deal indexed \
+                               chunks and assemble result slots by position (see cs_linalg::pool)";
+
+/// A nondeterministically-ordered producer found by the one scanner.
 #[derive(Debug, Clone)]
-struct Site {
-    line: u32,
-    desc: String,
+enum Source {
+    /// `.method()` iteration of a hash collection; holds the method.
+    HashMethod(String),
+    /// A `for` loop directly over a hash collection.
+    HashLoop,
+    /// `Instant::now` / `SystemTime::now`; holds the type.
+    Clock(String),
+    /// A `.lock()..push(..)` chain.
+    ArrivalPush,
+    /// A `Mutex<Vec<..>>` type.
+    ArrivalShape,
+}
+
+impl Source {
+    /// How a taint finding names this source.
+    fn desc(&self) -> String {
+        match self {
+            Source::HashMethod(word) => format!("hasher-ordered `.{word}()` on a HashMap/HashSet"),
+            Source::HashLoop => "hasher-ordered `for` over a HashMap/HashSet".to_string(),
+            Source::Clock(word) => format!("clock-derived value (`{word}::now`)"),
+            Source::ArrivalPush => "arrival-order `.push(..)` under a lock".to_string(),
+            Source::ArrivalShape => "arrival-order `Mutex<Vec<..>>` accumulator".to_string(),
+        }
+    }
+
+    /// The intra-function rule and message this source emits in a file of
+    /// class `class`, if the file is in that rule's scope.
+    fn intra(&self, class: &FileClass) -> Option<(&'static str, String)> {
+        match self {
+            Source::HashMethod(word) if class.det_scope => Some((
+                NO_UNORDERED_ITERATION,
+                format!(
+                    "`.{word}()` on a HashMap/HashSet iterates in hasher order, which can reach \
+                     numeric accumulation or serialized output (DESIGN.md §8); use a \
+                     BTreeMap/BTreeSet or sort before consuming"
+                ),
+            )),
+            Source::HashLoop if class.det_scope => Some((
+                NO_UNORDERED_ITERATION,
+                "`for` over a HashMap/HashSet visits entries in hasher order, which can reach \
+                 numeric accumulation or serialized output (DESIGN.md §8); use a \
+                 BTreeMap/BTreeSet or collect-and-sort first"
+                    .to_string(),
+            )),
+            Source::ArrivalPush | Source::ArrivalShape if class.core_lib => {
+                Some((NO_ARRIVAL_ORDER_REDUCE, ARRIVAL_MESSAGE.to_string()))
+            }
+            _ => None,
+        }
+    }
 }
 
 /// Per-function facts feeding the call graph.
 #[derive(Debug)]
 struct FnFacts {
-    /// Index into the crate's file list.
+    /// Index into the analyzed file list.
     file: usize,
     name: String,
-    sources: Vec<Site>,
-    sinks: Vec<Site>,
+    sources: Vec<(u32, Source)>,
+    /// `(line, description)` of each order-sensitive reduction.
+    sinks: Vec<(u32, String)>,
     /// Names called from the body (plain and method calls), resolved
     /// against the crate's function set when edges are built.
     calls: BTreeSet<String>,
 }
 
-/// One scanned file: its path, waiver pragmas, and extracted functions.
-#[derive(Debug)]
-struct FileFacts {
-    rel: String,
-    pragmas: Vec<Pragma>,
-}
-
-/// Runs the determinism-taint pass over the whole workspace. `files` holds
-/// `(workspace-relative path, source text)` pairs for every scanned `.rs`
-/// file; grouping into intra-crate call graphs happens here. Returned
-/// findings carry their waived flag already resolved, plus `stale-waiver`
-/// findings for `determinism-taint` pragmas that cover no path anchor.
-pub fn analyze_workspace(files: &[(String, String)]) -> Vec<Finding> {
-    let mut crates: BTreeMap<String, (Vec<FileFacts>, Vec<FnFacts>)> = BTreeMap::new();
-    for (rel, text) in files {
-        let Some(cr) = crate_of(rel) else { continue };
-        let class = FileClass::from_path(rel);
-        if class.test_code {
+/// Runs the determinism pass over parsed files: the intra-function
+/// `no-unordered-iteration` and `no-arrival-order-reduce` findings, then
+/// the `determinism-taint` paths of each crate's call graph. Findings come
+/// back unwaived; [`crate::rules`] resolves waivers over them.
+pub fn analyze_workspace(files: &[ParsedFile]) -> Vec<Finding> {
+    let mut findings = Vec::new();
+    let mut crates: BTreeMap<&str, Vec<FnFacts>> = BTreeMap::new();
+    for (file_idx, file) in files.iter().enumerate() {
+        let Some(cr) = crate_of(&file.rel) else {
+            continue;
+        };
+        if file.class.test_code {
             continue;
         }
-        let entry = crates.entry(cr).or_default();
-        let file_idx = entry.0.len();
-        let lexed = lex(text);
-        let toks = &lexed.tokens;
-        let parsed = items::parse_items(toks);
-        let uses = UseMap::build(toks, &parsed);
-        let test_regions = find_test_regions(toks);
-        let hash_names = hash_type_names(&uses);
-        let fields = hash_fields(toks, &parsed, &hash_names);
-        let mut fns = Vec::new();
-        items::for_each_fn(&parsed, &mut |f| fns.push(f));
-        for f in &fns {
-            let Some((open, close)) = f.body else {
-                continue;
-            };
-            if test_regions.iter().any(|&(s, e)| open >= s && open <= e) {
-                continue;
+        let hash_types = hash_type_names(file);
+        let fields = hash_fields(file, &file.items, &hash_types);
+        let mut shapes = Vec::new();
+        declared_shapes(file, &file.items, &mut shapes);
+        let emit = |line: u32, source: &Source, findings: &mut Vec<Finding>| {
+            if let Some((rule, message)) = source.intra(&file.class) {
+                findings.push(Finding::new(rule, file.rel.as_str(), line, message));
+            }
+        };
+        for line in shapes {
+            emit(line, &Source::ArrivalShape, &mut findings);
+        }
+        let fns = crates.entry(cr).or_default();
+        for (f, body) in file.fn_bodies() {
+            let symbols = hash_symbols(&file.toks, f, &hash_types);
+            let sources = scan_sources(&file.toks, body, &symbols, &fields);
+            for (line, source) in &sources {
+                emit(*line, source, &mut findings);
             }
             if f.name.is_empty() {
                 continue;
             }
-            let symbols = hash_symbols(toks, f, &hash_names);
             let mut facts = FnFacts {
                 file: file_idx,
                 name: f.name.clone(),
-                sources: Vec::new(),
+                sources,
                 sinks: Vec::new(),
                 calls: BTreeSet::new(),
             };
-            collect_sources(toks, (open, close), &symbols, &fields, &mut facts.sources);
-            collect_sinks(toks, f, (open, close), &mut facts.sinks);
-            collect_calls(toks, (open, close), &mut facts.calls);
-            entry.1.push(facts);
+            collect_sinks(&file.toks, f, body, &mut facts.sinks);
+            collect_calls(&file.toks, body, &mut facts.calls);
+            fns.push(facts);
         }
-        entry.0.push(FileFacts {
-            rel: rel.clone(),
-            pragmas: lexed.pragmas,
-        });
     }
-
-    let mut findings = Vec::new();
-    for (files, fns) in crates.values() {
+    for fns in crates.values() {
         analyze_crate(files, fns, &mut findings);
     }
     findings
@@ -158,137 +228,425 @@ pub fn analyze_workspace(files: &[(String, String)]) -> Vec<Finding> {
 /// Crate a workspace-relative source path belongs to, for call-graph
 /// grouping. Test/bench trees and cs-bench (whose whole job is timing
 /// floats) are out of scope.
-fn crate_of(rel: &str) -> Option<String> {
+fn crate_of(rel: &str) -> Option<&str> {
     let parts: Vec<&str> = rel.split('/').collect();
     match parts.first() {
         Some(&"crates") if parts.len() > 3 && parts[2] == "src" && parts[1] != "cs-bench" => {
-            Some(parts[1].to_string())
+            Some(parts[1])
         }
-        Some(&"src") => Some("<root>".to_string()),
+        Some(&"src") => Some("<root>"),
         _ => None,
     }
 }
 
-/// Taint sources in one function body.
-fn collect_sources(
+/// Local type names that denote `std::collections::{HashMap, HashSet}` in
+/// one file: the literal names (fully-qualified mentions keep the bare
+/// ident in the token stream) plus every `use` alias resolving to them.
+fn hash_type_names(file: &ParsedFile) -> BTreeSet<String> {
+    let aliases = file.uses.iter().filter(|(_, path)| {
+        path.starts_with("std::collections::")
+            && (path.ends_with("::HashMap") || path.ends_with("::HashSet"))
+    });
+    ["HashMap", "HashSet"]
+        .into_iter()
+        .chain(aliases.map(|(name, _)| name))
+        .map(str::to_string)
+        .collect()
+}
+
+/// True when the *outer* type in `range` is a hash collection: the last
+/// ident before the first `<` (path segments allowed, references skipped).
+/// `Vec<HashMap<..>>` is ordered at the iteration boundary and must not
+/// match; `&HashMap<..>` and `std::collections::HashMap<..>` must.
+fn outer_is_hash(toks: &[Tok], (start, end): (usize, usize), names: &BTreeSet<String>) -> bool {
+    toks[start..end.min(toks.len())]
+        .iter()
+        .take_while(|t| !t.is_punct('<'))
+        .filter_map(Tok::ident)
+        .last()
+        .is_some_and(|w| names.contains(w))
+}
+
+/// Struct fields (file-wide) whose declared type is a hash collection.
+fn hash_fields(file: &ParsedFile, items: &[Item], names: &BTreeSet<String>) -> BTreeSet<String> {
+    let mut fields = BTreeSet::new();
+    for item in items {
+        if let (ItemKind::Struct | ItemKind::Union, Some(body)) = (item.kind, item.body) {
+            for f in struct_fields(&file.toks, body) {
+                if outer_is_hash(&file.toks, f.ty, names) {
+                    fields.insert(file.toks[f.name].text());
+                }
+            }
+        }
+        fields.extend(hash_fields(file, &item.children, names));
+    }
+    fields
+}
+
+/// `Mutex<Vec<..>>` types outside fn bodies — struct fields, statics,
+/// consts, type aliases and fn signatures — as source lines, test code
+/// excluded. Bodies are the scanner's.
+fn declared_shapes(file: &ParsedFile, items: &[Item], out: &mut Vec<u32>) {
+    for item in items {
+        let end = match (item.kind, item.body) {
+            (ItemKind::Fn | ItemKind::Impl | ItemKind::Mod | ItemKind::Trait, _) | (_, None) => {
+                item.sig.1
+            }
+            (_, Some((_, close))) => close,
+        };
+        out.extend(
+            (item.sig.0..end)
+                .filter(|&i| is_mutex_vec(&file.toks, i) && !file.in_test(i))
+                .map(|i| file.toks[i].line),
+        );
+        declared_shapes(file, &item.children, out);
+    }
+}
+
+/// `Mutex < Vec` at token `i`.
+fn is_mutex_vec(toks: &[Tok], i: usize) -> bool {
+    toks[i].is_ident("Mutex")
+        && toks.get(i + 1).is_some_and(|t| t.is_punct('<'))
+        && toks.get(i + 2).is_some_and(|t| t.is_ident("Vec"))
+}
+
+/// A parameter or `let` binding of one fn, with the tokens that type it.
+struct Binding<'t> {
+    name: &'t str,
+    /// `[start, end)`: the type annotation when `annotated`, otherwise the
+    /// `let` initializer.
+    range: (usize, usize),
+    annotated: bool,
+}
+
+/// The annotated parameters and the `let [mut] name` bindings of one fn
+/// (a `let`'s initializer is not searched for nested `let`s).
+fn fn_bindings<'t>(toks: &'t [Tok], f: &Item) -> Vec<Binding<'t>> {
+    let mut out = Vec::new();
+    let (sig_start, sig_end) = f.sig;
+    if let Some(open) = (sig_start..sig_end).find(|&k| toks[k].is_punct('(')) {
+        if let Some(close) = matching_delim(toks, open, sig_end, '(', ')') {
+            let mut i = open + 1;
+            while i < close {
+                match toks[i].ident() {
+                    Some(name) if toks[i + 1].is_punct(':') => {
+                        let end = type_end(toks, i + 2, close);
+                        out.push(Binding {
+                            name,
+                            range: (i + 2, end),
+                            annotated: true,
+                        });
+                        i = end + 1;
+                    }
+                    _ => i += 1,
+                }
+            }
+        }
+    }
+    if let Some((open, close)) = f.body {
+        let mut i = open;
+        while i < close {
+            if !toks[i].is_ident("let") {
+                i += 1;
+                continue;
+            }
+            let mut j = i + 1 + usize::from(toks[i + 1].is_ident("mut"));
+            let Some(name) = toks.get(j).and_then(Tok::ident) else {
+                i = j + 1;
+                continue;
+            };
+            j += 1;
+            let stmt_end = statement_end(toks, j, close);
+            if toks[j].is_punct(':') {
+                let ty_end = (j + 1..stmt_end)
+                    .find(|&k| toks[k].is_punct('='))
+                    .unwrap_or(stmt_end);
+                out.push(Binding {
+                    name,
+                    range: (j + 1, ty_end),
+                    annotated: true,
+                });
+            } else if toks[j].is_punct('=') {
+                out.push(Binding {
+                    name,
+                    range: (j + 1, stmt_end),
+                    annotated: false,
+                });
+            }
+            i = stmt_end + 1;
+        }
+    }
+    out
+}
+
+/// Identifiers in one function known to hold a hash collection: bindings
+/// with a hash type annotation, and `let`s initialized from `HashName::..`.
+fn hash_symbols(toks: &[Tok], f: &Item, names: &BTreeSet<String>) -> BTreeSet<String> {
+    let hashy = |b: &Binding| {
+        if b.annotated {
+            return outer_is_hash(toks, b.range, names);
+        }
+        (b.range.0..b.range.1).any(|k| {
+            toks[k].ident().is_some_and(|w| names.contains(w))
+                && toks.get(k + 1).is_some_and(|t| t.is_punct(':'))
+        })
+    };
+    fn_bindings(toks, f)
+        .into_iter()
+        .filter(hashy)
+        .map(|b| b.name.to_string())
+        .collect()
+}
+
+/// The one scanner: every source in one fn body, in token order. Hash
+/// receivers are the fn's hash `symbols` and any receiver's hash `fields`.
+fn scan_sources(
     toks: &[Tok],
     (open, close): (usize, usize),
     symbols: &BTreeSet<String>,
     fields: &BTreeSet<String>,
-    out: &mut Vec<Site>,
-) {
+) -> Vec<(u32, Source)> {
     let is_hash_receiver = |idx: usize| -> bool {
+        // `sym.iter()` — receiver ident directly before the dot.
         let Some(word) = toks.get(idx).and_then(Tok::ident) else {
             return false;
         };
-        if symbols.contains(word)
-            && !toks
-                .get(idx.wrapping_sub(1))
-                .is_some_and(|t| t.is_punct('.'))
-        {
-            return true;
+        let after_dot = idx >= 1 && toks[idx - 1].is_punct('.');
+        // `x.field.iter()` — field access on any receiver.
+        if after_dot {
+            fields.contains(word)
+        } else {
+            symbols.contains(word)
         }
-        fields.contains(word) && idx >= 1 && toks[idx - 1].is_punct('.')
     };
 
+    let mut out = Vec::new();
     let mut i = open;
-    while i <= close.min(toks.len().saturating_sub(1)) {
+    while i <= close {
         let t = &toks[i];
-        if let Some(word) = t.ident() {
-            // Hash-ordered iteration, method form, minus exonerated chains.
-            if ITER_METHODS.contains(&word)
-                && i >= 2
-                && toks[i - 1].is_punct('.')
-                && toks.get(i + 1).is_some_and(|n| n.is_punct('('))
-                && is_hash_receiver(i - 2)
-            {
-                if let Some(call_close) = seek_close(toks, i + 1, close + 1, '(', ')') {
-                    if !chain_restores_order(toks, call_close, close) {
-                        out.push(Site {
-                            line: t.line,
-                            desc: format!("hasher-ordered `.{word}()` on a HashMap/HashSet"),
-                        });
-                    }
-                    i = call_close + 1;
-                    continue;
+        let Some(word) = t.ident() else {
+            i += 1;
+            continue;
+        };
+        // Hash iteration, method form, minus chains that restore an order.
+        if ITER_METHODS.contains(&word)
+            && i >= 2
+            && toks[i - 1].is_punct('.')
+            && toks.get(i + 1).is_some_and(|n| n.is_punct('('))
+            && is_hash_receiver(i - 2)
+        {
+            if let Some(call_close) = matching_delim(toks, i + 1, close + 1, '(', ')') {
+                if !chain_restores_order(toks, call_close, close) {
+                    out.push((t.line, Source::HashMethod(word.to_string())));
                 }
+                i = call_close + 1;
+                continue;
             }
-            // Hash-ordered iteration, loop form.
-            if word == "for" {
-                if let Some(line) = for_loop_over_hash(toks, i, close, symbols, fields) {
-                    out.push(Site {
-                        line,
-                        desc: "hasher-ordered `for` over a HashMap/HashSet".to_string(),
-                    });
+        }
+        // Hash iteration, loop form.
+        if word == "for" {
+            if let Some(line) = for_loop_over_hash(toks, i, close, symbols, fields) {
+                out.push((line, Source::HashLoop));
+            }
+        }
+        // Clock reads: `Instant::now(` / `SystemTime::now(`. Unlike
+        // `no-ambient-authority` this has no config-module exemption — a
+        // clock-derived *value* flowing into a reduction is
+        // nondeterministic no matter where it was read.
+        if (word == "Instant" || word == "SystemTime")
+            && toks.get(i + 1).is_some_and(|t| t.is_punct(':'))
+            && toks.get(i + 2).is_some_and(|t| t.is_punct(':'))
+            && toks.get(i + 3).is_some_and(|t| t.is_ident("now"))
+            && toks.get(i + 4).is_some_and(|t| t.is_punct('('))
+        {
+            out.push((t.line, Source::Clock(word.to_string())));
+        }
+        if is_mutex_vec(toks, i) {
+            out.push((t.line, Source::ArrivalShape));
+        }
+        // Arrival-order push: `.lock()..push(..)` in one chain.
+        if (word == "lock" || word == "write")
+            && i >= 1
+            && toks[i - 1].is_punct('.')
+            && toks.get(i + 1).is_some_and(|t| t.is_punct('('))
+        {
+            if let Some(mut chain_end) = matching_delim(toks, i + 1, close + 1, '(', ')') {
+                // Skip guard adapters that keep the same value.
+                while toks.get(chain_end + 1).is_some_and(|t| t.is_punct('.'))
+                    && toks
+                        .get(chain_end + 2)
+                        .and_then(Tok::ident)
+                        .is_some_and(|w| matches!(w, "unwrap" | "expect" | "unwrap_or_else"))
+                    && toks.get(chain_end + 3).is_some_and(|t| t.is_punct('('))
+                {
+                    match matching_delim(toks, chain_end + 3, close + 1, '(', ')') {
+                        Some(c) => chain_end = c,
+                        None => break,
+                    }
                 }
-            }
-            // Clock reads: `Instant::now(` / `SystemTime::now(`. Unlike
-            // `no-ambient-authority` this has no config-module exemption —
-            // a clock-derived *value* flowing into a reduction is
-            // nondeterministic no matter where it was read.
-            if (word == "Instant" || word == "SystemTime")
-                && toks.get(i + 1).is_some_and(|t| t.is_punct(':'))
-                && toks.get(i + 2).is_some_and(|t| t.is_punct(':'))
-                && toks.get(i + 3).is_some_and(|t| t.is_ident("now"))
-                && toks.get(i + 4).is_some_and(|t| t.is_punct('('))
-            {
-                out.push(Site {
-                    line: t.line,
-                    desc: format!("clock-derived value (`{word}::now`)"),
-                });
-            }
-            // Arrival-order push: `.lock()..push(..)` in one chain.
-            if (word == "lock" || word == "write")
-                && i >= 1
-                && toks[i - 1].is_punct('.')
-                && toks.get(i + 1).is_some_and(|t| t.is_punct('('))
-            {
-                if let Some(call_close) = seek_close(toks, i + 1, close + 1, '(', ')') {
-                    let mut chain_end = call_close;
-                    // Skip guard adapters that keep the same value.
-                    while toks.get(chain_end + 1).is_some_and(|t| t.is_punct('.'))
-                        && toks
-                            .get(chain_end + 2)
-                            .and_then(Tok::ident)
-                            .is_some_and(|w| matches!(w, "unwrap" | "expect" | "unwrap_or_else"))
-                        && toks.get(chain_end + 3).is_some_and(|t| t.is_punct('('))
-                    {
-                        match seek_close(toks, chain_end + 3, close + 1, '(', ')') {
-                            Some(c) => chain_end = c,
-                            None => break,
-                        }
-                    }
-                    if toks.get(chain_end + 1).is_some_and(|t| t.is_punct('.'))
-                        && toks.get(chain_end + 2).is_some_and(|t| t.is_ident("push"))
-                        && toks.get(chain_end + 3).is_some_and(|t| t.is_punct('('))
-                    {
-                        out.push(Site {
-                            line: t.line,
-                            desc: "arrival-order `.push(..)` under a lock".to_string(),
-                        });
-                    }
+                if toks.get(chain_end + 1).is_some_and(|t| t.is_punct('.'))
+                    && toks.get(chain_end + 2).is_some_and(|t| t.is_ident("push"))
+                    && toks.get(chain_end + 3).is_some_and(|t| t.is_punct('('))
+                {
+                    out.push((t.line, Source::ArrivalPush));
                 }
             }
         }
         i += 1;
     }
+    out
+}
+
+/// If the `for` at `for_idx` loops directly over a hash symbol or over a
+/// hash field of any receiver (`for x in &m {`, `for x in &cfg.weights {`),
+/// returns the line to report. A chained call (`for x in m.keys() {`) is
+/// the method form's, which may exonerate it.
+fn for_loop_over_hash(
+    toks: &[Tok],
+    for_idx: usize,
+    close: usize,
+    symbols: &BTreeSet<String>,
+    fields: &BTreeSet<String>,
+) -> Option<u32> {
+    // Find the `in` of this `for` before its body `{` (patterns never
+    // contain `in`; parens in tuple patterns are fine to scan over).
+    let mut j = for_idx + 1;
+    while j <= close && !toks[j].is_ident("in") {
+        if toks[j].is_punct('{') {
+            return None;
+        }
+        j += 1;
+    }
+    // Strip `&`, `&mut`.
+    let mut k = j + 1;
+    while k <= close && (toks[k].is_punct('&') || toks[k].is_ident("mut")) {
+        k += 1;
+    }
+    toks.get(k).and_then(Tok::ident)?;
+    // `root(.field)*` running straight into the body `{`.
+    let mut last = k;
+    while toks.get(last + 1).is_some_and(|t| t.is_punct('.'))
+        && toks.get(last + 2).and_then(Tok::ident).is_some()
+    {
+        last += 2;
+    }
+    if !toks.get(last + 1).is_none_or(|t| t.is_punct('{')) {
+        return None;
+    }
+    let word = toks[last].ident()?;
+    let hit = if last == k {
+        symbols.contains(word)
+    } else {
+        fields.contains(word)
+    };
+    hit.then_some(toks[k].line)
+}
+
+/// Walks the method chain after a closing paren; true when the chain (or
+/// the statement it feeds) restores a deterministic order: an explicit
+/// sort, an order-insensitive terminal, or a collect into an ordered
+/// collection that is sorted afterwards.
+fn chain_restores_order(toks: &[Tok], mut call_close: usize, body_close: usize) -> bool {
+    let mut last_method: Option<&str> = None;
+    let mut collected_ordered = false;
+    while toks.get(call_close + 1).is_some_and(|t| t.is_punct('.')) {
+        let Some(name) = toks.get(call_close + 2).and_then(Tok::ident) else {
+            break;
+        };
+        if SORT_METHODS.contains(&name) {
+            return true;
+        }
+        let mut next = call_close + 3;
+        // Optional turbofish: `::<BTreeMap<_, _>>`.
+        if toks.get(next).is_some_and(|t| t.is_punct(':'))
+            && toks.get(next + 1).is_some_and(|t| t.is_punct(':'))
+            && toks.get(next + 2).is_some_and(|t| t.is_punct('<'))
+        {
+            let mut angle = 0i64;
+            let mut k = next + 2;
+            while k <= body_close {
+                if toks[k].is_punct('<') {
+                    angle += 1;
+                } else if toks[k].is_punct('>') {
+                    angle -= 1;
+                    if angle == 0 {
+                        break;
+                    }
+                }
+                if name == "collect"
+                    && toks[k]
+                        .ident()
+                        .is_some_and(|w| w == "BTreeMap" || w == "BTreeSet")
+                {
+                    return true;
+                }
+                if name == "collect" && toks[k].ident().is_some_and(|w| w == "Vec") {
+                    collected_ordered = true;
+                }
+                k += 1;
+            }
+            next = k + 1;
+        }
+        if toks.get(next).is_some_and(|t| t.is_punct('(')) {
+            match matching_delim(toks, next, body_close + 1, '(', ')') {
+                Some(c) => call_close = c,
+                None => break,
+            }
+        } else {
+            call_close = next - 1;
+        }
+        last_method = Some(name);
+    }
+    if last_method.is_some_and(|m| ORDER_INSENSITIVE_TERMINALS.contains(&m)) {
+        return true;
+    }
+    // `let [mut] v = <chain>;` (or `let v: BTree.. = <chain>;`): a
+    // following `v.sort..()` in the same body exonerates — the canonical
+    // collect-then-sort conversion. A collect into a BTree via the let
+    // annotation also restores order.
+    let stmt_end = statement_end(toks, call_close, body_close);
+    let Some(name) = let_binding_before(toks, call_close) else {
+        return false;
+    };
+    let annotated_ordered = toks[name + 1].is_punct(':')
+        && (name + 2..call_close)
+            .take_while(|&m| !toks[m].is_punct('='))
+            .any(|m| {
+                toks[m]
+                    .ident()
+                    .is_some_and(|w| w == "BTreeMap" || w == "BTreeSet")
+            });
+    if annotated_ordered {
+        return true;
+    }
+    let binding = toks[name].text();
+    (last_method == Some("collect") || collected_ordered)
+        && (stmt_end..body_close.saturating_sub(1)).any(|k| {
+            toks[k].is_ident(&binding)
+                && toks[k + 1].is_punct('.')
+                && toks[k + 2]
+                    .ident()
+                    .is_some_and(|w| SORT_METHODS.contains(&w))
+        })
 }
 
 /// Order-sensitive float reductions in one function body.
-fn collect_sinks(toks: &[Tok], f: &Item, (open, close): (usize, usize), out: &mut Vec<Site>) {
+fn collect_sinks(
+    toks: &[Tok],
+    f: &Item,
+    (open, close): (usize, usize),
+    out: &mut Vec<(u32, String)>,
+) {
     let floats = float_symbols(toks, f);
     let loops = loop_ranges(toks, open, close);
     let mut i = open;
-    while i <= close.min(toks.len().saturating_sub(1)) {
+    while i <= close {
         let t = &toks[i];
         if let Some(word) = t.ident() {
             let method_call =
                 i >= 1 && toks[i - 1].is_punct('.') && args_open_after(toks, i).is_some();
             if method_call && matches!(word, "sum" | "product" | "fold") {
-                out.push(Site {
-                    line: t.line,
-                    desc: format!("order-sensitive `.{word}(..)` reduction"),
-                });
+                out.push((t.line, format!("order-sensitive `.{word}(..)` reduction")));
             }
             // `kernels::<entry>(..)` — the numeric kernels assume their
             // operands arrive in a deterministic order.
@@ -298,10 +656,7 @@ fn collect_sinks(toks: &[Tok], f: &Item, (open, close): (usize, usize), out: &mu
             {
                 if let Some(entry) = toks.get(i + 3).and_then(Tok::ident) {
                     if toks.get(i + 4).is_some_and(|t| t.is_punct('(')) {
-                        out.push(Site {
-                            line: t.line,
-                            desc: format!("`kernels::{entry}(..)` entry point"),
-                        });
+                        out.push((t.line, format!("`kernels::{entry}(..)` entry point")));
                     }
                 }
             }
@@ -320,10 +675,7 @@ fn collect_sinks(toks: &[Tok], f: &Item, (open, close): (usize, usize), out: &mu
                     || is_float_literal(&toks[k].text())
             });
             if lhs_float || rhs_float {
-                out.push(Site {
-                    line: t.line,
-                    desc: "float `+=` accumulation in a loop".to_string(),
-                });
+                out.push((t.line, "float `+=` accumulation in a loop".to_string()));
             }
         }
         i += 1;
@@ -335,7 +687,7 @@ fn collect_sinks(toks: &[Tok], f: &Item, (open, close): (usize, usize), out: &mu
 /// happens when edges are built, so keywords and foreign names fall out
 /// naturally.
 fn collect_calls(toks: &[Tok], (open, close): (usize, usize), out: &mut BTreeSet<String>) {
-    for i in open..=close.min(toks.len().saturating_sub(1)) {
+    for i in open..=close {
         if let Some(word) = toks[i].ident() {
             if args_open_after(toks, i).is_some() {
                 out.insert(word.to_string());
@@ -375,9 +727,8 @@ fn args_open_after(toks: &[Tok], i: usize) -> Option<usize> {
 }
 
 /// Builds the crate's call graph and reports every (tainted source fn,
-/// sink fn) pair connected by it, then checks `determinism-taint` waiver
-/// staleness against the anchors of the pre-waiver findings.
-fn analyze_crate(files: &[FileFacts], fns: &[FnFacts], findings: &mut Vec<Finding>) {
+/// sink fn) pair connected by it.
+fn analyze_crate(files: &[ParsedFile], fns: &[FnFacts], findings: &mut Vec<Finding>) {
     let mut by_name: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
     for (i, f) in fns.iter().enumerate() {
         by_name.entry(f.name.as_str()).or_default().push(i);
@@ -395,10 +746,7 @@ fn analyze_crate(files: &[FileFacts], fns: &[FnFacts], findings: &mut Vec<Findin
         }
     }
 
-    // (file, line) anchors of pre-waiver findings, for staleness.
-    let mut anchors: BTreeSet<(usize, u32)> = BTreeSet::new();
     let mut reported: BTreeSet<(usize, usize)> = BTreeSet::new();
-
     for (k, f) in fns.iter().enumerate() {
         if f.sinks.is_empty() {
             continue;
@@ -408,35 +756,11 @@ fn analyze_crate(files: &[FileFacts], fns: &[FnFacts], findings: &mut Vec<Findin
         // reversing yields the data direction, source → sink.
         for edges in [&callees, &callers] {
             for (t, path) in reach(k, edges, fns) {
-                if !reported.insert((t, k)) {
-                    continue;
+                if reported.insert((t, k)) {
+                    let chain: Vec<&str> =
+                        path.iter().rev().map(|&i| fns[i].name.as_str()).collect();
+                    findings.push(taint_finding(files, &fns[t], f, &chain));
                 }
-                let chain: Vec<&str> = path.iter().rev().map(|&i| fns[i].name.as_str()).collect();
-                push_taint_finding(files, fns, t, k, &chain, &mut anchors, findings);
-            }
-        }
-    }
-
-    // Staleness: a justified determinism-taint pragma must cover a source
-    // or sink anchor of some reported path.
-    for (fi, file) in files.iter().enumerate() {
-        for p in &file.pragmas {
-            if !p.justified || !p.rules.iter().any(|r| r == DETERMINISM_TAINT) {
-                continue;
-            }
-            let live = anchors
-                .iter()
-                .any(|&(af, al)| af == fi && (al == p.line || al == p.line + 1));
-            if !live {
-                let mut f = Finding::new(
-                    STALE_WAIVER,
-                    file.rel.clone(),
-                    p.line,
-                    "waiver for `determinism-taint` anchors no source or sink of any \
-                     taint path; delete the pragma",
-                );
-                f.waived = covered(&file.pragmas, STALE_WAIVER, p.line);
-                findings.push(f);
             }
         }
     }
@@ -447,7 +771,7 @@ fn analyze_crate(files: &[FileFacts], fns: &[FnFacts], findings: &mut Vec<Findin
 /// inclusive of both ends.
 fn reach(start: usize, edges: &[Vec<usize>], fns: &[FnFacts]) -> Vec<(usize, Vec<usize>)> {
     let mut parent: BTreeMap<usize, usize> = BTreeMap::new();
-    let mut queue = std::collections::VecDeque::from([start]);
+    let mut queue = VecDeque::from([start]);
     let mut seen = BTreeSet::from([start]);
     let mut hits = Vec::new();
     while let Some(n) = queue.pop_front() {
@@ -473,85 +797,49 @@ fn reach(start: usize, edges: &[Vec<usize>], fns: &[FnFacts]) -> Vec<(usize, Vec
     hits
 }
 
-/// Emits one determinism-taint finding for the (source fn `t`, sink fn
-/// `k`) pair, waiver-resolved at both ends; `chain` runs source → sink.
-fn push_taint_finding(
-    files: &[FileFacts],
-    fns: &[FnFacts],
-    t: usize,
-    k: usize,
-    chain: &[&str],
-    anchors: &mut BTreeSet<(usize, u32)>,
-    findings: &mut Vec<Finding>,
-) {
-    let source = &fns[t].sources[0];
-    let sink = &fns[k].sinks[0];
-    let src_file = &files[fns[t].file];
-    let sink_file = &files[fns[k].file];
-    anchors.insert((fns[t].file, source.line));
-    anchors.insert((fns[k].file, sink.line));
+/// The determinism-taint finding for the (source fn, sink fn) pair,
+/// reported at the sink and anchored at the source too; `chain` runs
+/// source → sink.
+fn taint_finding(files: &[ParsedFile], src: &FnFacts, sink: &FnFacts, chain: &[&str]) -> Finding {
+    let (source_line, source) = &src.sources[0];
+    let (sink_line, sink_desc) = &sink.sinks[0];
+    let src_rel = &files[src.file].rel;
     let mut f = Finding::new(
         DETERMINISM_TAINT,
-        sink_file.rel.clone(),
-        sink.line,
+        files[sink.file].rel.clone(),
+        *sink_line,
         format!(
-            "{} can consume a nondeterministically-ordered value: {} in `{}` ({}:{}) \
+            "{sink_desc} can consume a nondeterministically-ordered value: {} in `{}` ({}:{}) \
              flows through `{}` (DESIGN.md §8); sort or slot-index the data before \
              reducing, or waive at either end of the path",
-            sink.desc,
-            source.desc,
-            fns[t].name,
-            src_file.rel,
-            source.line,
+            source.desc(),
+            src.name,
+            src_rel,
+            source_line,
             chain.join(" -> "),
         ),
     );
-    f.waived = covered(&sink_file.pragmas, DETERMINISM_TAINT, sink.line)
-        || covered(&src_file.pragmas, DETERMINISM_TAINT, source.line);
-    findings.push(f);
-}
-
-/// Whether a justified pragma naming `rule` covers `line` (same line or
-/// the line above, matching `apply_waivers`).
-fn covered(pragmas: &[Pragma], rule: &str, line: u32) -> bool {
-    pragmas.iter().any(|p| {
-        p.justified && (p.line == line || p.line + 1 == line) && p.rules.iter().any(|r| r == rule)
-    })
+    f.source = Some((src_rel.clone(), *source_line));
+    f
 }
 
 // ---------------------------------------------------------------------------
-// Hot-path item rules (per-file, invoked from `lint_rust_source`).
+// Hot-path item rules (per file).
 // ---------------------------------------------------------------------------
 
 /// Runs `no-lossy-cast-in-hot-path` and `no-unchecked-index-arith` over
 /// the non-test functions of one file, scoped by [`FileClass`].
-pub(crate) fn lint_hot_path_items(
-    toks: &[Tok],
-    items: &[Item],
-    class: &FileClass,
-    rel_path: &str,
-    test_regions: &[(usize, usize)],
-    findings: &mut Vec<Finding>,
-) {
+pub(crate) fn lint_hot_path_items(file: &ParsedFile, findings: &mut Vec<Finding>) {
+    let class = &file.class;
     if !class.hot_path && !class.chunk_deal {
         return;
     }
-    let in_test =
-        |idx: usize| class.test_code || test_regions.iter().any(|&(s, e)| idx >= s && idx <= e);
-    let mut fns = Vec::new();
-    items::for_each_fn(items, &mut |f| fns.push(f));
-    for f in &fns {
-        let Some((open, close)) = f.body else {
-            continue;
-        };
-        if in_test(open) {
-            continue;
-        }
+    for (f, body) in file.fn_bodies() {
         if class.hot_path {
-            find_lossy_casts(toks, f, (open, close), rel_path, findings);
+            find_lossy_casts(&file.toks, f, body, &file.rel, findings);
         }
         if class.chunk_deal {
-            find_index_arith(toks, (open, close), rel_path, findings);
+            find_index_arith(&file.toks, body, &file.rel, findings);
         }
     }
 }
@@ -565,7 +853,7 @@ fn find_lossy_casts(
     findings: &mut Vec<Finding>,
 ) {
     let floats = float_symbols(toks, f);
-    for i in open..=close.min(toks.len().saturating_sub(1)) {
+    for i in open..=close {
         if !toks[i].is_ident("as") {
             continue;
         }
@@ -680,8 +968,7 @@ fn find_index_arith(
     rel_path: &str,
     findings: &mut Vec<Finding>,
 ) {
-    let end = close.min(toks.len().saturating_sub(1));
-    for i in open..=end {
+    for i in open..=close {
         if !toks[i].is_punct('[') {
             continue;
         }
@@ -695,7 +982,7 @@ fn find_index_arith(
         if !indexing {
             continue;
         }
-        let Some(bclose) = seek_close(toks, i, end + 1, '[', ']') else {
+        let Some(bclose) = matching_delim(toks, i, close + 1, '[', ']') else {
             continue;
         };
         let mut paren = 0i64;
@@ -734,102 +1021,30 @@ fn find_index_arith(
     }
 }
 
-/// Identifiers in one function known to hold floats: parameters whose
-/// type annotation mentions `f64`/`f32` (including slices and references)
-/// and `let` bindings annotated that way or initialized from a float
-/// literal.
+/// Identifiers in one function known to hold floats: bindings whose type
+/// annotation mentions `f64`/`f32` (including slices and references) and
+/// `let`s initialized from a float literal.
 fn float_symbols(toks: &[Tok], f: &Item) -> BTreeSet<String> {
-    let mut out = BTreeSet::new();
-    let (sig_start, sig_end) = f.sig;
-    if let Some(popen) = (sig_start..sig_end).find(|&k| toks[k].is_punct('(')) {
-        if let Some(pclose) = seek_close(toks, popen, sig_end, '(', ')') {
-            let mut i = popen + 1;
-            while i < pclose {
-                let Some(name) = toks.get(i).and_then(Tok::ident) else {
-                    i += 1;
-                    continue;
-                };
-                if toks.get(i + 1).is_some_and(|t| t.is_punct(':')) {
-                    let ty_end = type_end(toks, i + 2, pclose);
-                    if (i + 2..ty_end)
-                        .any(|k| toks[k].ident().is_some_and(|w| w == "f64" || w == "f32"))
-                    {
-                        out.insert(name.to_string());
-                    }
-                    i = ty_end + 1;
-                } else {
-                    i += 1;
-                }
-            }
-        }
-    }
-    if let Some((open, close)) = f.body {
-        let mut i = open;
-        while i < close {
-            if !toks[i].is_ident("let") {
-                i += 1;
-                continue;
-            }
-            let mut j = i + 1;
-            if toks.get(j).is_some_and(|t| t.is_ident("mut")) {
-                j += 1;
-            }
-            let Some(name) = toks.get(j).and_then(Tok::ident) else {
-                i = j + 1;
-                continue;
-            };
-            j += 1;
-            let stmt_end = statement_end(toks, j, close);
-            let floaty = if toks.get(j).is_some_and(|t| t.is_punct(':')) {
-                let ty_end = (j + 1..stmt_end)
-                    .find(|&k| toks[k].is_punct('='))
-                    .unwrap_or(stmt_end);
-                (j + 1..ty_end).any(|k| toks[k].ident().is_some_and(|w| w == "f64" || w == "f32"))
-            } else if toks.get(j).is_some_and(|t| t.is_punct('=')) {
-                (j + 1..stmt_end).any(|k| is_float_literal(&toks[k].text()))
+    let floaty = |b: &Binding| {
+        (b.range.0..b.range.1).any(|k| {
+            if b.annotated {
+                toks[k].ident().is_some_and(|w| w == "f64" || w == "f32")
             } else {
-                false
-            };
-            if floaty {
-                out.insert(name.to_string());
+                is_float_literal(&toks[k].text())
             }
-            i = stmt_end + 1;
-        }
-    }
-    out
-}
-
-/// Depth-0 `,` (or `close`) ending a parameter's type annotation.
-fn type_end(toks: &[Tok], start: usize, close: usize) -> usize {
-    let mut angle = 0i64;
-    let mut paren = 0i64;
-    let mut bracket = 0i64;
-    for (k, t) in toks.iter().enumerate().take(close).skip(start) {
-        if t.is_punct('<') {
-            angle += 1;
-        } else if t.is_punct('>') {
-            angle -= 1;
-        } else if t.is_punct('(') {
-            paren += 1;
-        } else if t.is_punct(')') {
-            paren -= 1;
-        } else if t.is_punct('[') {
-            bracket += 1;
-        } else if t.is_punct(']') {
-            bracket -= 1;
-        } else if t.is_punct(',') && angle <= 0 && paren == 0 && bracket == 0 {
-            return k;
-        }
-    }
-    close
+        })
+    };
+    fn_bindings(toks, f)
+        .into_iter()
+        .filter(floaty)
+        .map(|b| b.name.to_string())
+        .collect()
 }
 
 /// Token-index ranges of `for`/`while` loop bodies inside one fn body.
 fn loop_ranges(toks: &[Tok], open: usize, close: usize) -> Vec<(usize, usize)> {
     let mut out = Vec::new();
-    let end = close.min(toks.len().saturating_sub(1));
-    let mut i = open;
-    while i <= end {
+    for i in open..=close {
         let looping = toks[i]
             .ident()
             .is_some_and(|w| w == "for" || w == "while" || w == "loop");
@@ -839,7 +1054,7 @@ fn loop_ranges(toks: &[Tok], open: usize, close: usize) -> Vec<(usize, usize)> {
             let mut paren = 0i64;
             let mut bracket = 0i64;
             let mut j = i + 1;
-            while j <= end {
+            while j <= close {
                 let t = &toks[j];
                 if t.is_punct('(') {
                     paren += 1;
@@ -850,7 +1065,7 @@ fn loop_ranges(toks: &[Tok], open: usize, close: usize) -> Vec<(usize, usize)> {
                 } else if t.is_punct(']') {
                     bracket -= 1;
                 } else if t.is_punct('{') && paren == 0 && bracket == 0 {
-                    if let Some(bclose) = seek_close(toks, j, end + 1, '{', '}') {
+                    if let Some(bclose) = matching_delim(toks, j, close + 1, '{', '}') {
                         out.push((j, bclose));
                     }
                     break;
@@ -860,7 +1075,6 @@ fn loop_ranges(toks: &[Tok], open: usize, close: usize) -> Vec<(usize, usize)> {
                 j += 1;
             }
         }
-        i += 1;
     }
     out
 }
@@ -874,16 +1088,22 @@ fn is_float_literal(text: &str) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rules::lint_rust_source;
+    use crate::items;
+    use crate::lexer::lex;
+    use crate::rules::{lint_files, lint_rust_source, STALE_WAIVER};
 
     const KERN: &str = "crates/cs-linalg/src/kernels.rs";
+    const DET: &str = "crates/cs-repro/src/fake.rs";
+    const CORE: &str = "crates/cs-core/src/fake.rs";
 
+    /// The taint and stale-waiver findings of a full lint over `files`,
+    /// waivers resolved.
     fn taint(files: &[(&str, &str)]) -> Vec<Finding> {
-        let owned: Vec<(String, String)> = files
-            .iter()
-            .map(|(p, s)| (p.to_string(), s.to_string()))
-            .collect();
-        analyze_workspace(&owned)
+        let parsed: Vec<ParsedFile> = files.iter().map(|(p, s)| ParsedFile::parse(s, p)).collect();
+        lint_files(&parsed)
+            .into_iter()
+            .filter(|f| f.rule == DETERMINISM_TAINT || f.rule == STALE_WAIVER)
+            .collect()
     }
 
     fn fired(src: &str, path: &str) -> Vec<&'static str> {
@@ -892,6 +1112,185 @@ mod tests {
             .filter(|f| !f.waived)
             .map(|f| f.rule)
             .collect()
+    }
+
+    #[test]
+    fn hashmap_for_loop_fires_in_det_scope() {
+        let src = "use std::collections::HashMap;\n\
+                   fn emit(m: &HashMap<String, f64>) -> f64 {\n\
+                       let mut total = 0.0;\n\
+                       for (_, v) in m { total += v; }\n\
+                       total\n\
+                   }";
+        assert_eq!(fired(src, DET), vec![NO_UNORDERED_ITERATION]);
+        // Same code outside the deterministic-pipeline crates: clean.
+        assert!(fired(src, "crates/cs-nn/src/fake.rs").is_empty());
+        // Test code is exempt.
+        let test_src = format!("#[cfg(test)]\nmod t {{ {src} }}");
+        assert!(fired(&test_src, DET).is_empty());
+    }
+
+    #[test]
+    fn hashmap_iter_sum_fires() {
+        let src = "use std::collections::HashMap;\n\
+                   fn total(m: &HashMap<u32, f64>) -> f64 { m.values().sum() }";
+        assert_eq!(fired(src, DET), vec![NO_UNORDERED_ITERATION]);
+    }
+
+    #[test]
+    fn order_insensitive_terminals_are_clean() {
+        let src = "use std::collections::HashMap;\n\
+                   fn n(m: &HashMap<u32, f64>) -> usize { m.keys().count() }\n\
+                   fn has(m: &HashMap<u32, f64>) -> bool { m.values().any(|v| *v > 0.0) }";
+        assert!(fired(src, DET).is_empty());
+    }
+
+    #[test]
+    fn explicit_sort_in_chain_is_clean() {
+        let src = "use std::collections::HashSet;\n\
+                   fn ordered(s: &HashSet<String>) -> Vec<String> {\n\
+                       let mut v: Vec<String> = s.iter().cloned().collect();\n\
+                       v.sort();\n\
+                       v\n\
+                   }";
+        assert!(fired(src, DET).is_empty());
+    }
+
+    #[test]
+    fn collect_into_btree_is_clean() {
+        let src = "use std::collections::{BTreeMap, HashMap};\n\
+                   fn ordered(m: &HashMap<String, f64>) -> BTreeMap<String, f64> {\n\
+                       m.iter().map(|(k, v)| (k.clone(), *v)).collect::<BTreeMap<String, f64>>()\n\
+                   }";
+        assert!(fired(src, DET).is_empty());
+        let src = "use std::collections::{BTreeMap, HashMap};\n\
+                   fn ordered(m: &HashMap<String, f64>) -> BTreeMap<String, f64> {\n\
+                       let out: BTreeMap<String, f64> = m.iter().map(|(k, v)| (k.clone(), *v)).collect();\n\
+                       out\n\
+                   }";
+        assert!(fired(src, DET).is_empty());
+    }
+
+    #[test]
+    fn btreemap_iteration_is_clean() {
+        let src = "use std::collections::BTreeMap;\n\
+                   fn total(m: &BTreeMap<u32, f64>) -> f64 { m.values().sum() }";
+        assert!(fired(src, DET).is_empty());
+    }
+
+    #[test]
+    fn let_binding_from_new_is_tracked() {
+        let src = "use std::collections::HashMap;\n\
+                   fn f() -> f64 {\n\
+                       let mut h: HashMap<u32, f64> = HashMap::new();\n\
+                       h.insert(1, 2.0);\n\
+                       let mut acc = 0.0;\n\
+                       for (_, v) in &h { acc += v; }\n\
+                       acc\n\
+                   }";
+        assert_eq!(fired(src, DET), vec![NO_UNORDERED_ITERATION]);
+    }
+
+    #[test]
+    fn struct_field_iteration_fires() {
+        let src = "use std::collections::HashMap;\n\
+                   pub struct Hist { counts: HashMap<String, usize> }\n\
+                   impl Hist {\n\
+                       pub fn emit(&self) -> String {\n\
+                           let mut out = String::new();\n\
+                           for (k, v) in &self.counts { out.push_str(k); }\n\
+                           out\n\
+                       }\n\
+                   }";
+        assert_eq!(fired(src, DET), vec![NO_UNORDERED_ITERATION]);
+    }
+
+    #[test]
+    fn unordered_iteration_is_waivable() {
+        let src = "use std::collections::HashMap;\n\
+                   fn total(m: &HashMap<u32, f64>) -> f64 {\n\
+                       // cs-lint: allow(no-unordered-iteration) -- commutative integer fold\n\
+                       m.values().sum()\n\
+                   }";
+        assert!(fired(src, DET).is_empty());
+    }
+
+    #[test]
+    fn aliased_hash_import_is_tracked() {
+        let src = "use std::collections::HashMap as Weights;\n\
+                   fn f(w: &Weights<u32, f64>) -> f64 { w.values().sum() }";
+        assert_eq!(fired(src, DET), vec![NO_UNORDERED_ITERATION]);
+        let src = "use std::collections::{hash_set::HashSet as Seen};\n\
+                   fn f(s: Seen<u32>) -> u32 { let mut n = 0; for x in s { n ^= x; } n }";
+        assert_eq!(fired(src, DET), vec![NO_UNORDERED_ITERATION]);
+        // An alias of an ordered collection stays clean.
+        let src = "use std::collections::BTreeMap as Weights;\n\
+                   fn f(w: &Weights<u32, f64>) -> f64 { w.values().sum() }";
+        assert!(fired(src, DET).is_empty());
+    }
+
+    #[test]
+    fn for_loop_over_hash_field_of_any_receiver_fires() {
+        let src = "use std::collections::HashMap;\n\
+                   pub struct Cfg { weights: HashMap<String, f64> }\n\
+                   pub fn total(cfg: &Cfg) -> f64 {\n\
+                       let mut acc = 0.0;\n\
+                       for (_, v) in &cfg.weights { acc += v; }\n\
+                       acc\n\
+                   }";
+        let findings = lint_rust_source(src, DET);
+        assert_eq!(findings.len(), 1, "{findings:?}");
+        assert_eq!(
+            (findings[0].rule, findings[0].line),
+            (NO_UNORDERED_ITERATION, 5)
+        );
+        // The same loop over an ordered field is clean.
+        let ordered = src.replace("HashMap", "BTreeMap");
+        assert!(fired(&ordered, DET).is_empty());
+    }
+
+    #[test]
+    fn mutex_vec_fires_only_in_core_lib() {
+        let src = "use std::sync::Mutex;\nstruct Acc { results: Mutex<Vec<f64>> }";
+        assert_eq!(fired(src, CORE), vec![NO_ARRIVAL_ORDER_REDUCE]);
+        // Other crates may still use the pattern.
+        assert!(fired(src, "crates/cs-match/src/fake.rs").is_empty());
+        // Test code in cs-core is exempt.
+        let test_src = format!("#[cfg(test)] mod tests {{ {src} }}");
+        assert!(fired(&test_src, CORE).is_empty());
+    }
+
+    #[test]
+    fn mutex_vec_bindings_and_pushes_fire_in_core_lib() {
+        let src = "use std::sync::Mutex;\n\
+                   static LOG: Mutex<Vec<f64>> = Mutex::new(Vec::new());\n\
+                   pub fn gather(acc: &Mutex<Vec<f64>>) {\n\
+                       let local: Mutex<Vec<f64>> = Mutex::new(Vec::new());\n\
+                       local.lock().unwrap_or_else(|p| p.into_inner()).push(1.0);\n\
+                   }";
+        let lines: Vec<(&str, u32)> = lint_rust_source(src, CORE)
+            .iter()
+            .map(|f| (f.rule, f.line))
+            .collect();
+        let arrival = NO_ARRIVAL_ORDER_REDUCE;
+        assert_eq!(
+            lines,
+            vec![(arrival, 2), (arrival, 3), (arrival, 4), (arrival, 5)]
+        );
+    }
+
+    #[test]
+    fn mutex_of_non_vec_is_clean() {
+        // The pool's own `Mutex<mpsc::Receiver<..>>` shape must not fire.
+        let src = "use std::sync::Mutex;\nstruct P { rx: Mutex<std::sync::mpsc::Receiver<u8>> }";
+        assert!(fired(src, CORE).is_empty());
+        assert!(fired("fn f(m: &std::sync::Mutex<usize>) {}", CORE).is_empty());
+    }
+
+    #[test]
+    fn mutex_vec_is_waivable() {
+        let src = "struct Acc {\n    // cs-lint: allow(no-arrival-order-reduce) -- order never reaches output\n    results: std::sync::Mutex<Vec<f64>>,\n}";
+        assert!(fired(src, CORE).is_empty());
     }
 
     #[test]

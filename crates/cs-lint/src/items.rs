@@ -316,7 +316,7 @@ fn next_is_fn_after_abi(toks: &[Tok], j: usize, end: usize) -> bool {
 
 /// Index of the token closing the delimiter opened at `open_idx`, bounded
 /// by `end`.
-fn matching_delim(
+pub(crate) fn matching_delim(
     toks: &[Tok],
     open_idx: usize,
     end: usize,
@@ -335,6 +335,118 @@ fn matching_delim(
         }
     }
     None
+}
+
+/// Index of the depth-0 `,` (or `close`) ending a type annotation that
+/// starts at `start`: a struct field's or a parameter's.
+pub(crate) fn type_end(toks: &[Tok], start: usize, close: usize) -> usize {
+    let mut angle = 0i64;
+    let mut paren = 0i64;
+    let mut bracket = 0i64;
+    for (k, t) in toks.iter().enumerate().take(close).skip(start) {
+        if t.is_punct('<') {
+            angle += 1;
+        } else if t.is_punct('>') {
+            angle -= 1;
+        } else if t.is_punct('(') {
+            paren += 1;
+        } else if t.is_punct(')') {
+            paren -= 1;
+        } else if t.is_punct('[') {
+            bracket += 1;
+        } else if t.is_punct(']') {
+            bracket -= 1;
+        } else if t.is_punct(',') && angle <= 0 && paren == 0 && bracket == 0 {
+            return k;
+        }
+    }
+    close
+}
+
+/// One named field of a struct body.
+pub(crate) struct Field {
+    /// Token index of the field name.
+    pub name: usize,
+    /// Declared exactly `pub` (not `pub(..)`).
+    pub is_pub: bool,
+    /// `[start, end)` token range of the declared type.
+    pub ty: (usize, usize),
+}
+
+/// The named fields of the struct body `[open, close]`, attributes and
+/// visibility skipped.
+pub(crate) fn struct_fields(toks: &[Tok], (open, close): (usize, usize)) -> Vec<Field> {
+    let mut fields = Vec::new();
+    let mut i = open + 1;
+    while i < close {
+        let mut is_pub = false;
+        while i < close && (toks[i].is_punct('#') || toks[i].is_ident("pub")) {
+            let last = if toks[i].is_punct('#') {
+                matching_delim(toks, i + 1, close, '[', ']')
+            } else if toks[i + 1].is_punct('(') {
+                matching_delim(toks, i + 1, close, '(', ')')
+            } else {
+                is_pub = true;
+                Some(i)
+            };
+            match last {
+                Some(e) => i = e + 1,
+                None => return fields,
+            }
+        }
+        if toks.get(i).and_then(Tok::ident).is_some()
+            && toks.get(i + 1).is_some_and(|t| t.is_punct(':'))
+        {
+            let end = type_end(toks, i + 2, close);
+            fields.push(Field {
+                name: i,
+                is_pub,
+                ty: (i + 2, end),
+            });
+            i = end + 1;
+        } else {
+            i += 1;
+        }
+    }
+    fields
+}
+
+/// Index of the token ending the statement starting at/inside `start`: the
+/// next `;` at brace-relative depth 0, the close of a depth-0 brace block
+/// (`if let .. { .. }` ends with its block), or the end of the enclosing
+/// block, bounded by `close`.
+pub(crate) fn statement_end(toks: &[Tok], start: usize, close: usize) -> usize {
+    let mut brace = 0i64;
+    for (k, t) in toks.iter().enumerate().take(close).skip(start) {
+        if t.is_punct('{') {
+            brace += 1;
+        } else if t.is_punct('}') {
+            if brace == 0 {
+                return k;
+            }
+            brace -= 1;
+            if brace == 0 {
+                return k;
+            }
+        } else if t.is_punct(';') && brace == 0 {
+            return k;
+        }
+    }
+    close
+}
+
+/// Walks backwards from `from` to the start of its statement; when that
+/// statement is `let [mut] name ..`, returns the index of `name`.
+pub(crate) fn let_binding_before(toks: &[Tok], from: usize) -> Option<usize> {
+    let start = toks[..from]
+        .iter()
+        .rposition(|t| t.is_punct(';') || t.is_punct('{') || t.is_punct('}'))?
+        + 1;
+    if !toks.get(start).is_some_and(|t| t.is_ident("let")) {
+        return None;
+    }
+    let name = start + 1 + usize::from(toks.get(start + 1).is_some_and(|t| t.is_ident("mut")));
+    toks.get(name).and_then(Tok::ident).map(|_| name)
 }
 
 /// Visits every `fn` item in the tree (including methods inside `impl` /
@@ -374,27 +486,9 @@ impl UseMap {
         self.map.get(name).map(String::as_str)
     }
 
-    /// True when `name` resolves to a path whose last segment is `target`
-    /// under any of the given path prefixes (e.g. is `Map` really
-    /// `std::collections::HashMap`?).
-    pub fn names_type(&self, name: &str, target: &str, prefixes: &[&str]) -> bool {
-        match self.resolve(name) {
-            Some(path) => {
-                path.ends_with(&format!("::{target}"))
-                    && prefixes.iter().any(|p| path.starts_with(p))
-            }
-            None => false,
-        }
-    }
-
-    /// Number of resolved names.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// True when no `use` item contributed an entry.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+    /// Every `(local name, full path)` pair, in name order.
+    pub fn iter(&self) -> impl Iterator<Item = (&str, &str)> {
+        self.map.iter().map(|(k, v)| (k.as_str(), v.as_str()))
     }
 }
 
@@ -599,8 +693,6 @@ mod tests {
         assert_eq!(m.resolve("Tree"), Some("std::collections::BTreeMap"));
         assert_eq!(m.resolve("Mutex"), Some("std::sync::Mutex"));
         assert_eq!(m.resolve("Instant"), Some("std::time::Instant"));
-        assert!(m.names_type("HashMap", "HashMap", &["std::collections"]));
-        assert!(!m.names_type("Tree", "HashMap", &["std::collections"]));
         assert_eq!(m.resolve("*"), None);
     }
 

@@ -21,6 +21,9 @@ pub struct Finding {
     pub message: String,
     /// True when an inline `cs-lint: allow(..)` pragma covers this finding.
     pub waived: bool,
+    /// A second `(file, line)` a waiver may sit at: the source end of a
+    /// determinism-taint path.
+    pub(crate) source: Option<(String, u32)>,
 }
 
 impl Finding {
@@ -36,7 +39,14 @@ impl Finding {
             line,
             message: message.into(),
             waived: false,
+            source: None,
         }
+    }
+
+    /// The `(file, line)` positions a waiver for this finding may cover.
+    pub(crate) fn anchors(&self) -> impl Iterator<Item = (&str, u32)> {
+        let source = self.source.as_ref().map(|(f, l)| (f.as_str(), *l));
+        std::iter::once((self.file.as_str(), self.line)).chain(source)
     }
 
     /// `file:line: [rule] message` — the clickable diagnostic format.

@@ -1,14 +1,20 @@
-//! The rule set, tailored to this workspace (see DESIGN.md §7).
+//! The rule set, tailored to this workspace (see DESIGN.md §7), and the
+//! entry points that run it.
 //!
-//! Rules operate on the token stream from [`crate::lexer`]; file-path
+//! Every `.rs` file is lexed and item-parsed once into a [`ParsedFile`];
+//! the per-file rules and the crate-wide [`crate::dataflow`] pass all read
+//! that one form, and one waiver pass then resolves pragmas and
+//! `stale-waiver` over every finding ([`lint_files`]). File-path
 //! classification decides which rules are in scope, and `#[cfg(test)]` /
 //! `#[test]` item bodies are exempt from the hygiene rules so test code can
 //! keep its idiomatic `unwrap()`s.
 
-use crate::concurrency;
-use crate::items::{self, UseMap};
+use std::collections::BTreeMap;
+
+use crate::items::{self, matching_delim, Item, UseMap};
 use crate::lexer::{lex, Pragma, Tok};
 use crate::report::Finding;
+use crate::{concurrency, dataflow};
 
 /// Rule: `partial_cmp(..).unwrap()/.expect(..)` inside a sort/extremum
 /// comparator — panics on the first NaN score. Use `cs_linalg::total_cmp_f64`.
@@ -21,10 +27,10 @@ pub const PANIC_FREE_CORE: &str = "panic-free-core";
 pub const NO_UNSAFE: &str = "no-unsafe";
 /// Rule: no registry/git dependency may enter the workspace (DESIGN.md §6).
 pub const HERMETIC_DEPS: &str = "hermetic-deps";
-/// Rule: `Mutex<Vec<..>>` in cs-core non-test code — the classic shape of
-/// workers pushing results in *arrival* order, which breaks the
-/// determinism contract (DESIGN.md §8). Waivable where the vector's order
-/// provably does not reach any output.
+/// Rule: `Mutex<Vec<..>>` (or a `.lock()..push(..)` chain) in cs-core /
+/// pool non-test code — the classic shape of workers pushing results in
+/// *arrival* order, which breaks the determinism contract (DESIGN.md §8).
+/// Waivable where the vector's order provably does not reach any output.
 pub const NO_ARRIVAL_ORDER_REDUCE: &str = "no-arrival-order-reduce";
 /// Rule: `HashMap`/`HashSet` iteration in the deterministic-pipeline
 /// crates, where hasher-dependent order can reach numeric accumulation or
@@ -170,20 +176,78 @@ impl FileClass {
     }
 }
 
-/// Lints one Rust source file. `rel_path` is the workspace-relative path
-/// used both for classification and in diagnostics.
+/// One `.rs` file, lexed and item-parsed once: the form every rule reads.
+#[derive(Debug)]
+pub struct ParsedFile {
+    /// Workspace-relative, `/`-separated path.
+    pub(crate) rel: String,
+    pub(crate) class: FileClass,
+    pub(crate) toks: Vec<Tok>,
+    pub(crate) pragmas: Vec<Pragma>,
+    pub(crate) items: Vec<Item>,
+    pub(crate) uses: UseMap,
+    /// Token ranges of `#[cfg(test)]` / `#[test]` item bodies.
+    pub(crate) test_regions: Vec<(usize, usize)>,
+}
+
+impl ParsedFile {
+    /// Lexes and parses `src`; `rel_path` is the workspace-relative path
+    /// used both for classification and in diagnostics.
+    pub fn parse(src: &str, rel_path: &str) -> Self {
+        let lexed = lex(src);
+        let items = items::parse_items(&lexed.tokens);
+        ParsedFile {
+            rel: rel_path.to_string(),
+            class: FileClass::from_path(rel_path),
+            uses: UseMap::build(&lexed.tokens, &items),
+            test_regions: find_test_regions(&lexed.tokens),
+            toks: lexed.tokens,
+            pragmas: lexed.pragmas,
+            items,
+        }
+    }
+
+    /// True when token `idx` is test code: a test file or a test item.
+    pub(crate) fn in_test(&self, idx: usize) -> bool {
+        self.class.test_code || self.test_regions.iter().any(|&(s, e)| idx >= s && idx <= e)
+    }
+
+    /// Every `fn` with a body outside test code, with its `[open, close]`
+    /// body range.
+    pub(crate) fn fn_bodies(&self) -> Vec<(&Item, (usize, usize))> {
+        let mut fns = Vec::new();
+        items::for_each_fn(&self.items, &mut |f| {
+            if let Some(body) = f.body.filter(|b| !self.in_test(b.0)) {
+                fns.push((f, body));
+            }
+        });
+        fns
+    }
+}
+
+/// Lints one Rust source file on its own, as a one-file workspace.
 pub fn lint_rust_source(src: &str, rel_path: &str) -> Vec<Finding> {
-    let class = FileClass::from_path(rel_path);
-    let lexed = lex(src);
-    let toks = &lexed.tokens;
+    lint_files(&[ParsedFile::parse(src, rel_path)])
+}
+
+/// Runs every Rust rule over `files`: the per-file rules, the crate-wide
+/// determinism pass, then one waiver pass over all of their findings.
+/// Findings come back sorted by file, line and rule.
+pub(crate) fn lint_files(files: &[ParsedFile]) -> Vec<Finding> {
     let mut findings = Vec::new();
+    for file in files {
+        lint_file(file, &mut findings);
+    }
+    findings.extend(dataflow::analyze_workspace(files));
+    resolve_waivers(files, &mut findings);
+    findings.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
+    findings
+}
 
-    check_pragmas(&lexed.pragmas, rel_path, &mut findings);
-    let test_regions = find_test_regions(toks);
-    let in_test = |idx: usize| -> bool {
-        class.test_code || test_regions.iter().any(|&(s, e)| idx >= s && idx <= e)
-    };
-
+/// The per-file rules: token rules, item rules and pragma validation.
+fn lint_file(file: &ParsedFile, findings: &mut Vec<Finding>) {
+    let (class, toks, rel_path) = (&file.class, &file.toks, file.rel.as_str());
+    check_pragmas(&file.pragmas, rel_path, findings);
     for (i, t) in toks.iter().enumerate() {
         let Some(word) = t.ident() else { continue };
         match word {
@@ -195,7 +259,7 @@ pub fn lint_rust_source(src: &str, rel_path: &str) -> Vec<Finding> {
             )),
             "panic" | "todo" | "unimplemented"
                 if class.core_lib
-                    && !in_test(i)
+                    && !file.in_test(i)
                     && toks.get(i + 1).is_some_and(|n| n.is_punct('!'))
                     // `panic` in `#[should_panic]`-style attribute positions
                     // has no `!`; the bang check already excludes it.
@@ -208,24 +272,9 @@ pub fn lint_rust_source(src: &str, rel_path: &str) -> Vec<Finding> {
                     format!("`{word}!` in cs-core non-test code; return a typed error instead"),
                 ));
             }
-            "Mutex"
-                if class.core_lib
-                    && !in_test(i)
-                    && toks.get(i + 1).is_some_and(|n| n.is_punct('<'))
-                    && toks.get(i + 2).is_some_and(|n| n.is_ident("Vec")) =>
-            {
-                findings.push(Finding::new(
-                    NO_ARRIVAL_ORDER_REDUCE,
-                    rel_path,
-                    t.line,
-                    "`Mutex<Vec<..>>` accumulates parallel results in arrival order, \
-                     breaking the determinism contract (DESIGN.md §8); deal indexed \
-                     chunks and assemble result slots by position (see cs_linalg::pool)",
-                ));
-            }
             "unwrap"
                 if (class.core_lib || class.linalg_lib)
-                    && !in_test(i)
+                    && !file.in_test(i)
                     && i > 0
                     && toks[i - 1].is_punct('.')
                     && toks.get(i + 1).is_some_and(|n| n.is_punct('('))
@@ -242,70 +291,62 @@ pub fn lint_rust_source(src: &str, rel_path: &str) -> Vec<Finding> {
             _ => {}
         }
     }
-
-    find_float_sort_unwraps(toks, rel_path, &class, &test_regions, &mut findings);
-
-    let parsed = items::parse_items(toks);
-    let uses = UseMap::build(toks, &parsed);
-    concurrency::lint_items(
-        toks,
-        &parsed,
-        &uses,
-        &class,
-        rel_path,
-        &test_regions,
-        &mut findings,
-    );
-    crate::dataflow::lint_hot_path_items(
-        toks,
-        &parsed,
-        &class,
-        rel_path,
-        &test_regions,
-        &mut findings,
-    );
-
-    apply_waivers(&lexed.pragmas, &mut findings);
-    flag_stale_waivers(&lexed.pragmas, rel_path, &mut findings);
-    findings.sort_by(|a, b| (a.line, a.rule).cmp(&(b.line, b.rule)));
-    findings
+    find_float_sort_unwraps(file, findings);
+    concurrency::lint_items(file, findings);
+    dataflow::lint_hot_path_items(file, findings);
 }
 
-/// Emits [`STALE_WAIVER`] for every justified, well-formed pragma naming a
-/// rule that produced no finding (waived or not) on the pragma's line or
-/// the line below — the two positions a waiver can cover.
-fn flag_stale_waivers(pragmas: &[Pragma], rel_path: &str, findings: &mut Vec<Finding>) {
+/// The one waiver pass. A finding is waived when a justified pragma naming
+/// its rule sits on, or the line above, one of its anchors: its own line,
+/// or for a taint finding also its source line. `pragma` findings are never
+/// waivable. Then every justified pragma naming a rule that anchors no
+/// finding (waived or not) on the pragma's line or the line below yields a
+/// [`STALE_WAIVER`] finding, itself waivable by `allow(stale-waiver)`.
+fn resolve_waivers(files: &[ParsedFile], findings: &mut Vec<Finding>) {
+    let pragmas: BTreeMap<&str, &[Pragma]> = files
+        .iter()
+        .map(|f| (f.rel.as_str(), f.pragmas.as_slice()))
+        .collect();
+    let covered = |rule: &str, file: &str, line: u32| {
+        pragmas.get(file).is_some_and(|ps| {
+            ps.iter().any(|p| {
+                p.justified
+                    && (p.line == line || p.line + 1 == line)
+                    && p.rules.iter().any(|r| r == rule)
+            })
+        })
+    };
+    for f in findings.iter_mut().filter(|f| f.rule != PRAGMA) {
+        let waived = f.anchors().any(|(file, line)| covered(f.rule, file, line));
+        f.waived = waived;
+    }
+
     let mut stale = Vec::new();
-    for p in pragmas {
-        if !p.justified {
-            continue; // already reported as a `pragma` finding
-        }
-        for r in &p.rules {
-            if !ALL_RULES.contains(&r.as_str()) {
-                continue; // already reported as a `pragma` finding
-            }
-            if r == DETERMINISM_TAINT {
-                // Taint findings only exist after the workspace-level
-                // dataflow pass; staleness for them is checked there
-                // (`crate::dataflow::analyze_workspace`).
-                continue;
-            }
-            let covers = findings
-                .iter()
-                .any(|f| f.rule == r && (f.line == p.line || f.line == p.line + 1));
-            if !covers {
-                stale.push(Finding::new(
-                    STALE_WAIVER,
-                    rel_path,
-                    p.line,
-                    format!("waiver for `{r}` no longer matches a finding here; delete the pragma"),
-                ));
+    for file in files {
+        for p in file.pragmas.iter().filter(|p| p.justified) {
+            // Unknown rule names are already reported as `pragma` findings.
+            for r in p.rules.iter().filter(|r| ALL_RULES.contains(&r.as_str())) {
+                let live = findings.iter().any(|f| {
+                    f.rule == r
+                        && f.anchors()
+                            .any(|(af, al)| af == file.rel && (al == p.line || al == p.line + 1))
+                });
+                if live {
+                    continue;
+                }
+                let message = if r == DETERMINISM_TAINT {
+                    "waiver for `determinism-taint` anchors no source or sink of any \
+                     taint path; delete the pragma"
+                        .to_string()
+                } else {
+                    format!("waiver for `{r}` no longer matches a finding here; delete the pragma")
+                };
+                let mut f = Finding::new(STALE_WAIVER, file.rel.clone(), p.line, message);
+                f.waived = covered(STALE_WAIVER, &file.rel, p.line);
+                stale.push(f);
             }
         }
     }
-    // A stale-waiver finding is itself waivable through the normal pragma
-    // mechanism (`allow(stale-waiver)` is legal, if eccentric).
-    apply_waivers(pragmas, &mut stale);
     findings.extend(stale);
 }
 
@@ -342,30 +383,14 @@ fn check_pragmas(pragmas: &[Pragma], rel_path: &str, findings: &mut Vec<Finding>
     }
 }
 
-/// Marks findings as waived when a well-formed pragma naming their rule sits
-/// on the same line or the line directly above. `pragma` findings are never
-/// waivable.
-fn apply_waivers(pragmas: &[Pragma], findings: &mut [Finding]) {
-    for f in findings.iter_mut() {
-        if f.rule == PRAGMA {
-            continue;
-        }
-        f.waived = pragmas.iter().any(|p| {
-            p.justified
-                && (p.line == f.line || p.line + 1 == f.line)
-                && p.rules.iter().any(|r| r == f.rule)
-        });
-    }
-}
-
 /// Token-index ranges `(start, end)` covering the bodies of `#[cfg(test)]`
 /// / `#[test]` items (inclusive of the braces).
-pub(crate) fn find_test_regions(toks: &[Tok]) -> Vec<(usize, usize)> {
+fn find_test_regions(toks: &[Tok]) -> Vec<(usize, usize)> {
     let mut regions = Vec::new();
     let mut i = 0usize;
     while i < toks.len() {
         if toks[i].is_punct('#') && toks.get(i + 1).is_some_and(|t| t.is_punct('[')) {
-            let attr_end = match matching(toks, i + 1, '[', ']') {
+            let attr_end = match matching_delim(toks, i + 1, toks.len(), '[', ']') {
                 Some(e) => e,
                 None => break,
             };
@@ -377,7 +402,7 @@ pub(crate) fn find_test_regions(toks: &[Tok]) -> Vec<(usize, usize)> {
                     && toks[j].is_punct('#')
                     && toks.get(j + 1).is_some_and(|t| t.is_punct('['))
                 {
-                    match matching(toks, j + 1, '[', ']') {
+                    match matching_delim(toks, j + 1, toks.len(), '[', ']') {
                         Some(e) => j = e + 1,
                         None => return regions,
                     }
@@ -386,7 +411,7 @@ pub(crate) fn find_test_regions(toks: &[Tok]) -> Vec<(usize, usize)> {
                     j += 1;
                 }
                 if j < toks.len() && toks[j].is_punct('{') {
-                    if let Some(close) = matching(toks, j, '{', '}') {
+                    if let Some(close) = matching_delim(toks, j, toks.len(), '{', '}') {
                         regions.push((i, close));
                         i = attr_end + 1; // attributes can nest inside; rescan body is harmless
                         continue;
@@ -416,31 +441,10 @@ fn attr_is_test(attr: &[Tok]) -> bool {
     }
 }
 
-/// Index of the token closing the bracket opened at `open_idx`.
-pub(crate) fn matching(toks: &[Tok], open_idx: usize, open: char, close: char) -> Option<usize> {
-    let mut depth = 0i64;
-    for (k, t) in toks.iter().enumerate().skip(open_idx) {
-        if t.is_punct(open) {
-            depth += 1;
-        } else if t.is_punct(close) {
-            depth -= 1;
-            if depth == 0 {
-                return Some(k);
-            }
-        }
-    }
-    None
-}
-
 /// Detects `partial_cmp(..).unwrap()` / `.expect(..)` inside the argument
 /// list of a comparator-taking method call.
-fn find_float_sort_unwraps(
-    toks: &[Tok],
-    rel_path: &str,
-    class: &FileClass,
-    test_regions: &[(usize, usize)],
-    findings: &mut Vec<Finding>,
-) {
+fn find_float_sort_unwraps(file: &ParsedFile, findings: &mut Vec<Finding>) {
+    let toks = &file.toks;
     let mut depth = 0i64;
     // Paren depths at which a comparator call's argument list is open.
     let mut ctx: Vec<i64> = Vec::new();
@@ -476,18 +480,17 @@ fn find_float_sort_unwraps(
                 || (toks[i - 1].is_punct(':') && i >= 2 && toks[i - 2].is_punct(':')))
             && toks.get(i + 1).is_some_and(|n| n.is_punct('('))
         {
-            if let Some(close) = matching(toks, i + 1, '(', ')') {
+            if let Some(close) = matching_delim(toks, i + 1, toks.len(), '(', ')') {
                 let chained = toks.get(close + 1).is_some_and(|n| n.is_punct('.'))
                     && toks
                         .get(close + 2)
                         .and_then(Tok::ident)
                         .is_some_and(|w| w == "unwrap" || w == "expect");
-                let exempt = class.test_code || test_regions.iter().any(|&(s, e)| i >= s && i <= e);
-                if chained && !exempt {
+                if chained && !file.in_test(i) {
                     let method = toks[close + 2].ident().unwrap_or("unwrap");
                     findings.push(Finding::new(
                         NO_FLOAT_SORT_UNWRAP,
-                        rel_path,
+                        file.rel.as_str(),
                         toks[i].line,
                         format!(
                             "`partial_cmp(..).{method}(..)` inside a comparator panics on NaN; \
@@ -688,31 +691,6 @@ mod tests {
         let src = "fn f(a: f64, b: f64) { let _ = a.partial_cmp(&b).unwrap(); }";
         assert!(rules_fired(src, "crates/cs-match/src/fake.rs").is_empty());
         assert_eq!(rules_fired(src, LIB), vec![NO_UNWRAP_IN_LIB]);
-    }
-
-    #[test]
-    fn mutex_vec_fires_only_in_core_lib() {
-        let src = "use std::sync::Mutex;\nstruct Acc { results: Mutex<Vec<f64>> }";
-        assert_eq!(rules_fired(src, LIB), vec![NO_ARRIVAL_ORDER_REDUCE]);
-        // Other crates may still use the pattern.
-        assert!(rules_fired(src, "crates/cs-match/src/fake.rs").is_empty());
-        // Test code in cs-core is exempt.
-        let test_src = format!("#[cfg(test)] mod tests {{ {src} }}");
-        assert!(rules_fired(&test_src, LIB).is_empty());
-    }
-
-    #[test]
-    fn mutex_of_non_vec_is_clean() {
-        // The pool's own `Mutex<mpsc::Receiver<..>>` shape must not fire.
-        let src = "use std::sync::Mutex;\nstruct P { rx: Mutex<std::sync::mpsc::Receiver<u8>> }";
-        assert!(rules_fired(src, LIB).is_empty());
-        assert!(rules_fired("fn f(m: &std::sync::Mutex<usize>) {}", LIB).is_empty());
-    }
-
-    #[test]
-    fn mutex_vec_is_waivable() {
-        let src = "struct Acc {\n    // cs-lint: allow(no-arrival-order-reduce) -- order never reaches output\n    results: std::sync::Mutex<Vec<f64>>,\n}";
-        assert!(rules_fired(src, LIB).is_empty());
     }
 
     #[test]

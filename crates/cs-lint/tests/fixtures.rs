@@ -83,6 +83,24 @@ fn seeded_fixture(tag: &str) -> Fixture {
 #[test]
 fn each_rule_fires_at_the_seeded_location() {
     let fx = seeded_fixture("seeded");
+    // A clock value read in one file (config modules may read the clock)
+    // and summed in another file of the same crate.
+    fx.write(
+        "crates/cs-match/src/config.rs",
+        "use std::time::Instant;\n\npub fn jitter() -> f64 {\n    Instant::now().elapsed().as_secs_f64()\n}\n",
+    );
+    fx.write(
+        "crates/cs-match/src/agg.rs",
+        "pub fn accumulate(xs: &[f64]) -> f64 {\n    let j = crate::config::jitter();\n    xs.iter().map(|x| x + j).sum()\n}\n",
+    );
+    fx.write(
+        "crates/cs-linalg/src/narrow.rs",
+        "pub fn demote(x: f64) -> f32 {\n    x as f32\n}\n",
+    );
+    fx.write(
+        "crates/cs-linalg/src/kernels.rs",
+        "pub fn last(v: &[f64], n: usize) -> f64 {\n    v[n - 1]\n}\n",
+    );
     let report = lint_workspace(&fx.root).expect("lint runs");
     let hits: Vec<(String, &'static str, u32)> = report
         .unwaived()
@@ -120,7 +138,24 @@ fn each_rule_fires_at_the_seeded_location() {
             5,
         ),
         ("crates/cs-core/src/stale.rs", rules::STALE_WAIVER, 1),
+        ("crates/cs-match/src/agg.rs", rules::DETERMINISM_TAINT, 3),
+        (
+            "crates/cs-linalg/src/narrow.rs",
+            rules::NO_LOSSY_CAST_IN_HOT_PATH,
+            2,
+        ),
+        (
+            "crates/cs-linalg/src/kernels.rs",
+            rules::NO_UNCHECKED_INDEX_ARITH,
+            2,
+        ),
     ];
+    for rule in rules::ALL_RULES {
+        assert!(
+            expect.iter().any(|(_, r, _)| *r == rule),
+            "rule {rule} has no seeded violation"
+        );
+    }
     for (file, rule, line) in expect {
         assert!(
             hits.iter()
@@ -133,6 +168,22 @@ fn each_rule_fires_at_the_seeded_location() {
         expect.len(),
         "unexpected extra findings: {hits:?}"
     );
+    let taint = report
+        .unwaived()
+        .find(|f| f.rule == rules::DETERMINISM_TAINT)
+        .expect("taint finding");
+    assert!(
+        taint.message.contains("jitter -> accumulate")
+            && taint.message.contains("crates/cs-match/src/config.rs:4"),
+        "{}",
+        taint.message
+    );
+    let warnings: Vec<_> = report
+        .unwaived()
+        .filter(|f| f.severity() == rules::Severity::Warning)
+        .map(|f| f.rule)
+        .collect();
+    assert_eq!(warnings, vec![rules::NO_LOSSY_CAST_IN_HOT_PATH]);
 }
 
 #[test]

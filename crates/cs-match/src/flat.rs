@@ -60,23 +60,6 @@ impl FlatIndex {
         }
         best
     }
-
-    /// All rows within squared distance `radius²` of the query.
-    pub fn range_search(&self, query: &[f64], sq_radius: f64) -> Vec<(usize, f64)> {
-        assert_eq!(
-            query.len(),
-            self.data.cols(),
-            "query dimensionality mismatch"
-        );
-        self.data
-            .rows_iter()
-            .enumerate()
-            .filter_map(|(i, row)| {
-                let d = sq_euclidean(query, row);
-                (d <= sq_radius).then_some((i, d))
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -120,14 +103,6 @@ mod tests {
         let empty = FlatIndex::build(Matrix::zeros(0, 2));
         assert!(empty.is_empty());
         assert!(empty.search(&[0.0, 0.0], 3).is_empty());
-    }
-
-    #[test]
-    fn range_search_filters_by_radius() {
-        let idx = index();
-        let hits = idx.range_search(&[0.0, 0.0], 1.5);
-        let ids: Vec<usize> = hits.iter().map(|&(i, _)| i).collect();
-        assert_eq!(ids, vec![0, 1]);
     }
 
     #[test]

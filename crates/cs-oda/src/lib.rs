@@ -14,7 +14,6 @@
 //! - [`AutoencoderDetector`] — ensemble-summed reconstruction error of the
 //!   dense `…|100|10|100|…` autoencoder from `cs-nn`.
 
-pub mod extra;
 pub mod lof;
 
 use cs_linalg::pca::ExplainedVariance;
@@ -22,7 +21,6 @@ use cs_linalg::stats::row_zscore_magnitude;
 use cs_linalg::{Matrix, Pca, PcaConfig, PcaSolver};
 use cs_nn::{ensemble_scores, TrainConfig};
 
-pub use extra::{KnnDistanceDetector, MahalanobisDetector};
 pub use lof::LofDetector;
 
 /// A scoring outlier detector over row-signature matrices.
