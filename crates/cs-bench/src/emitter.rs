@@ -665,12 +665,91 @@ fn bench_scaling(mode: Mode, cfg: &MeasureConfig, out: &mut Vec<BenchRecord>) {
     }
 }
 
-/// Head-to-head comparison of the PCA eigensolvers and the matmul kernel
-/// variants behind them, on a low-rank-plus-noise probe shaped like a
-/// unified signature matrix (`n ≪ d`, decaying spectrum).
+/// One consonant–vowel syllable per decimal digit, for [`respell`].
+const SYLLABLES: [&str; 10] = ["ZO", "BA", "KE", "DI", "FU", "GA", "HO", "JU", "LE", "MI"];
+
+/// `name` with each digit replaced by a syllable. The generator tells
+/// elements apart by numbers, which the encoder drops, so without this
+/// most generated signatures collide (e2ebench's catalog adapter applies
+/// the same digit rule).
+fn respell(name: &str) -> String {
+    name.chars()
+        .map(|c| match c.to_digit(10) {
+            Some(d) => SYLLABLES[d as usize].to_string(),
+            None => c.to_string(),
+        })
+        .collect()
+}
+
+/// The signatures of one local schema as the pipeline fits them: the
+/// first schema of a generated, respelled 4-schema catalog encoded at
+/// paper width (768-d). In full mode that is the `gen768` end-to-end
+/// workload's catalog (250 attributes per schema, linkable ratio 0.5,
+/// generator seed 10), so 282 × 768 with the flat spectrum of hashed
+/// signatures; smoke mode shrinks the schemas.
+fn traffic_signatures(mode: Mode) -> cs_linalg::Matrix {
+    let attrs = match mode {
+        Mode::Full => 250usize,
+        Mode::Smoke => 16,
+    };
+    let ds = generate(&SyntheticConfig {
+        schemas: 4,
+        shared_concepts: attrs,
+        concepts_per_schema: attrs / 2,
+        private_per_schema: attrs - attrs / 2,
+        table_width: 8,
+        alien_elements: 0,
+        linkable_ratio: Some(0.5),
+        seed: 10,
+        ..SyntheticConfig::default()
+    });
+    let mut schemas = ds.catalog.schemas().to_vec();
+    for table in schemas.iter_mut().flat_map(|s| s.tables.iter_mut()) {
+        table.name = respell(&table.name);
+        for attr in &mut table.attributes {
+            attr.name = respell(&attr.name);
+        }
+    }
+    let encoder = cs_embed::SignatureEncoder::default();
+    let sigs = encode_catalog(&encoder, &cs_schema::Catalog::from_schemas(schemas));
+    sigs.schema(0).clone()
+}
+
+/// Head-to-head comparison of the PCA eigensolvers and the kernels
+/// behind them: on one local schema of generated signatures at paper
+/// width (the traffic `Auto` serves), on a low-rank-plus-noise probe with
+/// a decaying spectrum (the one shape where subspace iteration wins),
+/// and the eigensolve and matmul kernels alone.
 fn bench_solver(mode: Mode, cfg: &MeasureConfig, out: &mut Vec<BenchRecord>) {
     use cs_linalg::pca::ExplainedVariance;
     use cs_linalg::{kernels, Matrix, Pca, PcaConfig, PcaSolver, Xoshiro256};
+
+    let traffic = traffic_signatures(mode);
+    let (tn, td) = traffic.shape();
+    let v = ExplainedVariance::new(0.8).expect("valid v");
+    for (label, solver) in [
+        ("auto", PcaSolver::Auto),
+        ("gram", PcaSolver::Gram),
+        ("truncated", PcaSolver::truncated()),
+    ] {
+        let config = PcaConfig::new().with_variance(v).with_solver(solver);
+        push(
+            out,
+            cfg,
+            "solver",
+            format!("pca_fit_v08/{label}/{tn}x{td}"),
+            || Pca::fit_with(&traffic, config).expect("healthy signatures"),
+        );
+    }
+    let centered = traffic.sub_row_vector(&cs_linalg::stats::column_mean(&traffic));
+    let gram = kernels::gram_rows(&centered, kernels::TILE);
+    push(
+        out,
+        cfg,
+        "solver",
+        format!("symmetric_eigen/{}", gram.rows()),
+        || cs_linalg::svd::symmetric_eigen(&gram),
+    );
 
     let (n, d, rank) = match mode {
         Mode::Full => (128usize, 512usize, 16usize),
@@ -957,6 +1036,28 @@ mod tests {
             assert!(
                 ann_ids.iter().any(|id| id.starts_with(prefix)),
                 "ann group lacks a {prefix} entry: {ann_ids:?}"
+            );
+        }
+
+        // The solver group times the pipeline's own fit shape and the
+        // eigensolve beneath it.
+        let solver_ids: Vec<&str> = doc
+            .get("groups")
+            .and_then(|g| g.get("solver"))
+            .and_then(JsonValue::as_array)
+            .expect("solver group")
+            .iter()
+            .filter_map(|r| r.get("id").and_then(JsonValue::as_str))
+            .collect();
+        for prefix in [
+            "pca_fit_v08/auto/",
+            "pca_fit_v08/gram/",
+            "pca_fit_v08/truncated/",
+            "symmetric_eigen/",
+        ] {
+            assert!(
+                solver_ids.iter().any(|id| id.starts_with(prefix)),
+                "solver group lacks a {prefix} entry: {solver_ids:?}"
             );
         }
 

@@ -118,7 +118,7 @@ impl CollaborativeScoperBuilder {
     }
 
     /// Pins the PCA eigensolver used when training local models
-    /// ([`PcaSolver::Auto`] by default, which picks by matrix shape).
+    /// ([`PcaSolver::Auto`] by default: the exact Gram path).
     pub fn pca_solver(mut self, solver: PcaSolver) -> Self {
         self.solver = solver;
         self

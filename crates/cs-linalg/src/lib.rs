@@ -7,7 +7,8 @@
 //!
 //! - [`Matrix`] — a row-major dense `f64` matrix with the usual operations,
 //! - [`svd`] — singular value decomposition (one-sided Jacobi, plus a
-//!   Gram-matrix economy path for the common `rows ≪ cols` signature case),
+//!   Gram-matrix economy path for the common `rows ≪ cols` signature case)
+//!   and the Householder–QL symmetric eigensolver behind it,
 //! - [`Pca`] — the PCA encoder–decoder used by both global scoping and the
 //!   paper's local self-supervised models (Algorithm 1),
 //! - [`stats`] — column means/variances, z-scores, distance helpers,

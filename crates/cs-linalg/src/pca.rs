@@ -12,12 +12,12 @@
 //! Fitting goes through one entry point, [`Pca::fit_with`], configured by a
 //! [`PcaConfig`]: a fit *target* (full rank, explained variance, or an
 //! explicit component count) plus a [`PcaSolver`] choosing the eigensolver
-//! behind it. The default [`PcaSolver::Auto`] policy preserves the
-//! historical exact numerics bit-for-bit on small inputs and only reroutes
-//! large variance-targeted fits to the truncated solver (see DESIGN.md §11
-//! for the heuristic and determinism contract).
+//! behind it. The default [`PcaSolver::Auto`] is the exact Gram path for
+//! every shape and target (see DESIGN.md §11 for the measured crossover
+//! and the determinism contract).
 
 use crate::stats::column_mean;
+use crate::svd::GramEigen;
 use crate::vecops::mse;
 use crate::{Matrix, Svd, SvdError, Xoshiro256};
 
@@ -51,11 +51,9 @@ impl ExplainedVariance {
 /// worker counts — none of them parallelize or depend on ambient state.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PcaSolver {
-    /// Choose by shape and target: the exact [`Svd::compute`] dispatch
-    /// (preserving the historical `fit*` numerics bit-for-bit) unless the
-    /// fit targets an explained variance `v < 1` on an input whose Gram
-    /// side has at least [`TRUNCATED_AUTO_MIN`] rows, where the truncated
-    /// solver wins by an order of magnitude.
+    /// The default: the exact [`PcaSolver::Gram`] path, for every shape
+    /// and target. It beats the truncated solver at every Gram side the
+    /// pipeline produces (DESIGN.md §11).
     Auto,
     /// One-sided (Hestenes) Jacobi over all `d` columns ([`Svd::jacobi`]) —
     /// the reference path, exact but slowest for `n ≪ d`.
@@ -91,12 +89,6 @@ impl PcaSolver {
 /// with the exact solvers to well below any decision threshold in the
 /// pipeline; see DESIGN.md §11 for the tolerance policy.
 pub const DEFAULT_TRUNCATED_TOL: f64 = 1e-10;
-
-/// Smallest Gram-side dimension (`min(n, d)`) for which [`PcaSolver::Auto`]
-/// reroutes a variance-targeted fit to the truncated solver. Below it the
-/// exact dispatch is already fast and `Auto` preserves the historical
-/// bit pattern exactly.
-pub const TRUNCATED_AUTO_MIN: usize = 160;
 
 /// Default seed for the truncated solver's starting block
 /// ([`PcaConfig::with_seed`] overrides it).
@@ -264,11 +256,9 @@ fn zero_variance_ratios(len: usize) -> Vec<f64> {
 /// The concrete exact decomposition a fit resolved to.
 #[derive(Debug, Clone, Copy)]
 enum ExactPath {
-    /// The shape-based [`Svd::compute`] dispatch (historical behavior).
-    Dispatch,
-    /// Pinned one-sided Jacobi.
+    /// One-sided Jacobi over all columns.
     Jacobi,
-    /// Pinned Gram economy path.
+    /// The Gram economy path.
     Gram,
 }
 
@@ -348,22 +338,8 @@ impl Pca {
         }
         let target = config.target;
         match config.solver {
-            PcaSolver::Auto => {
-                if let PcaTarget::Variance(v) = target {
-                    let gram_side = data.rows().min(data.cols());
-                    if v.get() < 1.0 && gram_side >= TRUNCATED_AUTO_MIN {
-                        return Self::fit_truncated(
-                            data,
-                            target,
-                            DEFAULT_TRUNCATED_TOL,
-                            config.seed,
-                        );
-                    }
-                }
-                Self::fit_exact(data, ExactPath::Dispatch, target)
-            }
+            PcaSolver::Auto | PcaSolver::Gram => Self::fit_exact(data, ExactPath::Gram, target),
             PcaSolver::FullSvd => Self::fit_exact(data, ExactPath::Jacobi, target),
-            PcaSolver::Gram => Self::fit_exact(data, ExactPath::Gram, target),
             PcaSolver::Truncated { tol } => {
                 assert!(
                     tol.is_finite() && tol > 0.0,
@@ -383,37 +359,32 @@ impl Pca {
     }
 
     /// The exact path shared by the full-SVD and Gram solvers: center,
-    /// decompose, derive the spectrum bookkeeping, apply the target.
+    /// decompose, derive the spectrum bookkeeping, then keep the component
+    /// rows the target asks for. The Gram path recovers only those rows;
+    /// each is computed exactly as a full-rank fit computes it.
     fn fit_exact(data: &Matrix, path: ExactPath, target: PcaTarget) -> Result<Self, SvdError> {
         let mean = column_mean(data);
         let centered = data.sub_row_vector(&mean);
-        let svd = match path {
-            ExactPath::Dispatch => Svd::compute(&centered)?,
-            ExactPath::Jacobi => Svd::jacobi(&centered)?,
-            ExactPath::Gram => Svd::gram(&centered)?,
+        let (singular_values, explained_variance_ratio, components) = match path {
+            ExactPath::Jacobi => {
+                let svd = Svd::jacobi(&centered)?;
+                let ratio = variance_ratios(&svd.singular_values);
+                let idx: Vec<usize> = (0..kept_rows(target, &ratio)).collect();
+                (svd.singular_values, ratio, svd.vt.select_rows(&idx))
+            }
+            ExactPath::Gram => {
+                let eig = GramEigen::new(&centered)?;
+                let ratio = variance_ratios(&eig.singular_values);
+                let components = eig.vt_rows(&centered, kept_rows(target, &ratio));
+                (eig.singular_values, ratio, components)
+            }
         };
-        let total: f64 = svd.singular_values.iter().map(|s| s * s).sum();
-        let ratio: Vec<f64> = if total > 0.0 {
-            svd.singular_values.iter().map(|s| s * s / total).collect()
-        } else {
-            zero_variance_ratios(svd.singular_values.len())
-        };
-        let full = Self {
+        Ok(Self {
             mean,
-            components: svd.vt,
-            explained_variance_ratio: ratio,
-            singular_values: svd.singular_values,
-        };
-        Ok(full.apply_target(target))
-    }
-
-    /// Applies a fit target to an already-decomposed model.
-    fn apply_target(self, target: PcaTarget) -> Self {
-        match target {
-            PcaTarget::FullRank => self,
-            PcaTarget::Variance(v) => self.truncated(v),
-            PcaTarget::Components(n) => self.with_components(n),
-        }
+            components,
+            explained_variance_ratio,
+            singular_values,
+        })
     }
 
     /// The truncated solver: deterministic seeded block subspace iteration
@@ -610,8 +581,7 @@ impl Pca {
     /// Returns a copy keeping exactly `n` components (clamped to `[1, rank]`
     /// when any components exist).
     pub fn with_components(&self, n: usize) -> Self {
-        let avail = self.components.rows();
-        let keep = n.clamp(1.min(avail), avail);
+        let keep = clamp_kept(n, self.components.rows());
         let idx: Vec<usize> = (0..keep).collect();
         Self {
             mean: self.mean.clone(),
@@ -710,6 +680,35 @@ impl Pca {
         let row = Matrix::from_rows(&[signature.to_vec()]);
         self.reconstruction_errors(&row)[0]
     }
+}
+
+/// Per-component explained-variance ratios `σ_i² / Σσ²` of a full
+/// spectrum.
+fn variance_ratios(singular_values: &[f64]) -> Vec<f64> {
+    let total: f64 = singular_values.iter().map(|s| s * s).sum();
+    if total > 0.0 {
+        singular_values.iter().map(|s| s * s / total).collect()
+    } else {
+        zero_variance_ratios(singular_values.len())
+    }
+}
+
+/// How many leading components a fit target keeps of a full spectrum with
+/// explained-variance `ratios` — what [`Pca::truncated`] and
+/// [`Pca::with_components`] would keep of the full-rank fit.
+fn kept_rows(target: PcaTarget, ratios: &[f64]) -> usize {
+    let requested = match target {
+        PcaTarget::FullRank => ratios.len(),
+        PcaTarget::Variance(v) => Pca::components_for_variance(ratios, v.get()),
+        PcaTarget::Components(n) => n,
+    };
+    clamp_kept(requested, ratios.len())
+}
+
+/// A requested component count clamped to `[1, avail]` (`0` only when
+/// nothing is available).
+fn clamp_kept(n: usize, avail: usize) -> usize {
+    n.clamp(1.min(avail), avail)
 }
 
 /// Iteration ceiling for the truncated solver across all block growths;
@@ -1027,20 +1026,56 @@ mod tests {
     }
 
     #[test]
-    fn auto_stays_exact_below_threshold() {
-        // Auto on a small matrix must match the historical exact pipeline
-        // bit-for-bit (the goldens depend on it).
-        let data = random_data(30, 80, 99);
+    fn auto_is_the_gram_path() {
+        // Auto has one code path: the exact Gram fit, bit for bit, for
+        // every target and on both sides of the old 160-row truncation
+        // threshold, wide and tall.
         let v = ExplainedVariance::new(0.5).unwrap();
-        let auto = Pca::fit_with(&data, PcaConfig::new().with_variance(v)).unwrap();
-        let exact = Pca::fit_exact(&data, ExactPath::Dispatch, PcaTarget::Variance(v)).unwrap();
-        for (a, b) in auto
-            .components()
-            .as_slice()
-            .iter()
-            .zip(exact.components().as_slice())
-        {
-            assert_eq!(a.to_bits(), b.to_bits());
+        for (rows, cols, seed) in [(30, 80, 99), (80, 30, 98), (170, 200, 97), (200, 170, 96)] {
+            let data = random_data(rows, cols, seed);
+            for config in [
+                PcaConfig::new().with_full_rank(),
+                PcaConfig::new().with_variance(v),
+                PcaConfig::new().with_components(7),
+            ] {
+                let auto = Pca::fit_with(&data, config).unwrap();
+                let gram = Pca::fit_with(&data, config.with_solver(PcaSolver::Gram)).unwrap();
+                let bits = |p: &Pca| {
+                    let mut out: Vec<u64> = p.mean().iter().map(|x| x.to_bits()).collect();
+                    for part in [
+                        p.components().as_slice(),
+                        p.explained_variance_ratio(),
+                        p.singular_values(),
+                    ] {
+                        out.push(part.len() as u64);
+                        out.extend(part.iter().map(|x| x.to_bits()));
+                    }
+                    out
+                };
+                assert_eq!(bits(&auto), bits(&gram), "{rows}x{cols} {config:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn kept_rows_match_the_full_rank_fit() {
+        // Recovering only the kept component rows must give the same bits
+        // as recovering all of them and truncating afterwards.
+        let v = ExplainedVariance::new(0.6).unwrap();
+        for (rows, cols, seed) in [(25, 60, 5), (60, 25, 6)] {
+            let data = random_data(rows, cols, seed);
+            let full = Pca::fit_with(&data, PcaConfig::new()).unwrap();
+            let direct = Pca::fit_with(&data, PcaConfig::new().with_variance(v)).unwrap();
+            let after = full.truncated(v);
+            assert_eq!(direct.n_components(), after.n_components());
+            for (a, b) in direct
+                .components()
+                .as_slice()
+                .iter()
+                .zip(after.components().as_slice())
+            {
+                assert_eq!(a.to_bits(), b.to_bits());
+            }
         }
     }
 

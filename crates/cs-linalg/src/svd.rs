@@ -8,12 +8,13 @@
 //! - [`Svd::jacobi`] — one-sided (Hestenes) Jacobi rotation SVD. Simple,
 //!   robust, accurate; the reference implementation.
 //! - [`Svd::gram`] — the economy path: eigendecompose the smaller Gram
-//!   matrix (`A·Aᵀ` when `n ≤ d`, `Aᵀ·A` otherwise) with a cyclic
-//!   symmetric Jacobi solver and recover the other factor. Much faster for
-//!   the `n ≪ d` signature case.
+//!   matrix (`A·Aᵀ` when `n ≤ d`, `Aᵀ·A` otherwise) with
+//!   [`symmetric_eigen`] (Householder tridiagonalization plus
+//!   implicit-shift QL, `O(m³)` for Gram side `m`) and recover the other
+//!   factor. Much faster for the `n ≪ d` signature case.
 //!
-//! [`Svd::compute`] dispatches to the faster path; a property test in this
-//! module (and an ablation bench in `cs-bench`) pins the two paths to agree.
+//! Property tests pin the two paths to agree, and the `cs-bench` solver
+//! group times them.
 
 use crate::matrix::dot;
 use crate::vecops::total_cmp_f64;
@@ -52,23 +53,6 @@ impl std::fmt::Display for SvdError {
 impl std::error::Error for SvdError {}
 
 impl Svd {
-    /// Computes the thin SVD, dispatching to the cheaper algorithm for the
-    /// matrix shape: Gram path when one side is much smaller, one-sided
-    /// Jacobi otherwise.
-    pub fn compute(a: &Matrix) -> Result<Svd, SvdError> {
-        validate(a)?;
-        let (n, d) = a.shape();
-        // The Gram path solves a min(n,d)² eigenproblem; one-sided Jacobi
-        // rotates over the full `d` columns. Prefer Gram whenever the
-        // aspect ratio is lopsided — which is always true for signature
-        // matrices (n ≤ a few hundred, d = 768).
-        if n * 2 < d || d * 2 < n {
-            Self::gram(a)
-        } else {
-            Self::jacobi(a)
-        }
-    }
-
     /// One-sided (Hestenes) Jacobi SVD: orthogonalizes the columns of `A`
     /// by plane rotations accumulated into `V`.
     pub fn jacobi(a: &Matrix) -> Result<Svd, SvdError> {
@@ -148,70 +132,15 @@ impl Svd {
     /// Gram-matrix economy SVD: eigendecomposes the smaller of `A·Aᵀ` and
     /// `Aᵀ·A`, then recovers the other factor as `Aᵀu/σ` (or `Av/σ`).
     pub fn gram(a: &Matrix) -> Result<Svd, SvdError> {
-        validate(a)?;
-        let (n, d) = a.shape();
-        let r = n.min(d);
-        if n <= d {
-            // G = A·Aᵀ (n×n); G = U·Σ²·Uᵀ — the symmetry-aware tiled
-            // kernel halves the flops and is bit-identical.
-            let g = crate::kernels::gram_rows(a, crate::kernels::TILE);
-            let (eigvals, eigvecs) = symmetric_eigen(&g);
-            let mut u = Matrix::zeros(n, r);
-            let mut vt = Matrix::zeros(r, d);
-            let mut sv = Vec::with_capacity(r);
-            for slot in 0..r {
-                let lambda = eigvals[slot].max(0.0);
-                let sigma = lambda.sqrt();
-                sv.push(sigma);
-                for i in 0..n {
-                    u[(i, slot)] = eigvecs[(i, slot)];
-                }
-                if sigma > crate::EPS {
-                    // v = Aᵀ·u / σ.
-                    let u_col: Vec<f64> = (0..n).map(|i| eigvecs[(i, slot)]).collect();
-                    for k in 0..d {
-                        let mut acc = 0.0;
-                        for i in 0..n {
-                            acc += a[(i, k)] * u_col[i];
-                        }
-                        vt[(slot, k)] = acc / sigma;
-                    }
-                }
-            }
-            Ok(Svd {
-                u,
-                singular_values: sv,
-                vt,
-            })
-        } else {
-            // G = Aᵀ·A (d×d); G = V·Σ²·Vᵀ.
-            let at = a.transpose();
-            let g = crate::kernels::gram_rows(&at, crate::kernels::TILE);
-            let (eigvals, eigvecs) = symmetric_eigen(&g);
-            let mut u = Matrix::zeros(n, r);
-            let mut vt = Matrix::zeros(r, d);
-            let mut sv = Vec::with_capacity(r);
-            for slot in 0..r {
-                let lambda = eigvals[slot].max(0.0);
-                let sigma = lambda.sqrt();
-                sv.push(sigma);
-                let v_col: Vec<f64> = (0..d).map(|k| eigvecs[(k, slot)]).collect();
-                for k in 0..d {
-                    vt[(slot, k)] = v_col[k];
-                }
-                if sigma > crate::EPS {
-                    // u = A·v / σ.
-                    for i in 0..n {
-                        u[(i, slot)] = dot(a.row(i), &v_col) / sigma;
-                    }
-                }
-            }
-            Ok(Svd {
-                u,
-                singular_values: sv,
-                vt,
-            })
-        }
+        let eig = GramEigen::new(a)?;
+        let r = eig.singular_values.len();
+        let vt = eig.vt_rows(a, r);
+        let u = eig.u(a);
+        Ok(Svd {
+            u,
+            singular_values: eig.singular_values,
+            vt,
+        })
     }
 
     /// Reconstructs `U · diag(σ) · Vᵀ`. Useful for testing the factorization.
@@ -264,80 +193,327 @@ fn rotate_pair(cols: &mut [Vec<f64>], p: usize, q: usize, c: f64, s: f64) {
     }
 }
 
-/// Cyclic Jacobi eigendecomposition of a symmetric matrix.
+/// The eigen half of the Gram economy path: the spectrum of the smaller
+/// Gram side and its eigenvectors, from which [`Svd::gram`] and the exact
+/// PCA fit recover as many factor rows as they need.
+pub(crate) struct GramEigen {
+    /// `true` when the Gram matrix is `A·Aᵀ` (`rows ≤ cols`), whose
+    /// eigenvectors are left singular vectors; `false` for `Aᵀ·A`, whose
+    /// eigenvectors are right singular vectors.
+    rows_side: bool,
+    /// `σ_i = √max(λ_i, 0)`, descending, `min(rows, cols)` of them.
+    pub(crate) singular_values: Vec<f64>,
+    /// Eigenvectors as rows, in the order of `singular_values`.
+    vectors: Matrix,
+}
+
+impl GramEigen {
+    /// Eigendecomposes the smaller Gram side of `a`. The symmetry-aware
+    /// tiled kernel halves the Gram flops and is bit-identical to the
+    /// plain product.
+    pub(crate) fn new(a: &Matrix) -> Result<GramEigen, SvdError> {
+        validate(a)?;
+        let rows_side = a.rows() <= a.cols();
+        let g = if rows_side {
+            crate::kernels::gram_rows(a, crate::kernels::TILE)
+        } else {
+            crate::kernels::gram_rows(&a.transpose(), crate::kernels::TILE)
+        };
+        let (eigvals, vectors) = eigen_rows(&g);
+        Ok(GramEigen {
+            rows_side,
+            singular_values: eigvals.iter().map(|&l| l.max(0.0).sqrt()).collect(),
+            vectors,
+        })
+    }
+
+    /// The first `keep` rows of `Vᵀ`. On the rows side row `i` is
+    /// `Aᵀ·u_i / σ_i` (zero where `σ_i ≤ EPS`), accumulated over the rows
+    /// of `A` in order so every entry sums its terms the same way
+    /// whatever `keep` is; on the columns side it is eigenvector `i`.
+    pub(crate) fn vt_rows(&self, a: &Matrix, keep: usize) -> Matrix {
+        let d = a.cols();
+        let mut vt = Matrix::zeros(keep, d);
+        for slot in 0..keep {
+            let vector = self.vectors.row(slot);
+            let out = vt.row_mut(slot);
+            if !self.rows_side {
+                out.copy_from_slice(vector);
+                continue;
+            }
+            let sigma = self.singular_values[slot];
+            if sigma > crate::EPS {
+                for (a_row, &u) in a.rows_iter().zip(vector) {
+                    for (acc, &x) in out.iter_mut().zip(a_row) {
+                        *acc += x * u;
+                    }
+                }
+                for acc in out.iter_mut() {
+                    *acc /= sigma;
+                }
+            }
+        }
+        vt
+    }
+
+    /// All of `U`: the eigenvectors on the rows side, `A·v_i / σ_i` (zero
+    /// where `σ_i ≤ EPS`) on the columns side.
+    fn u(&self, a: &Matrix) -> Matrix {
+        if self.rows_side {
+            return self.vectors.transpose();
+        }
+        let n = a.rows();
+        let r = self.singular_values.len();
+        let mut u = Matrix::zeros(n, r);
+        for slot in 0..r {
+            let vector = self.vectors.row(slot);
+            let sigma = self.singular_values[slot];
+            if sigma > crate::EPS {
+                for i in 0..n {
+                    u[(i, slot)] = dot(a.row(i), vector) / sigma;
+                }
+            }
+        }
+        u
+    }
+}
+
+/// Eigendecomposition of a symmetric matrix by Householder
+/// tridiagonalization and implicit-shift QL (EISPACK `tred2`/`tql2`).
 ///
 /// Returns `(eigenvalues, eigenvectors)` with eigenvalues sorted descending
-/// and eigenvectors as the corresponding *columns* of the returned matrix.
+/// by [`total_cmp_f64`] (stable on ties) and eigenvectors as the
+/// corresponding *columns* of the returned matrix. Each eigenvector's sign
+/// is fixed so that its largest-magnitude entry (the first one on ties) is
+/// positive, which makes the output a function of the input alone.
+///
+/// Only the upper triangle of `m` is read. Non-finite input yields
+/// non-finite output in bounded time: every QL iteration is capped.
+///
+/// # Panics
+/// If `m` is not square.
 pub fn symmetric_eigen(m: &Matrix) -> (Vec<f64>, Matrix) {
+    let (eigvals, rows) = eigen_rows(m);
+    (eigvals, rows.transpose())
+}
+
+/// [`symmetric_eigen`] with the eigenvectors as *rows*.
+fn eigen_rows(m: &Matrix) -> (Vec<f64>, Matrix) {
     assert_eq!(m.rows(), m.cols(), "symmetric_eigen needs a square matrix");
-    debug_assert!(
-        !m.has_non_finite(),
-        "symmetric_eigen: input contains NaN/inf — the Jacobi sweeps would silently spin"
-    );
     let n = m.rows();
-    let mut a = m.clone();
-    let mut v = Matrix::identity(n);
-
-    let scale: f64 = a.as_slice().iter().map(|x| x * x).sum::<f64>().sqrt();
-    let tol = if scale > 0.0 { 1e-14 * scale } else { 0.0 };
-
-    for _ in 0..100 {
-        // Largest off-diagonal magnitude this sweep.
-        let mut off = 0.0f64;
-        for p in 0..n {
-            for q in (p + 1)..n {
-                off = off.max(a[(p, q)].abs());
-            }
-        }
-        if off <= tol.max(1e-300) {
-            break;
-        }
-        for p in 0..n {
-            for q in (p + 1)..n {
-                let apq = a[(p, q)];
-                if apq.abs() <= tol {
-                    continue;
-                }
-                let app = a[(p, p)];
-                let aqq = a[(q, q)];
-                let zeta = (aqq - app) / (2.0 * apq);
-                let t = zeta.signum() / (zeta.abs() + (1.0 + zeta * zeta).sqrt());
-                let c = 1.0 / (1.0 + t * t).sqrt();
-                let s = c * t;
-                // A ← JᵀAJ, applied to rows and columns p, q.
-                for k in 0..n {
-                    let akp = a[(k, p)];
-                    let akq = a[(k, q)];
-                    a[(k, p)] = c * akp - s * akq;
-                    a[(k, q)] = s * akp + c * akq;
-                }
-                for k in 0..n {
-                    let apk = a[(p, k)];
-                    let aqk = a[(q, k)];
-                    a[(p, k)] = c * apk - s * aqk;
-                    a[(q, k)] = s * apk + c * aqk;
-                }
-                for k in 0..n {
-                    let vkp = v[(k, p)];
-                    let vkq = v[(k, q)];
-                    v[(k, p)] = c * vkp - s * vkq;
-                    v[(k, q)] = s * vkp + c * vkq;
-                }
-            }
-        }
+    if n == 0 {
+        return (Vec::new(), Matrix::zeros(0, 0));
     }
+    // `w` holds Vᵀ of the EISPACK formulation: row j is column j of V, so
+    // every inner loop of both phases runs along a contiguous row. For a
+    // symmetric input the starting V = A is its own transpose.
+    let mut w = m.as_slice().to_vec();
+    let mut d = vec![0.0; n];
+    let mut e = vec![0.0; n];
+    tred2(n, &mut w, &mut d, &mut e);
+    tql2(n, &mut w, &mut d, &mut e);
 
     let mut order: Vec<usize> = (0..n).collect();
-    let diag: Vec<f64> = (0..n).map(|i| a[(i, i)]).collect();
-    order.sort_by(|&i, &j| total_cmp_f64(&diag[j], &diag[i]));
-    let eigvals: Vec<f64> = order.iter().map(|&i| diag[i]).collect();
-    let mut eigvecs = Matrix::zeros(n, n);
+    order.sort_by(|&i, &j| total_cmp_f64(&d[j], &d[i]));
+    let eigvals = order.iter().map(|&j| d[j]).collect();
+    let mut vectors = Matrix::zeros(n, n);
     for (slot, &j) in order.iter().enumerate() {
-        for i in 0..n {
-            eigvecs[(i, slot)] = v[(i, j)];
+        let out = vectors.row_mut(slot);
+        out.copy_from_slice(&w[j * n..(j + 1) * n]);
+        let mut lead = 0;
+        for (i, x) in out.iter().enumerate() {
+            if x.abs() > out[lead].abs() {
+                lead = i;
+            }
+        }
+        if out[lead] < 0.0 {
+            for x in out.iter_mut() {
+                *x = -*x;
+            }
         }
     }
-    (eigvals, eigvecs)
+    (eigvals, vectors)
+}
+
+/// QL iterations allowed per eigenvalue before [`tql2`] moves on, as in
+/// LAPACK; convergence normally takes two or three.
+const MAX_QL_ITERS: usize = 30;
+
+/// Householder reduction of the symmetric matrix in `w` to tridiagonal
+/// form: on return `d` holds the diagonal, `e[1..]` the subdiagonal, and
+/// `w` the accumulated orthogonal transform (transposed).
+fn tred2(n: usize, w: &mut [f64], d: &mut [f64], e: &mut [f64]) {
+    for (j, dj) in d.iter_mut().enumerate() {
+        *dj = w[j * n + n - 1];
+    }
+    for i in (1..n).rev() {
+        let scale: f64 = d[..i].iter().map(|x| x.abs()).sum();
+        let mut h = 0.0;
+        if scale == 0.0 {
+            e[i] = d[i - 1];
+            for j in 0..i {
+                d[j] = w[j * n + i - 1];
+                w[j * n + i] = 0.0;
+                w[i * n + j] = 0.0;
+            }
+        } else {
+            // Householder vector, scaled against under/overflow.
+            for dk in &mut d[..i] {
+                *dk /= scale;
+                h += *dk * *dk;
+            }
+            let mut f = d[i - 1];
+            let mut g = if f > 0.0 { -h.sqrt() } else { h.sqrt() };
+            e[i] = scale * g;
+            h -= f * g;
+            d[i - 1] = f - g;
+            e[..i].fill(0.0);
+            // Similarity transform of the leading i×i block.
+            for j in 0..i {
+                f = d[j];
+                w[i * n + j] = f;
+                let row = &w[j * n..j * n + i];
+                g = e[j] + row[j] * f;
+                for k in j + 1..i {
+                    g += row[k] * d[k];
+                    e[k] += row[k] * f;
+                }
+                e[j] = g;
+            }
+            f = 0.0;
+            for j in 0..i {
+                e[j] /= h;
+                f += e[j] * d[j];
+            }
+            let hh = f / (h + h);
+            for j in 0..i {
+                e[j] -= hh * d[j];
+            }
+            for j in 0..i {
+                f = d[j];
+                g = e[j];
+                let row = &mut w[j * n..j * n + i];
+                for k in j..i {
+                    row[k] -= f * e[k] + g * d[k];
+                }
+                d[j] = row[i - 1];
+                w[j * n + i] = 0.0;
+            }
+        }
+        d[i] = h;
+    }
+    // Accumulate the transformations.
+    for i in 0..n - 1 {
+        w[i * n + n - 1] = w[i * n + i];
+        w[i * n + i] = 1.0;
+        let h = d[i + 1];
+        let (head, tail) = w.split_at_mut((i + 1) * n);
+        let next = &mut tail[..=i];
+        if h != 0.0 {
+            for (dk, &x) in d.iter_mut().zip(next.iter()) {
+                *dk = x / h;
+            }
+            for j in 0..=i {
+                let row = &mut head[j * n..=j * n + i];
+                let g = dot(next, row);
+                for (x, &dk) in row.iter_mut().zip(d.iter()) {
+                    *x -= g * dk;
+                }
+            }
+        }
+        next.fill(0.0);
+    }
+    for (j, dj) in d.iter_mut().enumerate() {
+        *dj = w[j * n + n - 1];
+        w[j * n + n - 1] = 0.0;
+    }
+    w[n * n - 1] = 1.0;
+    e[0] = 0.0;
+}
+
+/// Implicit-shift QL on the tridiagonal `(d, e)` left by [`tred2`]: `d`
+/// becomes the eigenvalues (unsorted) and the rows of `w` their
+/// eigenvectors.
+fn tql2(n: usize, w: &mut [f64], d: &mut [f64], e: &mut [f64]) {
+    e.copy_within(1.., 0);
+    e[n - 1] = 0.0;
+    let mut f = 0.0;
+    let mut tst1 = 0.0f64;
+    for l in 0..n {
+        // Find a negligible subdiagonal element; e[n - 1] is zero, so the
+        // scan stops there at the latest even when NaN compares false.
+        tst1 = tst1.max(d[l].abs() + e[l].abs());
+        let mut m = l;
+        while m + 1 < n && e[m].abs() > f64::EPSILON * tst1 {
+            m += 1;
+        }
+        if m > l {
+            for _ in 0..MAX_QL_ITERS {
+                // Implicit shift.
+                let mut g = d[l];
+                let mut p = (d[l + 1] - g) / (2.0 * e[l]);
+                let mut r = hypot(p, 1.0);
+                if p < 0.0 {
+                    r = -r;
+                }
+                d[l] = e[l] / (p + r);
+                d[l + 1] = e[l] * (p + r);
+                let dl1 = d[l + 1];
+                let mut h = g - d[l];
+                for x in &mut d[l + 2..] {
+                    *x -= h;
+                }
+                f += h;
+                // Implicit QL transformation.
+                p = d[m];
+                let (mut c, mut c2, mut c3) = (1.0, 1.0, 1.0);
+                let el1 = e[l + 1];
+                let (mut s, mut s2) = (0.0, 0.0);
+                for i in (l..m).rev() {
+                    c3 = c2;
+                    c2 = c;
+                    s2 = s;
+                    g = c * e[i];
+                    h = c * p;
+                    r = hypot(p, e[i]);
+                    e[i + 1] = s * r;
+                    s = e[i] / r;
+                    c = p / r;
+                    p = c * d[i] - s * g;
+                    d[i + 1] = h + s * (c * g + s * d[i]);
+                    let (head, tail) = w.split_at_mut((i + 1) * n);
+                    for (x, y) in head[i * n..].iter_mut().zip(&mut tail[..n]) {
+                        let yv = *y;
+                        *y = s * *x + c * yv;
+                        *x = c * *x - s * yv;
+                    }
+                }
+                p = -s * s2 * c3 * el1 * e[l] / dl1;
+                e[l] = s * p;
+                d[l] = c * p;
+                if e[l].abs() <= f64::EPSILON * tst1 || e[l].is_nan() {
+                    break;
+                }
+            }
+        }
+        d[l] += f;
+        e[l] = 0.0;
+    }
+}
+
+/// `√(a² + b²)` without destructive underflow or overflow, from basic
+/// IEEE operations only so the result is the same on every platform.
+fn hypot(a: f64, b: f64) -> f64 {
+    let (a, b) = (a.abs(), b.abs());
+    if a > b {
+        let r = b / a;
+        a * (1.0 + r * r).sqrt()
+    } else if b != 0.0 {
+        let r = a / b;
+        b * (1.0 + r * r).sqrt()
+    } else {
+        0.0
+    }
 }
 
 #[cfg(test)]
@@ -432,10 +608,10 @@ mod tests {
     }
 
     #[test]
-    fn compute_dispatches_and_reconstructs() {
+    fn gram_reconstructs_every_shape() {
         for (rows, cols, seed) in [(5, 30, 5), (30, 5, 6), (10, 10, 7)] {
             let a = random_matrix(rows, cols, seed);
-            let svd = Svd::compute(&a).unwrap();
+            let svd = Svd::gram(&a).unwrap();
             assert_reconstructs(&a, &svd, 1e-8);
         }
     }
@@ -443,7 +619,7 @@ mod tests {
     #[test]
     fn singular_values_sorted_descending() {
         let a = random_matrix(9, 15, 8);
-        let svd = Svd::compute(&a).unwrap();
+        let svd = Svd::gram(&a).unwrap();
         for w in svd.singular_values.windows(2) {
             assert!(w[0] >= w[1] - 1e-12);
         }
@@ -451,27 +627,31 @@ mod tests {
 
     #[test]
     fn empty_matrix_rejected() {
-        assert!(matches!(
-            Svd::compute(&Matrix::zeros(0, 3)),
-            Err(SvdError::EmptyMatrix)
-        ));
-        assert!(matches!(
-            Svd::compute(&Matrix::zeros(3, 0)),
-            Err(SvdError::EmptyMatrix)
-        ));
+        for decompose in [Svd::gram, Svd::jacobi] {
+            assert!(matches!(
+                decompose(&Matrix::zeros(0, 3)),
+                Err(SvdError::EmptyMatrix)
+            ));
+            assert!(matches!(
+                decompose(&Matrix::zeros(3, 0)),
+                Err(SvdError::EmptyMatrix)
+            ));
+        }
     }
 
     #[test]
     fn non_finite_rejected() {
         let mut a = Matrix::zeros(2, 2);
         a[(0, 0)] = f64::NAN;
-        assert!(matches!(Svd::compute(&a), Err(SvdError::NonFiniteInput)));
+        for decompose in [Svd::gram, Svd::jacobi] {
+            assert!(matches!(decompose(&a), Err(SvdError::NonFiniteInput)));
+        }
     }
 
     #[test]
     fn zero_matrix_has_zero_singular_values() {
         let a = Matrix::zeros(3, 5);
-        let svd = Svd::compute(&a).unwrap();
+        let svd = Svd::gram(&a).unwrap();
         assert!(svd.singular_values.iter().all(|&s| s.abs() < 1e-12));
         assert_eq!(svd.rank(1e-9), 0);
         assert_reconstructs(&a, &svd, 1e-12);
@@ -480,7 +660,7 @@ mod tests {
     #[test]
     fn single_row_matrix() {
         let a = Matrix::from_rows(&[vec![3.0, 4.0]]);
-        let svd = Svd::compute(&a).unwrap();
+        let svd = Svd::gram(&a).unwrap();
         assert!((svd.singular_values[0] - 5.0).abs() < 1e-10);
         assert_reconstructs(&a, &svd, 1e-10);
     }
@@ -500,10 +680,61 @@ mod tests {
     }
 
     #[test]
+    fn symmetric_eigen_empty_and_scalar() {
+        let (vals, vecs) = symmetric_eigen(&Matrix::zeros(0, 0));
+        assert!(vals.is_empty());
+        assert_eq!(vecs.shape(), (0, 0));
+        let (vals, vecs) = symmetric_eigen(&Matrix::from_rows(&[vec![-4.5]]));
+        assert_eq!(vals, vec![-4.5]);
+        assert_eq!(vecs.as_slice(), &[1.0]);
+    }
+
+    #[test]
+    fn symmetric_eigen_signs_are_canonical() {
+        // Eigenvectors (1, 1)/√2 and (1, −1)/√2: both entries tie in
+        // magnitude, so the first one is made positive.
+        let m = Matrix::from_rows(&[vec![2.0, 1.0], vec![1.0, 2.0]]);
+        let (_, vecs) = symmetric_eigen(&m);
+        assert!(vecs[(0, 0)] > 0.0 && vecs[(1, 0)] > 0.0);
+        assert!(vecs[(0, 1)] > 0.0 && vecs[(1, 1)] < 0.0);
+        // A negated input flips the order but not the sign rule.
+        let (_, neg) = symmetric_eigen(&m.scale(-1.0));
+        assert!(neg[(0, 0)] > 0.0 && neg[(1, 0)] < 0.0);
+    }
+
+    #[test]
+    fn symmetric_eigen_reads_the_upper_triangle() {
+        let a = random_matrix(9, 9, 11);
+        let upper = Matrix::from_fn(9, 9, |i, j| a[(i.min(j), i.max(j))]);
+        let garbage = Matrix::from_fn(9, 9, |i, j| if i > j { 1e9 } else { a[(i, j)] });
+        let (vals, vecs) = symmetric_eigen(&upper);
+        let (gvals, gvecs) = symmetric_eigen(&garbage);
+        assert_eq!(vals, gvals);
+        assert_eq!(vecs.as_slice(), gvecs.as_slice());
+    }
+
+    #[test]
+    fn symmetric_eigen_non_finite_input_terminates() {
+        // NaN compares false everywhere; the capped QL scan must neither
+        // index past the end nor spin.
+        for bad in [f64::NAN, f64::INFINITY] {
+            for n in [1, 2, 5, 12] {
+                let mut m = random_matrix(n, n, n as u64);
+                m = m.add(&m.transpose());
+                m[(n / 2, n - 1)] = bad;
+                m[(n - 1, n / 2)] = bad;
+                let (vals, vecs) = symmetric_eigen(&m);
+                assert_eq!(vals.len(), n);
+                assert_eq!(vecs.shape(), (n, n));
+            }
+        }
+    }
+
+    #[test]
     fn frobenius_preserved_by_singular_values() {
         // ||A||_F² = Σ σ_i².
         let a = random_matrix(7, 13, 9);
-        let svd = Svd::compute(&a).unwrap();
+        let svd = Svd::gram(&a).unwrap();
         let sum_sq: f64 = svd.singular_values.iter().map(|s| s * s).sum();
         let frob = a.frobenius_norm();
         assert!((sum_sq - frob * frob).abs() < 1e-8 * frob * frob);

@@ -60,8 +60,7 @@ pub struct PcaDetector {
 
 impl PcaDetector {
     /// Creates a detector keeping components per explained variance `v`,
-    /// fitting under [`PcaSolver::Auto`] (on unified global-scoping
-    /// matrices — hundreds of rows — `Auto` picks the truncated solver).
+    /// fitting under [`PcaSolver::Auto`] (the exact Gram path).
     pub fn new(v: ExplainedVariance) -> Self {
         Self {
             v,

@@ -12,7 +12,7 @@ cd "$(dirname "$0")/.."
 # pin here and explain the new value in CHANGES.md.
 PIN_FAULT="fb61f7cb32a564a2"
 PIN_SANITIZER="30172e6b94ab5bdd"
-PIN_FUZZ="04622c4569582d9f"
+PIN_FUZZ="8e3da4b5be0e964a"
 
 # pin_check LINE EXPECTED — LINE is "<name> digest: <hex>[ <detail>]".
 pin_check() {
@@ -97,6 +97,9 @@ done
 
 echo "==> cargo test -q --offline"
 cargo test -q --workspace --offline
+
+echo "==> e2ebench tests (workload health gates and the oc3fo 92/287 kept pin; release)"
+cargo test -q --release --offline --manifest-path e2ebench/Cargo.toml
 
 echo "==> cargo fmt --check"
 cargo fmt --check
