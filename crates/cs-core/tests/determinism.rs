@@ -219,12 +219,7 @@ fn every_solver_is_bit_identical_across_worker_counts() {
         vec![make(80), make(72), make(68)],
         vec!["A".into(), "B".into(), "C".into()],
     );
-    for solver in [
-        PcaSolver::Auto,
-        PcaSolver::FullSvd,
-        PcaSolver::Gram,
-        PcaSolver::truncated(),
-    ] {
+    for solver in [PcaSolver::Auto, PcaSolver::FullSvd, PcaSolver::truncated()] {
         let baseline = CollaborativeScoper::builder()
             .explained_variance(0.6)
             .pca_solver(solver)

@@ -1,6 +1,6 @@
 //! Generator-fuzz smoke driver for `scripts/verify.sh`.
 //!
-//! Replays the full 15-case fault matrix over every catalog of the
+//! Replays the full 14-case fault matrix over every catalog of the
 //! deterministic knob lattice (`cs_fault::knob_lattice`, ≥ 20 points
 //! varying linkable ratio, lexicon overlap, naming noise, subtype depth,
 //! and size distribution) under the sequential path and the global

@@ -1,7 +1,7 @@
 //! Generator-driven fuzzing: the fault matrix replayed over a knob
 //! lattice.
 //!
-//! The 15-case matrix in [`crate::harness`] pins the failure model on
+//! The 14-case matrix in [`crate::harness`] pins the failure model on
 //! *one* small catalog. This module widens that to a seeded family: a
 //! deterministic lattice over the generator knobs (linkable ratio,
 //! lexicon overlap, naming noise, subtype depth, size distribution)

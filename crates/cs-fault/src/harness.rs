@@ -54,7 +54,7 @@ pub enum Scenario {
 }
 
 /// A named signature-catalog construction, parameterized by the base
-/// [`SyntheticConfig`] so the same 15-case matrix can replay over any
+/// [`SyntheticConfig`] so the same 14-case matrix can replay over any
 /// generated catalog (the fuzz driver feeds it a knob lattice). Recipes
 /// that poison a specific schema index require `config.schemas >= 3`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -226,14 +226,12 @@ pub fn cases() -> Vec<FaultCase> {
     for (suffix, solver) in [
         ("auto", PcaSolver::Auto),
         ("fullsvd", PcaSolver::FullSvd),
-        ("gram", PcaSolver::Gram),
         ("truncated", PcaSolver::truncated()),
     ] {
         cases.push(FaultCase {
             name: match suffix {
                 "auto" => "poison_solver_auto",
                 "fullsvd" => "poison_solver_fullsvd",
-                "gram" => "poison_solver_gram",
                 _ => "poison_solver_truncated",
             },
             scenario: Scenario::Signatures(SigRecipe::SolverProbePoison),

@@ -27,7 +27,7 @@
 //!   errors (never panics) cross the public API boundary and that the
 //!   sweep degrades gracefully. The matrix is parameterized over the
 //!   generator config ([`harness::run_matrix_on`]), so any synthetic
-//!   catalog can host the same 15 cases.
+//!   catalog can host the same 14 cases.
 //! - [`fuzz`] — a deterministic knob lattice over
 //!   `cs_datasets::synthetic::SyntheticConfig` feeding ≥ 20 generated
 //!   catalogs through the full matrix, digest-compared across thread

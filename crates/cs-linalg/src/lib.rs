@@ -6,9 +6,9 @@
 //! from scratch (no external linear-algebra crates):
 //!
 //! - [`Matrix`] — a row-major dense `f64` matrix with the usual operations,
-//! - [`svd`] — singular value decomposition (one-sided Jacobi, plus a
-//!   Gram-matrix economy path for the common `rows ≪ cols` signature case)
-//!   and the Householder–QL symmetric eigensolver behind it,
+//! - [`svd`] — one-sided Jacobi singular value decomposition, and the
+//!   Householder–QL symmetric eigensolver behind the exact PCA fit's
+//!   Gram-matrix economy path for the common `rows ≪ cols` signature case,
 //! - [`Pca`] — the PCA encoder–decoder used by both global scoping and the
 //!   paper's local self-supervised models (Algorithm 1),
 //! - [`stats`] — column means/variances, z-scores, distance helpers,

@@ -51,16 +51,15 @@ impl ExplainedVariance {
 /// worker counts — none of them parallelize or depend on ambient state.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PcaSolver {
-    /// The default: the exact [`PcaSolver::Gram`] path, for every shape
-    /// and target. It beats the truncated solver at every Gram side the
-    /// pipeline produces (DESIGN.md §11).
+    /// The default, for every shape and target: the exact Gram path.
+    /// It eigendecomposes the smaller of `X·Xᵀ` / `Xᵀ·X` and, on the rows
+    /// side, recovers the kept components as `Xᵀ·u/σ`. It beats the
+    /// truncated solver at every Gram side the pipeline produces
+    /// (DESIGN.md §11).
     Auto,
     /// One-sided (Hestenes) Jacobi over all `d` columns ([`Svd::jacobi`]) —
     /// the reference path, exact but slowest for `n ≪ d`.
     FullSvd,
-    /// The Gram economy path ([`Svd::gram`]): eigendecompose the smaller
-    /// of `X·Xᵀ` / `Xᵀ·X` and recover the other factor as `Xᵀ·U·Σ⁻¹`.
-    Gram,
     /// Deterministic seeded block subspace iteration on the Gram matrix,
     /// stopping as soon as the leading eigenvalues satisfy the fit target
     /// instead of resolving the full spectrum. `tol` is the relative
@@ -253,15 +252,6 @@ fn zero_variance_ratios(len: usize) -> Vec<f64> {
     r
 }
 
-/// The concrete exact decomposition a fit resolved to.
-#[derive(Debug, Clone, Copy)]
-enum ExactPath {
-    /// One-sided Jacobi over all columns.
-    Jacobi,
-    /// The Gram economy path.
-    Gram,
-}
-
 /// A fitted PCA encoder–decoder: `(μ, PC)` plus the spectrum bookkeeping
 /// needed to re-truncate at different explained-variance levels.
 #[derive(Debug, Clone)]
@@ -338,8 +328,8 @@ impl Pca {
         }
         let target = config.target;
         match config.solver {
-            PcaSolver::Auto | PcaSolver::Gram => Self::fit_exact(data, ExactPath::Gram, target),
-            PcaSolver::FullSvd => Self::fit_exact(data, ExactPath::Jacobi, target),
+            PcaSolver::Auto => Self::fit_gram(data, target),
+            PcaSolver::FullSvd => Self::fit_full_svd(data, target),
             PcaSolver::Truncated { tol } => {
                 assert!(
                     tol.is_finite() && tol > 0.0,
@@ -348,42 +338,44 @@ impl Pca {
                 match target {
                     // The full spectrum is needed anyway: truncation has
                     // nothing to skip, so degrade to the exact Gram path.
-                    PcaTarget::FullRank => Self::fit_exact(data, ExactPath::Gram, target),
-                    PcaTarget::Variance(v) if v.get() >= 1.0 => {
-                        Self::fit_exact(data, ExactPath::Gram, target)
-                    }
+                    PcaTarget::FullRank => Self::fit_gram(data, target),
+                    PcaTarget::Variance(v) if v.get() >= 1.0 => Self::fit_gram(data, target),
                     _ => Self::fit_truncated(data, target, tol, config.seed),
                 }
             }
         }
     }
 
-    /// The exact path shared by the full-SVD and Gram solvers: center,
-    /// decompose, derive the spectrum bookkeeping, then keep the component
-    /// rows the target asks for. The Gram path recovers only those rows;
-    /// each is computed exactly as a full-rank fit computes it.
-    fn fit_exact(data: &Matrix, path: ExactPath, target: PcaTarget) -> Result<Self, SvdError> {
+    /// The exact Gram path: center, eigendecompose the smaller Gram side,
+    /// derive the spectrum bookkeeping, then recover only the component
+    /// rows the target keeps. Each row is computed exactly as a full-rank
+    /// fit computes it.
+    fn fit_gram(data: &Matrix, target: PcaTarget) -> Result<Self, SvdError> {
         let mean = column_mean(data);
         let centered = data.sub_row_vector(&mean);
-        let (singular_values, explained_variance_ratio, components) = match path {
-            ExactPath::Jacobi => {
-                let svd = Svd::jacobi(&centered)?;
-                let ratio = variance_ratios(&svd.singular_values);
-                let idx: Vec<usize> = (0..kept_rows(target, &ratio)).collect();
-                (svd.singular_values, ratio, svd.vt.select_rows(&idx))
-            }
-            ExactPath::Gram => {
-                let eig = GramEigen::new(&centered)?;
-                let ratio = variance_ratios(&eig.singular_values);
-                let components = eig.vt_rows(&centered, kept_rows(target, &ratio));
-                (eig.singular_values, ratio, components)
-            }
-        };
+        let eig = GramEigen::new(&centered)?;
+        let explained_variance_ratio = variance_ratios(&eig.singular_values);
+        let components = eig.vt_rows(&centered, kept_rows(target, &explained_variance_ratio));
         Ok(Self {
             mean,
             components,
             explained_variance_ratio,
-            singular_values,
+            singular_values: eig.singular_values,
+        })
+    }
+
+    /// The full-SVD reference path: center, run one-sided Jacobi over all
+    /// columns, then keep the component rows the target asks for.
+    fn fit_full_svd(data: &Matrix, target: PcaTarget) -> Result<Self, SvdError> {
+        let mean = column_mean(data);
+        let svd = Svd::jacobi(&data.sub_row_vector(&mean))?;
+        let explained_variance_ratio = variance_ratios(&svd.singular_values);
+        let idx: Vec<usize> = (0..kept_rows(target, &explained_variance_ratio)).collect();
+        Ok(Self {
+            mean,
+            components: svd.vt.select_rows(&idx),
+            explained_variance_ratio,
+            singular_values: svd.singular_values,
         })
     }
 
@@ -403,7 +395,7 @@ impl Pca {
         let mean = column_mean(data);
         let x = data.sub_row_vector(&mean);
 
-        // Eigendecompose the smaller Gram side, as `Svd::gram` does. On
+        // Eigendecompose the smaller Gram side, as the exact path does. On
         // the rows side the eigenvectors are left singular vectors `u_i`
         // and components are recovered as `Xᵀ·u/σ`; on the columns side
         // they are the components directly.
@@ -440,7 +432,7 @@ impl Pca {
             None => 32.min(m),
         };
         if block * 2 >= m {
-            return Self::fit_exact(data, ExactPath::Gram, target);
+            return Self::fit_gram(data, target);
         }
 
         let mut rng = Xoshiro256::seed_from(seed);
@@ -503,7 +495,7 @@ impl Pca {
                 // appending fresh random probes.
                 let grown = (block * 2).min(m);
                 if grown * 2 >= m {
-                    return Self::fit_exact(data, ExactPath::Gram, target);
+                    return Self::fit_gram(data, target);
                 }
                 let basis = q.matmul(&w);
                 let extended =
@@ -525,7 +517,7 @@ impl Pca {
         let Some((theta, w, keep)) = converged else {
             // Iteration budget exhausted (pathologically clustered
             // spectrum): resolve exactly rather than return estimates.
-            return Self::fit_exact(data, ExactPath::Gram, target);
+            return Self::fit_gram(data, target);
         };
 
         // Ritz vectors for the kept prefix, then component recovery.
@@ -842,12 +834,7 @@ mod tests {
     fn zero_variance_data_under_every_solver() {
         let data = Matrix::from_fn(5, 4, |_, _| 3.5);
         let v = ExplainedVariance::new(0.5).unwrap();
-        for solver in [
-            PcaSolver::Auto,
-            PcaSolver::FullSvd,
-            PcaSolver::Gram,
-            PcaSolver::truncated(),
-        ] {
+        for solver in [PcaSolver::Auto, PcaSolver::FullSvd, PcaSolver::truncated()] {
             let config = PcaConfig::new().with_variance(v).with_solver(solver);
             let pca = Pca::fit_with(&data, config).unwrap();
             assert_eq!(pca.n_components(), 1, "{solver:?}");
@@ -916,12 +903,7 @@ mod tests {
     #[test]
     fn every_solver_rejects_degenerate_input() {
         let v = ExplainedVariance::new(0.5).unwrap();
-        for solver in [
-            PcaSolver::Auto,
-            PcaSolver::FullSvd,
-            PcaSolver::Gram,
-            PcaSolver::truncated(),
-        ] {
+        for solver in [PcaSolver::Auto, PcaSolver::FullSvd, PcaSolver::truncated()] {
             let config = PcaConfig::new().with_variance(v).with_solver(solver);
             assert_eq!(
                 Pca::fit_with(&Matrix::zeros(3, 0), config).unwrap_err(),
@@ -1019,7 +1001,7 @@ mod tests {
         let data = random_data(12, 30, 77);
         let trunc =
             Pca::fit_with(&data, PcaConfig::new().with_solver(PcaSolver::truncated())).unwrap();
-        let gram = Pca::fit_with(&data, PcaConfig::new().with_solver(PcaSolver::Gram)).unwrap();
+        let gram = Pca::fit_with(&data, PcaConfig::new()).unwrap();
         for (a, b) in trunc.singular_values().iter().zip(gram.singular_values()) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
@@ -1027,54 +1009,53 @@ mod tests {
 
     #[test]
     fn auto_is_the_gram_path() {
-        // Auto has one code path: the exact Gram fit, bit for bit, for
-        // every target and on both sides of the old 160-row truncation
-        // threshold, wide and tall.
+        // Auto has one code path, the exact Gram fit, for every target and
+        // on both sides of the old 160-row truncation threshold, wide and
+        // tall: every target resolves the full spectrum bit for bit, and
+        // its components are the leading rows of the full-rank fit, bit
+        // for bit (only the kept rows are recovered, each with the same
+        // arithmetic). The spectrum agrees with the full-SVD reference.
         let v = ExplainedVariance::new(0.5).unwrap();
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         for (rows, cols, seed) in [(30, 80, 99), (80, 30, 98), (170, 200, 97), (200, 170, 96)] {
             let data = random_data(rows, cols, seed);
-            for config in [
-                PcaConfig::new().with_full_rank(),
-                PcaConfig::new().with_variance(v),
-                PcaConfig::new().with_components(7),
-            ] {
-                let auto = Pca::fit_with(&data, config).unwrap();
-                let gram = Pca::fit_with(&data, config.with_solver(PcaSolver::Gram)).unwrap();
-                let bits = |p: &Pca| {
-                    let mut out: Vec<u64> = p.mean().iter().map(|x| x.to_bits()).collect();
-                    for part in [
-                        p.components().as_slice(),
-                        p.explained_variance_ratio(),
-                        p.singular_values(),
-                    ] {
-                        out.push(part.len() as u64);
-                        out.extend(part.iter().map(|x| x.to_bits()));
-                    }
-                    out
-                };
-                assert_eq!(bits(&auto), bits(&gram), "{rows}x{cols} {config:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn kept_rows_match_the_full_rank_fit() {
-        // Recovering only the kept component rows must give the same bits
-        // as recovering all of them and truncating afterwards.
-        let v = ExplainedVariance::new(0.6).unwrap();
-        for (rows, cols, seed) in [(25, 60, 5), (60, 25, 6)] {
-            let data = random_data(rows, cols, seed);
             let full = Pca::fit_with(&data, PcaConfig::new()).unwrap();
-            let direct = Pca::fit_with(&data, PcaConfig::new().with_variance(v)).unwrap();
-            let after = full.truncated(v);
-            assert_eq!(direct.n_components(), after.n_components());
-            for (a, b) in direct
-                .components()
-                .as_slice()
+            let reference =
+                Pca::fit_with(&data, PcaConfig::new().with_solver(PcaSolver::FullSvd)).unwrap();
+            let top = reference.singular_values()[0].powi(2);
+            for (a, b) in full
+                .singular_values()
                 .iter()
-                .zip(after.components().as_slice())
+                .zip(reference.singular_values())
             {
-                assert_eq!(a.to_bits(), b.to_bits());
+                assert!(
+                    (a * a - b * b).abs() <= 1e-10 * top,
+                    "{rows}x{cols}: {a} vs {b}"
+                );
+            }
+            for (config, kept) in [
+                (
+                    PcaConfig::new().with_variance(v),
+                    full.truncated(v).n_components(),
+                ),
+                (PcaConfig::new().with_components(7), 7),
+            ] {
+                let fit = Pca::fit_with(&data, config).unwrap();
+                let label = format!("{rows}x{cols} {config:?}");
+                assert_eq!(fit.n_components(), kept, "{label}");
+                assert_eq!(bits(fit.mean()), bits(full.mean()), "{label}");
+                assert_eq!(
+                    bits(fit.singular_values()),
+                    bits(full.singular_values()),
+                    "{label}"
+                );
+                assert_eq!(
+                    bits(fit.explained_variance_ratio()),
+                    bits(full.explained_variance_ratio()),
+                    "{label}"
+                );
+                let prefix = &full.components().as_slice()[..kept * cols];
+                assert_eq!(bits(fit.components().as_slice()), bits(prefix), "{label}");
             }
         }
     }
@@ -1116,8 +1097,8 @@ mod tests {
 
     #[test]
     fn prop_solvers_agree_on_reconstruction_mse() {
-        // Stated tolerance: per-row reconstruction MSE of the Gram and
-        // truncated solvers within 1e-7 relative of the full-SVD
+        // Stated tolerance: per-row reconstruction MSE of the Auto (exact
+        // Gram) and truncated solvers within 1e-7 relative of the full-SVD
         // reference on random n ≪ d matrices with decaying spectra.
         crate::check::run("pca_solver_mse_agreement", 10, |g| {
             let n = g.usize_in(70, 100);
@@ -1133,7 +1114,7 @@ mod tests {
             )
             .unwrap();
             let e_ref = reference.reconstruction_errors(&data);
-            for solver in [PcaSolver::Gram, PcaSolver::truncated()] {
+            for solver in [PcaSolver::Auto, PcaSolver::truncated()] {
                 let fit =
                     Pca::fit_with(&data, PcaConfig::new().with_variance(v).with_solver(solver))
                         .unwrap();
@@ -1160,7 +1141,7 @@ mod tests {
             let data = decaying_data(n, d, rank, g.seed() ^ 0xC0DE);
             let v = ExplainedVariance::new(g.f64_in(0.3, 0.9)).unwrap();
             let reference = Pca::fit_with(&data, PcaConfig::new().with_variance(v)).unwrap();
-            for solver in [PcaSolver::FullSvd, PcaSolver::Gram, PcaSolver::truncated()] {
+            for solver in [PcaSolver::FullSvd, PcaSolver::truncated()] {
                 let fit =
                     Pca::fit_with(&data, PcaConfig::new().with_variance(v).with_solver(solver))
                         .unwrap();

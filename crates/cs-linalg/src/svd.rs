@@ -3,17 +3,18 @@
 //! Algorithm 1 of the paper computes a *full SVD* of the mean-centered
 //! signature matrix of each local schema. Signature matrices here are
 //! short-and-wide (`n` elements × 768 embedding dimensions, with `n` from a
-//! handful up to a few hundred), so two implementations are provided:
+//! handful up to a few hundred). Two kernels serve it:
 //!
 //! - [`Svd::jacobi`] — one-sided (Hestenes) Jacobi rotation SVD. Simple,
-//!   robust, accurate; the reference implementation.
-//! - [`Svd::gram`] — the economy path: eigendecompose the smaller Gram
-//!   matrix (`A·Aᵀ` when `n ≤ d`, `Aᵀ·A` otherwise) with
-//!   [`symmetric_eigen`] (Householder tridiagonalization plus
-//!   implicit-shift QL, `O(m³)` for Gram side `m`) and recover the other
-//!   factor. Much faster for the `n ≪ d` signature case.
+//!   robust, accurate; the reference implementation behind
+//!   `PcaSolver::FullSvd`.
+//! - [`symmetric_eigen`] — Householder tridiagonalization plus
+//!   implicit-shift QL, `O(m³)` for side `m`. The exact PCA fit
+//!   (`PcaSolver::Auto`) runs it on the smaller Gram matrix (`A·Aᵀ` when
+//!   `n ≤ d`, `Aᵀ·A` otherwise) and recovers only the component rows its
+//!   target keeps. Much faster for the `n ≪ d` signature case.
 //!
-//! Property tests pin the two paths to agree, and the `cs-bench` solver
+//! Tests in `pca.rs` pin the two paths to agree, and the `cs-bench` solver
 //! group times them.
 
 use crate::matrix::dot;
@@ -129,20 +130,6 @@ impl Svd {
         })
     }
 
-    /// Gram-matrix economy SVD: eigendecomposes the smaller of `A·Aᵀ` and
-    /// `Aᵀ·A`, then recovers the other factor as `Aᵀu/σ` (or `Av/σ`).
-    pub fn gram(a: &Matrix) -> Result<Svd, SvdError> {
-        let eig = GramEigen::new(a)?;
-        let r = eig.singular_values.len();
-        let vt = eig.vt_rows(a, r);
-        let u = eig.u(a);
-        Ok(Svd {
-            u,
-            singular_values: eig.singular_values,
-            vt,
-        })
-    }
-
     /// Reconstructs `U · diag(σ) · Vᵀ`. Useful for testing the factorization.
     pub fn reconstruct(&self) -> Matrix {
         let r = self.singular_values.len();
@@ -194,8 +181,8 @@ fn rotate_pair(cols: &mut [Vec<f64>], p: usize, q: usize, c: f64, s: f64) {
 }
 
 /// The eigen half of the Gram economy path: the spectrum of the smaller
-/// Gram side and its eigenvectors, from which [`Svd::gram`] and the exact
-/// PCA fit recover as many factor rows as they need.
+/// Gram side and its eigenvectors, from which the exact PCA fit recovers
+/// as many component rows as its target keeps.
 pub(crate) struct GramEigen {
     /// `true` when the Gram matrix is `A·Aᵀ` (`rows ≤ cols`), whose
     /// eigenvectors are left singular vectors; `false` for `Aᵀ·A`, whose
@@ -254,27 +241,6 @@ impl GramEigen {
             }
         }
         vt
-    }
-
-    /// All of `U`: the eigenvectors on the rows side, `A·v_i / σ_i` (zero
-    /// where `σ_i ≤ EPS`) on the columns side.
-    fn u(&self, a: &Matrix) -> Matrix {
-        if self.rows_side {
-            return self.vectors.transpose();
-        }
-        let n = a.rows();
-        let r = self.singular_values.len();
-        let mut u = Matrix::zeros(n, r);
-        for slot in 0..r {
-            let vector = self.vectors.row(slot);
-            let sigma = self.singular_values[slot];
-            if sigma > crate::EPS {
-                for i in 0..n {
-                    u[(i, slot)] = dot(a.row(i), vector) / sigma;
-                }
-            }
-        }
-        u
     }
 }
 
@@ -577,65 +543,50 @@ mod tests {
         assert_orthonormal_cols(&svd.vt.transpose(), 1e-8);
     }
 
-    #[test]
-    fn gram_wide_matrix() {
-        let a = random_matrix(6, 40, 2);
-        let svd = Svd::gram(&a).unwrap();
-        assert_eq!(svd.u.shape(), (6, 6));
-        assert_eq!(svd.vt.shape(), (6, 40));
-        assert_reconstructs(&a, &svd, 1e-8);
-        assert_orthonormal_cols(&svd.u, 1e-8);
-        assert_orthonormal_cols(&svd.vt.transpose(), 1e-8);
+    /// All of the Gram path's factor rows: `vt_rows` at full rank.
+    fn gram_vt(a: &Matrix) -> (Vec<f64>, Matrix) {
+        let eig = GramEigen::new(a).unwrap();
+        let vt = eig.vt_rows(a, eig.singular_values.len());
+        (eig.singular_values, vt)
     }
 
     #[test]
-    fn gram_tall_matrix() {
-        let a = random_matrix(40, 6, 3);
-        let svd = Svd::gram(&a).unwrap();
-        assert_eq!(svd.u.shape(), (40, 6));
-        assert_eq!(svd.vt.shape(), (6, 6));
-        assert_reconstructs(&a, &svd, 1e-8);
-    }
-
-    #[test]
-    fn gram_and_jacobi_agree_on_singular_values() {
-        let a = random_matrix(8, 20, 4);
-        let j = Svd::jacobi(&a).unwrap();
-        let g = Svd::gram(&a).unwrap();
-        for (x, y) in j.singular_values.iter().zip(g.singular_values.iter()) {
-            assert!((x - y).abs() < 1e-7, "jacobi {x} vs gram {y}");
-        }
-    }
-
-    #[test]
-    fn gram_reconstructs_every_shape() {
-        for (rows, cols, seed) in [(5, 30, 5), (30, 5, 6), (10, 10, 7)] {
+    fn gram_path_matches_jacobi_wide_and_tall() {
+        // Same spectrum as the reference, and on a full-rank matrix the
+        // recovered rows of Vᵀ are orthonormal and span the rows of A
+        // (A·V·Vᵀ = A when rows ≤ cols, V·Vᵀ = I otherwise).
+        for (rows, cols, seed) in [(6, 40, 2), (40, 6, 3), (10, 10, 7)] {
             let a = random_matrix(rows, cols, seed);
-            let svd = Svd::gram(&a).unwrap();
-            assert_reconstructs(&a, &svd, 1e-8);
+            let (sv, vt) = gram_vt(&a);
+            let j = Svd::jacobi(&a).unwrap();
+            assert_eq!(vt.shape(), (rows.min(cols), cols));
+            for (x, y) in j.singular_values.iter().zip(&sv) {
+                assert!((x - y).abs() < 1e-7, "jacobi {x} vs gram {y}");
+            }
+            assert_orthonormal_cols(&vt.transpose(), 1e-8);
+            let projected = a.matmul(&vt.transpose()).matmul(&vt);
+            let diff = projected.max_abs_diff(&a);
+            assert!(diff < 1e-8, "{rows}x{cols}: projection error {diff}");
         }
     }
 
     #[test]
     fn singular_values_sorted_descending() {
         let a = random_matrix(9, 15, 8);
-        let svd = Svd::gram(&a).unwrap();
-        for w in svd.singular_values.windows(2) {
-            assert!(w[0] >= w[1] - 1e-12);
+        let (gram, _) = gram_vt(&a);
+        let jacobi = Svd::jacobi(&a).unwrap().singular_values;
+        for sv in [gram, jacobi] {
+            for w in sv.windows(2) {
+                assert!(w[0] >= w[1] - 1e-12);
+            }
         }
     }
 
     #[test]
     fn empty_matrix_rejected() {
-        for decompose in [Svd::gram, Svd::jacobi] {
-            assert!(matches!(
-                decompose(&Matrix::zeros(0, 3)),
-                Err(SvdError::EmptyMatrix)
-            ));
-            assert!(matches!(
-                decompose(&Matrix::zeros(3, 0)),
-                Err(SvdError::EmptyMatrix)
-            ));
+        for a in [Matrix::zeros(0, 3), Matrix::zeros(3, 0)] {
+            assert!(matches!(Svd::jacobi(&a), Err(SvdError::EmptyMatrix)));
+            assert!(matches!(GramEigen::new(&a), Err(SvdError::EmptyMatrix)));
         }
     }
 
@@ -643,26 +594,32 @@ mod tests {
     fn non_finite_rejected() {
         let mut a = Matrix::zeros(2, 2);
         a[(0, 0)] = f64::NAN;
-        for decompose in [Svd::gram, Svd::jacobi] {
-            assert!(matches!(decompose(&a), Err(SvdError::NonFiniteInput)));
-        }
+        assert!(matches!(Svd::jacobi(&a), Err(SvdError::NonFiniteInput)));
+        assert!(matches!(GramEigen::new(&a), Err(SvdError::NonFiniteInput)));
     }
 
     #[test]
     fn zero_matrix_has_zero_singular_values() {
         let a = Matrix::zeros(3, 5);
-        let svd = Svd::gram(&a).unwrap();
+        let svd = Svd::jacobi(&a).unwrap();
         assert!(svd.singular_values.iter().all(|&s| s.abs() < 1e-12));
         assert_eq!(svd.rank(1e-9), 0);
         assert_reconstructs(&a, &svd, 1e-12);
+        // The Gram path leaves the rows of zero singular values zero.
+        let (sv, vt) = gram_vt(&a);
+        assert!(sv.iter().all(|&s| s == 0.0));
+        assert!(vt.as_slice().iter().all(|&x| x == 0.0));
     }
 
     #[test]
     fn single_row_matrix() {
         let a = Matrix::from_rows(&[vec![3.0, 4.0]]);
-        let svd = Svd::gram(&a).unwrap();
+        let svd = Svd::jacobi(&a).unwrap();
         assert!((svd.singular_values[0] - 5.0).abs() < 1e-10);
         assert_reconstructs(&a, &svd, 1e-10);
+        let (sv, vt) = gram_vt(&a);
+        assert!((sv[0] - 5.0).abs() < 1e-10);
+        assert!((vt[(0, 0)] - 0.6).abs() < 1e-12 && (vt[(0, 1)] - 0.8).abs() < 1e-12);
     }
 
     #[test]
@@ -734,9 +691,12 @@ mod tests {
     fn frobenius_preserved_by_singular_values() {
         // ||A||_F² = Σ σ_i².
         let a = random_matrix(7, 13, 9);
-        let svd = Svd::gram(&a).unwrap();
-        let sum_sq: f64 = svd.singular_values.iter().map(|s| s * s).sum();
         let frob = a.frobenius_norm();
-        assert!((sum_sq - frob * frob).abs() < 1e-8 * frob * frob);
+        let (gram, _) = gram_vt(&a);
+        let jacobi = Svd::jacobi(&a).unwrap().singular_values;
+        for sv in [gram, jacobi] {
+            let sum_sq: f64 = sv.iter().map(|s| s * s).sum();
+            assert!((sum_sq - frob * frob).abs() < 1e-8 * frob * frob);
+        }
     }
 }

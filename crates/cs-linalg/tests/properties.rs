@@ -7,7 +7,7 @@
 use cs_linalg::check::run;
 use cs_linalg::pca::ExplainedVariance;
 use cs_linalg::svd::symmetric_eigen;
-use cs_linalg::{Matrix, Pca, PcaConfig, Svd};
+use cs_linalg::{Matrix, Pca, PcaConfig, PcaSolver, Svd};
 
 const CASES: usize = 48;
 
@@ -15,7 +15,7 @@ const CASES: usize = 48;
 fn svd_reconstructs_any_matrix() {
     run("svd_reconstructs_any_matrix", CASES, |g| {
         let a = g.matrix(10, 10, -10.0, 10.0);
-        let svd = Svd::gram(&a).unwrap();
+        let svd = Svd::jacobi(&a).unwrap();
         let diff = svd.reconstruct().max_abs_diff(&a);
         let scale = a.frobenius_norm().max(1.0);
         assert!(diff < 1e-7 * scale, "reconstruction error {diff}");
@@ -24,12 +24,13 @@ fn svd_reconstructs_any_matrix() {
 
 #[test]
 fn gram_and_jacobi_agree() {
+    // The default exact Gram fit against the full-SVD reference.
     run("gram_and_jacobi_agree", CASES, |g| {
         let a = g.matrix(8, 8, -10.0, 10.0);
-        let j = Svd::jacobi(&a).unwrap();
-        let gr = Svd::gram(&a).unwrap();
+        let j = Pca::fit_with(&a, PcaConfig::new().with_solver(PcaSolver::FullSvd)).unwrap();
+        let gr = Pca::fit_with(&a, PcaConfig::new()).unwrap();
         let scale = a.frobenius_norm().max(1.0);
-        for (x, y) in j.singular_values.iter().zip(gr.singular_values.iter()) {
+        for (x, y) in j.singular_values().iter().zip(gr.singular_values()) {
             assert!((x - y).abs() < 1e-6 * scale, "jacobi {x} vs gram {y}");
         }
     });
@@ -39,21 +40,22 @@ fn gram_and_jacobi_agree() {
 fn singular_values_nonnegative_descending() {
     run("singular_values_nonnegative_descending", CASES, |g| {
         let a = g.matrix(9, 9, -10.0, 10.0);
-        let svd = Svd::gram(&a).unwrap();
-        for w in svd.singular_values.windows(2) {
+        let pca = Pca::fit_with(&a, PcaConfig::new()).unwrap();
+        for w in pca.singular_values().windows(2) {
             assert!(w[0] >= w[1] - 1e-9);
         }
-        assert!(svd.singular_values.iter().all(|&s| s >= -1e-12));
+        assert!(pca.singular_values().iter().all(|&s| s >= -1e-12));
     });
 }
 
 #[test]
 fn frobenius_identity() {
+    // Σσ² of the exact Gram fit is the centered data's squared norm.
     run("frobenius_identity", CASES, |g| {
         let a = g.matrix(8, 12, -10.0, 10.0);
-        let svd = Svd::gram(&a).unwrap();
-        let sum_sq: f64 = svd.singular_values.iter().map(|s| s * s).sum();
-        let f2 = a.frobenius_norm().powi(2);
+        let pca = Pca::fit_with(&a, PcaConfig::new()).unwrap();
+        let sum_sq: f64 = pca.singular_values().iter().map(|s| s * s).sum();
+        let f2 = a.sub_row_vector(pca.mean()).frobenius_norm().powi(2);
         assert!((sum_sq - f2).abs() < 1e-7 * f2.max(1.0));
     });
 }
