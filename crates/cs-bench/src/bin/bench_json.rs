@@ -15,7 +15,8 @@
 //! - `--budget PATH`: regression gate — reads the checked-in budget
 //!   document (`BENCH_BUDGET.json`) and fails with exit code 1 if any
 //!   gated benchmark's median exceeds `2 ×` its budgeted value. Gated:
-//!   the `global_pca05` scoping benchmark (an accidental return to the
+//!   the `encode_catalog` scoping benchmark (phase I's batch encoder), the
+//!   `global_pca05` scoping benchmark (an accidental return to the
 //!   dense-SVD hot path is ~10× slower), the `size/` + `unlinkable/`
 //!   smoke entries of the `scaling` group (the sweep must stay inside
 //!   the verify smoke budget) — the `size/` family includes the budgeted
@@ -42,7 +43,8 @@ const BUDGET_HEADROOM: f64 = 2.0;
 /// record group, and the id prefix selecting the gated records. Families
 /// with several matching records (the scaling sweeps) gate on the worst
 /// median.
-const BUDGET_GATES: [(&str, &str, &str); 4] = [
+const BUDGET_GATES: [(&str, &str, &str); 5] = [
+    ("encode_catalog_ns", "scoping", "encode_catalog/"),
     ("global_pca05_ns", "scoping", "global_pca05/"),
     ("scaling_size_ns", "scaling", "size/"),
     ("scaling_unlinkable_ns", "scaling", "unlinkable/"),

@@ -18,14 +18,33 @@
 //!    `CUSTOMER + NUMBER`), mimicking BERT's WordPiece; an
 //!    initial-prefix rule maps `CNAME`/`CID`-style abbreviations onto
 //!    `NAME`/`ID` with a stronger surface component.
+//!
+//! ## The batch plan
+//!
+//! Like the paper's phase I, a catalog is embedded in one batch, and each
+//! distinct label is encoded once. [`SignatureEncoder::encode_lists`]
+//! first *plans*: it tokenizes every text once and interns the distinct
+//! tokens, their direction labels (trigrams, `concept:`/`domain:` labels)
+//! and the concept vectors built from those as recipes with dense ids in
+//! first-use order, counting every use. It then pools every text straight
+//! into its own list's output matrix, evaluating each recipe on its first
+//! use — a seeded direction is generated once — and dropping its vector
+//! after its last. Sums keep their order — trigrams by position, the
+//! hypernym chain by chain, pooling by token — so a row is bit-identical
+//! to encoding its text alone.
+//!
+//! A vector is live only between its first and last use, and uses follow
+//! first-use order, so the live set is bounded by what nearby texts share
+//! rather than by the batch size: at most 228 of OC3-FO's 987 recipes are
+//! live at once, 498 of 1,231 on a generated 1128-element catalog, and
+//! 1,348 of 6,224 on an 11250-element one. Nothing outlives the call.
 
-use crate::hash::{seeded_direction, trigram_vector};
+use crate::hash::seeded_direction;
 use crate::lexicon::{domains, ConceptEntry, Lexicon};
 use cs_linalg::vecops::{axpy, normalize};
 use cs_linalg::Matrix;
-use cs_schema::text::tokenize;
+use cs_schema::text::{tokenize, trigrams};
 use std::collections::HashMap;
-use std::sync::RwLock;
 
 /// Tunable knobs of the encoder. The defaults are what every experiment in
 /// the workspace uses; they were chosen once to produce plausible
@@ -73,13 +92,14 @@ impl Default for EncoderConfig {
     }
 }
 
-/// The encoder `E`. Cheap to clone conceptually but owns caches; share one
-/// instance per experiment. Thread-safe: token vectors are cached behind an
-/// `RwLock`.
+/// The encoder `E`: a configuration and a lexicon, nothing else. Every
+/// call plans its own batch (module docs) and keeps nothing afterwards,
+/// so an encoder is a plain value — clone it, share it across threads, or
+/// build a fresh one per pass; the signatures are the same bits.
+#[derive(Clone)]
 pub struct SignatureEncoder {
     config: EncoderConfig,
     lexicon: Lexicon,
-    token_cache: RwLock<HashMap<String, Vec<f64>>>,
 }
 
 impl Default for SignatureEncoder {
@@ -97,11 +117,7 @@ impl SignatureEncoder {
                 && (0.0..=1.0).contains(&config.abbrev_surface_blend),
             "blends must lie in [0, 1]"
         );
-        Self {
-            config,
-            lexicon,
-            token_cache: RwLock::new(HashMap::new()),
-        }
+        Self { config, lexicon }
     }
 
     /// The active configuration.
@@ -122,159 +138,41 @@ impl SignatureEncoder {
     /// Encodes one serialized metadata text into a unit-norm signature.
     /// Empty or symbol-only text yields the zero vector.
     pub fn encode(&self, text: &str) -> Vec<f64> {
-        let tokens = tokenize(text);
-        let mut acc = vec![0.0; self.config.dim];
-        let mut total_weight = 0.0;
-        let mut first = true;
-        for tok in &tokens {
-            if tok.chars().all(|c| c.is_ascii_digit()) {
-                continue; // bare numbers carry no schema semantics
-            }
-            let position = if first {
-                1.0
-            } else {
-                self.config.context_weight
-            };
-            first = false;
-            let w = self.pool_weight(tok) * position;
-            let v = self.token_vector(tok);
-            axpy(&mut acc, w, &v);
-            total_weight += w;
-        }
-        if total_weight > 0.0 {
-            normalize(&mut acc);
-        }
-        acc
+        self.encode_lists(&[&[text]])
+            .pop()
+            .expect("one list in, one matrix out")
+            .into_vec()
     }
 
     /// Encodes a batch of texts into a row-per-text matrix.
     pub fn encode_batch(&self, texts: &[String]) -> Matrix {
-        let rows: Vec<Vec<f64>> = texts.iter().map(|t| self.encode(t)).collect();
-        if rows.is_empty() {
-            Matrix::zeros(0, self.config.dim)
-        } else {
-            Matrix::from_rows(&rows)
-        }
+        self.encode_lists(&[texts])
+            .pop()
+            .expect("one list in, one matrix out")
     }
 
-    /// Pooling weight of a token (SQL type words are down-weighted).
-    fn pool_weight(&self, token: &str) -> f64 {
-        match self.lexicon.resolve(token) {
-            Some(e) if e.domain == domains::TYPE => self.config.type_word_weight,
-            _ => 1.0,
-        }
+    /// Encodes several lists of texts — a catalog's per-schema
+    /// serializations — as one planned batch, returning one
+    /// row-per-text matrix (`len × dim`) per list. Row `i` of matrix `k`
+    /// is bit-identical to `encode(lists[k][i])`, whatever else the batch
+    /// holds.
+    pub fn encode_lists<S: AsRef<str>>(&self, lists: &[&[S]]) -> Vec<Matrix> {
+        BatchPlan::new(self, lists).encode()
     }
 
-    /// The (cached) vector of one uppercase token.
-    pub fn token_vector(&self, token: &str) -> Vec<f64> {
-        // Poison recovery, not a panic: a worker that panicked while
-        // holding the cache lock (e.g. an injected fault) must not
-        // cascade into every later encode. The cache itself is a pure
-        // memo table, so the stored values stay valid.
-        //
-        // Both acquisitions report to the runtime sanitizer (DESIGN.md
-        // §12) under one lock name: read and write are *sequential*
-        // here, so a sanitized run records no self-edge — if a future
-        // refactor nests them, the cycle shows up in the lock-order
-        // digest.
-        let read_trace = cs_linalg::sanitize::trace("embed.token_cache");
-        if let Some(v) = self
-            .token_cache
-            .read()
-            .unwrap_or_else(|p| p.into_inner())
-            .get(token)
-        {
-            return v.clone();
+    /// The lexicon concept behind an initial-prefixed abbreviation —
+    /// `CNAME` → `NAME`, `OID` → `ID` — for tokens of at least three
+    /// *characters*. Counted and stripped by char, not byte, so a
+    /// multi-byte first char neither panics on the slice boundary nor
+    /// lets a two-char token through.
+    fn abbreviation(&self, token: &str) -> Option<&ConceptEntry> {
+        let mut chars = token.chars();
+        chars.next()?;
+        let tail = chars.as_str();
+        if tail.chars().count() < 2 {
+            return None;
         }
-        drop(read_trace);
-        let v = self.compute_token_vector(token);
-        let _write_trace = cs_linalg::sanitize::trace("embed.token_cache");
-        self.token_cache
-            .write()
-            .unwrap_or_else(|p| p.into_inner())
-            .insert(token.to_string(), v.clone());
-        v
-    }
-
-    fn compute_token_vector(&self, token: &str) -> Vec<f64> {
-        let surface = trigram_vector(token, self.config.seed, self.config.dim);
-        // 1) Direct lexicon hit.
-        if let Some(entry) = self.lexicon.resolve(token) {
-            return self.blend(
-                self.concept_vector(entry),
-                &surface,
-                self.config.surface_blend,
-            );
-        }
-        // 2) Initial-prefix abbreviation: CNAME → NAME, OID → ID.
-        // Strip one *character*, not one byte — a multi-byte first char
-        // (non-ASCII identifiers) must not panic on the slice boundary.
-        let tail = token
-            .char_indices()
-            .nth(1)
-            .map(|(i, _)| &token[i..])
-            .unwrap_or("");
-        if token.len() >= 3 && !tail.is_empty() {
-            if let Some(entry) = self.lexicon.resolve(tail) {
-                return self.blend(
-                    self.concept_vector(entry),
-                    &surface,
-                    self.config.abbrev_surface_blend,
-                );
-            }
-        }
-        // 3) WordPiece-style segmentation over the lexicon vocabulary.
-        if let Some(pieces) = self.segment(token) {
-            let mut acc = vec![0.0; self.config.dim];
-            for piece in &pieces {
-                let entry = self
-                    .lexicon
-                    .resolve(piece)
-                    .expect("segment returns vocab words");
-                axpy(&mut acc, 1.0, &self.concept_vector(entry));
-            }
-            normalize(&mut acc);
-            return self.blend(acc, &surface, self.config.surface_blend);
-        }
-        // 4) Pure surface form.
-        surface
-    }
-
-    fn blend(&self, mut semantic: Vec<f64>, surface: &[f64], beta: f64) -> Vec<f64> {
-        for x in &mut semantic {
-            *x *= 1.0 - beta;
-        }
-        axpy(&mut semantic, beta, surface);
-        normalize(&mut semantic);
-        semantic
-    }
-
-    /// Concept direction: own direction + decaying hypernym chain + domain.
-    fn concept_vector(&self, entry: &ConceptEntry) -> Vec<f64> {
-        let mut acc = seeded_direction(
-            &format!("concept:{}", entry.concept),
-            self.config.seed,
-            self.config.dim,
-        );
-        for (level, anc) in self.lexicon.ancestors(&entry.concept).iter().enumerate() {
-            let w = self.config.parent_decay.powi(level as i32 + 1);
-            let dir = seeded_direction(
-                &format!("concept:{}", anc.concept),
-                self.config.seed,
-                self.config.dim,
-            );
-            axpy(&mut acc, w, &dir);
-        }
-        if entry.domain != domains::GENERIC {
-            let dir = seeded_direction(
-                &format!("domain:{}", entry.domain),
-                self.config.seed,
-                self.config.dim,
-            );
-            axpy(&mut acc, self.config.domain_pull, &dir);
-        }
-        normalize(&mut acc);
-        acc
+        self.lexicon.resolve(tail)
     }
 
     /// Minimal-piece segmentation of `token` into lexicon vocabulary words
@@ -333,6 +231,314 @@ impl std::fmt::Debug for SignatureEncoder {
     }
 }
 
+/// How a token's semantic part is built; the surface part is always its
+/// trigram sum.
+enum Semantic {
+    /// Out of lexicon and unsegmentable: the surface form alone.
+    Surface,
+    /// One concept vector blended with the surface at the given share
+    /// (direct lexicon hit or abbreviation).
+    Concept(usize, f64),
+    /// WordPiece-style pieces: the normalized sum of their concept
+    /// vectors, blended at the surface share.
+    Pieces(Vec<usize>),
+}
+
+/// A vector of the batch, by what it is built from.
+enum Recipe {
+    /// A seeded Gaussian direction (a trigram, `concept:` or `domain:`
+    /// label).
+    Direction(String),
+    /// A concept vector: its own direction, then `(direction, weight)`
+    /// terms — the hypernym chain in chain order, then the domain.
+    Concept {
+        own: usize,
+        terms: Vec<(usize, f64)>,
+    },
+    /// A distinct token: its trigram directions in position order, its
+    /// semantic part, and its pooling weight (SQL type words are
+    /// down-weighted).
+    Token {
+        grams: Vec<usize>,
+        semantic: Semantic,
+        weight: f64,
+    },
+}
+
+/// The plan of one [`SignatureEncoder::encode_lists`] call.
+///
+/// Every text is tokenized once; distinct tokens, direction labels and
+/// concept vectors are interned as recipes with dense ids in first-use
+/// order (the maps are only probed, never iterated), and every reference
+/// to a recipe is counted so the evaluation can drop its vector after the
+/// last one.
+struct BatchPlan<'e> {
+    encoder: &'e SignatureEncoder,
+    label_ids: HashMap<String, usize>,
+    concept_ids: HashMap<String, usize>,
+    token_ids: HashMap<String, usize>,
+    recipes: Vec<Recipe>,
+    /// Counted references to each recipe.
+    uses: Vec<u32>,
+    /// Token recipe ids of every text in text order, bare numbers left
+    /// out.
+    occurrences: Vec<u32>,
+    /// End of each text's run in `occurrences`.
+    text_ends: Vec<usize>,
+    list_lens: Vec<usize>,
+}
+
+impl<'e> BatchPlan<'e> {
+    fn new<S: AsRef<str>>(encoder: &'e SignatureEncoder, lists: &[&[S]]) -> Self {
+        let mut plan = Self {
+            encoder,
+            label_ids: HashMap::new(),
+            concept_ids: HashMap::new(),
+            token_ids: HashMap::new(),
+            recipes: Vec::new(),
+            uses: Vec::new(),
+            occurrences: Vec::new(),
+            text_ends: Vec::new(),
+            list_lens: lists.iter().map(|l| l.len()).collect(),
+        };
+        for text in lists.iter().flat_map(|l| l.iter()) {
+            for tok in tokenize(text.as_ref()) {
+                if tok.chars().all(|c| c.is_ascii_digit()) {
+                    continue; // bare numbers carry no schema semantics
+                }
+                let id = plan.token(&tok);
+                plan.occurrences
+                    .push(u32::try_from(id).expect("fewer than 2^32 recipes"));
+            }
+            plan.text_ends.push(plan.occurrences.len());
+        }
+        plan
+    }
+
+    fn recipe(&mut self, recipe: Recipe) -> usize {
+        self.recipes.push(recipe);
+        self.uses.push(0);
+        self.recipes.len() - 1
+    }
+
+    /// Counts one use of the seeded direction of `label`.
+    fn direction(&mut self, label: &str) -> usize {
+        let id = match self.label_ids.get(label) {
+            Some(&id) => id,
+            None => {
+                let id = self.recipe(Recipe::Direction(label.to_string()));
+                self.label_ids.insert(label.to_string(), id);
+                id
+            }
+        };
+        self.uses[id] += 1;
+        id
+    }
+
+    /// Counts one use of a concept vector: own direction + decaying
+    /// hypernym chain + domain.
+    fn concept(&mut self, entry: &ConceptEntry) -> usize {
+        let id = match self.concept_ids.get(&entry.concept) {
+            Some(&id) => id,
+            None => {
+                let config = &self.encoder.config;
+                let (decay, pull) = (config.parent_decay, config.domain_pull);
+                let own = self.direction(&format!("concept:{}", entry.concept));
+                let mut terms = Vec::new();
+                let ancestors = self.encoder.lexicon.ancestors(&entry.concept);
+                for (level, anc) in ancestors.iter().enumerate() {
+                    let dir = self.direction(&format!("concept:{}", anc.concept));
+                    terms.push((dir, decay.powi(level as i32 + 1)));
+                }
+                if entry.domain != domains::GENERIC {
+                    terms.push((self.direction(&format!("domain:{}", entry.domain)), pull));
+                }
+                let id = self.recipe(Recipe::Concept { own, terms });
+                self.concept_ids.insert(entry.concept.clone(), id);
+                id
+            }
+        };
+        self.uses[id] += 1;
+        id
+    }
+
+    /// Counts one occurrence of a token, planning its vector on first
+    /// sight.
+    fn token(&mut self, token: &str) -> usize {
+        if let Some(&id) = self.token_ids.get(token) {
+            self.uses[id] += 1;
+            return id;
+        }
+        let encoder = self.encoder;
+        let config = &encoder.config;
+        let grams = trigrams(token).iter().map(|g| self.direction(g)).collect();
+        let mut weight = 1.0;
+        // 1) Direct lexicon hit; 2) initial-prefix abbreviation;
+        // 3) WordPiece-style segmentation; 4) pure surface form.
+        let semantic = if let Some(entry) = encoder.lexicon.resolve(token) {
+            if entry.domain == domains::TYPE {
+                weight = config.type_word_weight;
+            }
+            Semantic::Concept(self.concept(entry), config.surface_blend)
+        } else if let Some(entry) = encoder.abbreviation(token) {
+            Semantic::Concept(self.concept(entry), config.abbrev_surface_blend)
+        } else if let Some(pieces) = encoder.segment(token) {
+            Semantic::Pieces(
+                pieces
+                    .iter()
+                    .map(|p| {
+                        let entry = encoder.lexicon.resolve(p);
+                        self.concept(entry.expect("segment returns vocab words"))
+                    })
+                    .collect(),
+            )
+        } else {
+            Semantic::Surface
+        };
+        let id = self.recipe(Recipe::Token {
+            grams,
+            semantic,
+            weight,
+        });
+        self.uses[id] += 1;
+        self.token_ids.insert(token.to_string(), id);
+        id
+    }
+
+    /// Pools every text straight into its list's output matrix: the
+    /// weighted mean of its token vectors in token order, L2-normalized.
+    fn encode(&self) -> Vec<Matrix> {
+        let config = &self.encoder.config;
+        let mut live = Live {
+            slots: vec![None; self.recipes.len()],
+            uses: self.uses.clone(),
+            spare: Vec::new(),
+        };
+        let mut ends = self.text_ends.iter();
+        let mut start = 0;
+        let out = self
+            .list_lens
+            .iter()
+            .map(|&len| {
+                let mut m = Matrix::zeros(len, config.dim);
+                for r in 0..len {
+                    let end = *ends.next().expect("one end per text");
+                    let acc = m.row_mut(r);
+                    let mut total_weight = 0.0;
+                    for (i, &t) in self.occurrences[start..end].iter().enumerate() {
+                        let t = t as usize;
+                        let Recipe::Token { weight, .. } = self.recipes[t] else {
+                            unreachable!("occurrences hold token recipes")
+                        };
+                        let position = if i == 0 { 1.0 } else { config.context_weight };
+                        let w = weight * position;
+                        axpy(acc, w, self.vector(&mut live, t));
+                        live.release(t);
+                        total_weight += w;
+                    }
+                    if total_weight > 0.0 {
+                        normalize(acc);
+                    }
+                    start = end;
+                }
+                m
+            })
+            .collect();
+        debug_assert!(
+            live.slots.iter().all(Option::is_none),
+            "a vector outlived its uses"
+        );
+        out
+    }
+
+    /// The vector of recipe `id`, evaluated now if it is not live. Each
+    /// recipe is evaluated once, on its first use.
+    fn vector<'l>(&self, live: &'l mut Live, id: usize) -> &'l [f64] {
+        if live.slots[id].is_none() {
+            let config = &self.encoder.config;
+            let mut v = live.buffer(config.dim);
+            match &self.recipes[id] {
+                Recipe::Direction(label) => seeded_direction(label, config.seed, &mut v),
+                Recipe::Concept { own, terms } => {
+                    v.copy_from_slice(self.vector(live, *own));
+                    live.release(*own);
+                    for &(dir, w) in terms {
+                        axpy(&mut v, w, self.vector(live, dir));
+                        live.release(dir);
+                    }
+                    normalize(&mut v);
+                }
+                Recipe::Token {
+                    grams, semantic, ..
+                } => {
+                    let mut surface = live.buffer(config.dim);
+                    surface.fill(0.0);
+                    for &g in grams {
+                        axpy(&mut surface, 1.0, self.vector(live, g));
+                        live.release(g);
+                    }
+                    normalize(&mut surface);
+                    match semantic {
+                        Semantic::Surface => v.copy_from_slice(&surface),
+                        &Semantic::Concept(c, beta) => {
+                            blend_into(&mut v, self.vector(live, c), &surface, beta);
+                            live.release(c);
+                        }
+                        Semantic::Pieces(concepts) => {
+                            let mut pieces = live.buffer(config.dim);
+                            pieces.fill(0.0);
+                            for &c in concepts {
+                                axpy(&mut pieces, 1.0, self.vector(live, c));
+                                live.release(c);
+                            }
+                            normalize(&mut pieces);
+                            blend_into(&mut v, &pieces, &surface, config.surface_blend);
+                            live.spare.push(pieces);
+                        }
+                    }
+                    live.spare.push(surface);
+                }
+            }
+            live.slots[id] = Some(v);
+        }
+        live.slots[id].as_deref().expect("evaluated above")
+    }
+}
+
+/// The live vectors of one evaluation and their remaining uses.
+struct Live {
+    slots: Vec<Option<Vec<f64>>>,
+    uses: Vec<u32>,
+    /// Buffers of dropped vectors, reused for the next evaluation.
+    spare: Vec<Vec<f64>>,
+}
+
+impl Live {
+    /// A `dim`-long buffer with unspecified contents.
+    fn buffer(&mut self, dim: usize) -> Vec<f64> {
+        self.spare.pop().unwrap_or_else(|| vec![0.0; dim])
+    }
+
+    /// Consumes one counted use of `id`; the last one drops its vector.
+    fn release(&mut self, id: usize) {
+        self.uses[id] -= 1;
+        if self.uses[id] == 0 {
+            if let Some(v) = self.slots[id].take() {
+                self.spare.push(v);
+            }
+        }
+    }
+}
+
+/// `row = normalize((1 − beta)·semantic + beta·surface)`.
+fn blend_into(row: &mut [f64], semantic: &[f64], surface: &[f64], beta: f64) {
+    for (x, &s) in row.iter_mut().zip(semantic) {
+        *x = s * (1.0 - beta);
+    }
+    axpy(row, beta, surface);
+    normalize(row);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -359,28 +565,87 @@ mod tests {
         assert!(v.iter().all(|&x| x == 0.0));
     }
 
-    #[test]
-    fn hostile_text_never_produces_non_finite_signatures() {
-        // Degenerate serialized metadata — whitespace runs, repeated
-        // tokens, huge identifiers, control characters, non-ASCII —
-        // must encode to finite vectors (NaN here would silently poison
-        // every downstream PCA).
-        let e = enc();
-        let huge = "X".repeat(10_000);
-        let hostile = [
+    /// Degenerate serialized metadata — whitespace runs, repeated tokens,
+    /// huge identifiers, control characters, non-ASCII.
+    fn hostile_texts() -> Vec<String> {
+        [
             "   \t\n  ",
             "A A A A A A A A A A A A A A A A",
-            huge.as_str(),
+            &"X".repeat(10_000),
             "NULL NULL NULL []",
             "\u{0}\u{1}\u{2}",
             "ÜBERWEISUNG Ω λ 名前",
             "-- ; DROP TABLE []",
-        ];
-        for text in hostile {
-            let v = e.encode(text);
+        ]
+        .iter()
+        .map(|t| t.to_string())
+        .collect()
+    }
+
+    #[test]
+    fn hostile_text_never_produces_non_finite_signatures() {
+        // NaN here would silently poison every downstream PCA.
+        let e = enc();
+        for text in hostile_texts() {
+            let v = e.encode(&text);
             assert!(
                 v.iter().all(|x| x.is_finite()),
                 "non-finite signature for {text:?}"
+            );
+        }
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn batch_rows_equal_single_encodes_bit_for_bit() {
+        // Duplicates, a permutation, empty and digit-only texts, hostile
+        // texts and every token path (lexicon hit, type word,
+        // abbreviation, segmentation, pure surface): a row must not depend
+        // on what else the batch holds or in which order.
+        let mut texts: Vec<String> = [
+            "CLIENT [CID, NAME]",
+            "CNAME CAR VARCHAR",
+            "ORDERDATE ORDERS DATE",
+            "CUSTOMERNUMBER CUSTOMERS INTEGER",
+            "XYLOPHRAX QUIMBLETON",
+            "",
+            "2024 17",
+            "ADDRESS1 CUSTOMER VARCHAR",
+            "CLIENT [CID, NAME]",
+            "CITY ADDRESS",
+        ]
+        .iter()
+        .map(|t| t.to_string())
+        .collect();
+        texts.extend(hostile_texts());
+        let mut permuted = texts.clone();
+        permuted.reverse();
+        permuted.rotate_left(3);
+        for dim in [64, 768] {
+            let e = SignatureEncoder::new(
+                EncoderConfig {
+                    dim,
+                    ..EncoderConfig::default()
+                },
+                Lexicon::default_lexicon(),
+            );
+            let lists: [&[String]; 3] = [&texts, &[], &permuted];
+            let out = e.encode_lists(&lists);
+            assert_eq!(out.len(), 3);
+            assert_eq!(out[1].shape(), (0, dim));
+            for (list, m) in lists.iter().zip(&out) {
+                assert_eq!(m.shape(), (list.len(), dim));
+                for (i, text) in list.iter().enumerate() {
+                    let alone = e.encode(text);
+                    assert_eq!(bits(m.row(i)), bits(&alone), "{dim}-d {text:?}");
+                }
+            }
+            assert_eq!(
+                bits(e.encode_batch(&texts).as_slice()),
+                bits(out[0].as_slice())
             );
         }
     }
@@ -465,6 +730,51 @@ mod tests {
         // But different abbreviations stay distinguishable.
         let cid_oid = e.similarity("CID", "OID");
         assert!(cid_oid < 0.98);
+    }
+
+    #[test]
+    fn abbreviation_rule_counts_chars_not_bytes() {
+        // `ÉQ` is two chars but three bytes: too short for the
+        // initial-prefix rule, so a lexicon entry for its tail `Q` must
+        // not change it. `ÉQX` is three chars, so its tail `QX` applies.
+        let mut entries = Lexicon::default_lexicon().entries().to_vec();
+        let plain = SignatureEncoder::new(EncoderConfig::default(), Lexicon::new(entries.clone()));
+        entries.push(ConceptEntry::new(
+            "probe",
+            None,
+            domains::GENERIC,
+            &["Q", "QX"],
+        ));
+        let probed = SignatureEncoder::new(EncoderConfig::default(), Lexicon::new(entries));
+        for two_chars in ["ÉQ", "AQ"] {
+            assert_eq!(
+                bits(&probed.encode(two_chars)),
+                bits(&plain.encode(two_chars)),
+                "{two_chars}"
+            );
+        }
+        assert_ne!(bits(&probed.encode("ÉQX")), bits(&plain.encode("ÉQX")));
+        assert_ne!(bits(&probed.encode("AQX")), bits(&plain.encode("AQX")));
+    }
+
+    #[test]
+    fn out_of_lexicon_spellings_share_surface_mass() {
+        // Out-of-lexicon, unsegmentable tokens are their trigram sum.
+        let e = enc();
+        let a = e.encode("XYLOPHRAX");
+        let b = e.encode("XYLOPHRAXES");
+        let c = e.encode("QUIMBLETON");
+        assert!((norm(&a) - 1.0).abs() < 1e-12);
+        assert!(
+            cosine(&a, &b) > 0.6,
+            "near-identical spellings: {}",
+            cosine(&a, &b)
+        );
+        assert!(
+            cosine(&a, &c) < 0.3,
+            "unrelated spellings: {}",
+            cosine(&a, &c)
+        );
     }
 
     #[test]

@@ -1,16 +1,21 @@
-//! Feature hashing of character trigrams into Gaussian directions.
+//! Feature hashing of labels into seeded Gaussian directions.
 //!
 //! Out-of-lexicon tokens still need a stable vector, and in-lexicon tokens
 //! need a small surface-form component so `ORDERDATE` and `ORDER_DATETIME`
 //! do not collapse onto identical points. Both come from hashing the
 //! token's boundary-padded character trigrams
-//! ([`cs_schema::text::trigrams`]): each trigram seeds a unit
-//! Gaussian direction, and the token vector is the normalized sum. Tokens
-//! sharing trigrams (similar spellings) therefore share vector mass —
-//! a smooth, deterministic analog of subword embeddings.
+//! ([`cs_schema::text::trigrams`]): each trigram seeds a unit Gaussian
+//! direction, and the token's surface vector is their normalized sum.
+//! Tokens sharing trigrams (similar spellings) therefore share vector
+//! mass — a smooth, deterministic analog of subword embeddings. Concept
+//! and domain directions are the same hash over `concept:`/`domain:`
+//! labels.
+//!
+//! A direction is a pure function of `(label, seed, dim)`, so the encoder's
+//! batch plan (`crate::encoder`) generates each distinct label once per
+//! batch, into a recycled buffer, and drops it after its last use.
 
 use cs_linalg::{SplitMix64, Xoshiro256};
-use cs_schema::text::trigrams;
 
 /// FNV-1a hash of a byte string — stable across platforms and runs.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
@@ -22,27 +27,14 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Deterministic unit Gaussian direction for an arbitrary label.
+/// Writes the deterministic unit Gaussian direction of an arbitrary label
+/// into `out` (its length is the dimension).
 ///
-/// The same `(label, seed, dim)` always produces the same vector.
-pub fn seeded_direction(label: &str, seed: u64, dim: usize) -> Vec<f64> {
+/// The same `(label, seed, out.len())` always produces the same vector.
+pub fn seeded_direction(label: &str, seed: u64, out: &mut [f64]) {
     let mut rng = Xoshiro256::seed_from(SplitMix64::new(fnv1a(label.as_bytes()) ^ seed).next_u64());
-    let mut v = vec![0.0; dim];
-    rng.fill_gaussian(&mut v);
-    cs_linalg::vecops::normalize(&mut v);
-    v
-}
-
-/// Normalized sum of the trigram directions of `token` — its surface-form
-/// vector.
-pub fn trigram_vector(token: &str, seed: u64, dim: usize) -> Vec<f64> {
-    let mut acc = vec![0.0; dim];
-    for gram in trigrams(token) {
-        let dir = seeded_direction(&gram, seed, dim);
-        cs_linalg::vecops::axpy(&mut acc, 1.0, &dir);
-    }
-    cs_linalg::vecops::normalize(&mut acc);
-    acc
+    rng.fill_gaussian(out);
+    cs_linalg::vecops::normalize(out);
 }
 
 #[cfg(test)]
@@ -58,45 +50,27 @@ mod tests {
         assert_eq!(fnv1a(b"foobar"), 0x85944171f73967e8);
     }
 
+    fn direction(label: &str, seed: u64, dim: usize) -> Vec<f64> {
+        let mut v = vec![0.0; dim];
+        seeded_direction(label, seed, &mut v);
+        v
+    }
+
     #[test]
     fn directions_are_deterministic_and_unit() {
-        let a = seeded_direction("CUSTOMER", 1, 64);
-        let b = seeded_direction("CUSTOMER", 1, 64);
+        let a = direction("CUSTOMER", 1, 64);
+        let b = direction("CUSTOMER", 1, 64);
         assert_eq!(a, b);
         assert!((norm(&a) - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn directions_differ_by_label_and_seed() {
-        let a = seeded_direction("CUSTOMER", 1, 256);
-        let b = seeded_direction("PRODUCT", 1, 256);
-        let c = seeded_direction("CUSTOMER", 2, 256);
+        let a = direction("CUSTOMER", 1, 256);
+        let b = direction("PRODUCT", 1, 256);
+        let c = direction("CUSTOMER", 2, 256);
         // Random 256-d directions are near-orthogonal.
         assert!(cosine(&a, &b).abs() < 0.25);
         assert!(cosine(&a, &c).abs() < 0.25);
-    }
-
-    #[test]
-    fn similar_spellings_share_mass() {
-        let dim = 768;
-        let a = trigram_vector("ORDERDATE", 7, dim);
-        let b = trigram_vector("ORDERDATES", 7, dim);
-        let c = trigram_vector("CIRCUIT", 7, dim);
-        assert!(
-            cosine(&a, &b) > 0.6,
-            "near-identical spellings: {}",
-            cosine(&a, &b)
-        );
-        assert!(
-            cosine(&a, &c) < 0.3,
-            "unrelated spellings: {}",
-            cosine(&a, &c)
-        );
-    }
-
-    #[test]
-    fn trigram_vector_is_unit() {
-        let v = trigram_vector("PAYMENT", 3, 128);
-        assert!((norm(&v) - 1.0).abs() < 1e-12);
     }
 }

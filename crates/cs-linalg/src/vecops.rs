@@ -20,9 +20,15 @@ pub fn normalize(v: &mut [f64]) {
 
 /// Cosine similarity in `[-1, 1]`; zero if either vector is all-zero.
 pub fn cosine(a: &[f64], b: &[f64]) -> f64 {
+    cosine_with_norms(a, norm(a), b, norm(b))
+}
+
+/// [`cosine`] given both vectors' norms (`na = norm(a)`, `nb = norm(b)`),
+/// for callers that score each vector against many: one dot product per
+/// pair instead of three, with the same guard and clamp, so the same bits.
+#[inline]
+pub fn cosine_with_norms(a: &[f64], na: f64, b: &[f64], nb: f64) -> f64 {
     assert_eq!(a.len(), b.len(), "cosine length mismatch");
-    let na = norm(a);
-    let nb = norm(b);
     if na == 0.0 || nb == 0.0 {
         return 0.0;
     }

@@ -2,10 +2,11 @@
 //!
 //! Enumerates the full Cartesian product of every schema pair (the
 //! "Preparation" module of Zhang et al.) and keeps pairs whose cosine
-//! similarity meets the threshold `t`.
+//! similarity meets the threshold `t`. Each row's norm is computed once
+//! per set, so a pair costs one dot product.
 
 use crate::{CandidatePair, ElementSet, Matcher};
-use cs_linalg::vecops::cosine;
+use cs_linalg::vecops::{cosine_with_norms, norm};
 
 /// Cosine-threshold matcher.
 #[derive(Debug, Clone, Copy)]
@@ -35,14 +36,23 @@ impl Matcher for SimMatcher {
     }
 
     fn match_pairs(&self, sets: &[ElementSet]) -> Vec<CandidatePair> {
+        let norms: Vec<Vec<f64>> = sets
+            .iter()
+            .map(|s| {
+                (0..s.ids.len())
+                    .map(|r| norm(s.signatures.row(r)))
+                    .collect()
+            })
+            .collect();
         let mut out = Vec::new();
         for i in 0..sets.len() {
             for j in (i + 1)..sets.len() {
                 let (x, y) = (&sets[i], &sets[j]);
                 for (xi, xid) in x.ids.iter().enumerate() {
-                    let xrow = x.signatures.row(xi);
+                    let (xrow, xnorm) = (x.signatures.row(xi), norms[i][xi]);
                     for (yi, yid) in y.ids.iter().enumerate() {
-                        if cosine(xrow, y.signatures.row(yi)) >= self.threshold {
+                        let c = cosine_with_norms(xrow, xnorm, y.signatures.row(yi), norms[j][yi]);
+                        if c >= self.threshold {
                             out.push(CandidatePair::new(*xid, *yid));
                         }
                     }
@@ -117,6 +127,42 @@ mod tests {
             ElementSet::full(1, Matrix::zeros(0, 3)),
         ];
         assert!(SimMatcher::new(0.5).match_pairs(&empty).is_empty());
+    }
+
+    #[test]
+    fn pairs_equal_per_pair_cosine_reference() {
+        // Random sets with a zero row and a NaN row: hoisting the norms
+        // must keep exactly the pairs a per-pair `cosine` keeps.
+        use cs_linalg::vecops::cosine;
+        use cs_linalg::{SplitMix64, Xoshiro256};
+        let mut rng = Xoshiro256::seed_from(SplitMix64::new(17).next_u64());
+        let dim = 24;
+        let mut sets = Vec::new();
+        for (k, rows) in [7, 5, 9].into_iter().enumerate() {
+            let mut m = Matrix::zeros(rows, dim);
+            rng.fill_gaussian(m.as_mut_slice());
+            m.row_mut(1).fill(0.0);
+            if k == 1 {
+                m.row_mut(3)[5] = f64::NAN;
+            }
+            sets.push(ElementSet::full(k, m));
+        }
+        for t in [-1.0, -0.2, 0.0, 0.1, 0.3] {
+            let mut reference = Vec::new();
+            for i in 0..sets.len() {
+                for j in (i + 1)..sets.len() {
+                    for (xi, xid) in sets[i].ids.iter().enumerate() {
+                        for (yi, yid) in sets[j].ids.iter().enumerate() {
+                            let (x, y) = (sets[i].signatures.row(xi), sets[j].signatures.row(yi));
+                            if cosine(x, y) >= t {
+                                reference.push(CandidatePair::new(*xid, *yid));
+                            }
+                        }
+                    }
+                }
+            }
+            assert_eq!(SimMatcher::new(t).match_pairs(&sets), reference, "t = {t}");
+        }
     }
 
     #[test]

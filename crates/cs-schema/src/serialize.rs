@@ -10,7 +10,7 @@
 //! individual metadata parts off (Section 5 of DESIGN.md).
 
 use crate::catalog::{Catalog, ElementId};
-use crate::model::{Attribute, ElementRef, Table};
+use crate::model::{Attribute, ElementRef, Schema, Table};
 
 /// Which metadata parts participate in the serialization. The default
 /// matches the paper exactly (everything on).
@@ -80,8 +80,11 @@ pub fn serialize_table(table: &Table, opts: &SerializeOptions) -> String {
 
 /// Serializes one catalog element (dispatching on table vs attribute).
 pub fn serialize_element(catalog: &Catalog, id: ElementId, opts: &SerializeOptions) -> String {
-    let schema = catalog.schema(id.schema);
-    match catalog.element_ref(id) {
+    serialize_ref(catalog.schema(id.schema), catalog.element_ref(id), opts)
+}
+
+fn serialize_ref(schema: &Schema, element: ElementRef, opts: &SerializeOptions) -> String {
+    match element {
         ElementRef::Table { table } => serialize_table(&schema.tables[table], opts),
         ElementRef::Attribute { table, attribute } => {
             let t = &schema.tables[table];
@@ -97,17 +100,19 @@ pub fn serialize_schema_elements(
     schema: usize,
     opts: &SerializeOptions,
 ) -> Vec<String> {
-    catalog
-        .schema_element_ids(schema)
+    // One enumeration of the schema, not one per element.
+    let schema = catalog.schema(schema);
+    schema
+        .element_refs()
         .into_iter()
-        .map(|id| serialize_element(catalog, id, opts))
+        .map(|r| serialize_ref(schema, r, opts))
         .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{Constraint, DataType, Schema};
+    use crate::model::{Constraint, DataType};
 
     fn client_table() -> Table {
         Table::new(
@@ -166,6 +171,13 @@ mod tests {
         assert_eq!(texts.len(), 5);
         assert!(texts[0].starts_with("CID CLIENT"));
         assert!(texts[4].starts_with("CLIENT ["));
+        for (e, text) in texts.iter().enumerate() {
+            let id = ElementId::new(0, e);
+            assert_eq!(
+                text,
+                &serialize_element(&catalog, id, &SerializeOptions::default())
+            );
+        }
     }
 
     #[test]
