@@ -16,7 +16,6 @@ use crate::outcome::ScopingOutcome;
 use crate::pool::ExecPolicy;
 use crate::signatures::SchemaSignatures;
 use cs_linalg::pca::ExplainedVariance;
-use cs_linalg::PcaSolver;
 
 /// How the verdicts of the foreign models are combined. The paper uses
 /// [`CombinationRule::Any`]; the others exist for the ablation study.
@@ -101,7 +100,6 @@ pub struct CollaborativeScoperBuilder {
     v: f64,
     rule: CombinationRule,
     exec: ExecPolicy,
-    solver: PcaSolver,
 }
 
 impl CollaborativeScoperBuilder {
@@ -114,13 +112,6 @@ impl CollaborativeScoperBuilder {
     /// Sets how foreign-model verdicts are combined.
     pub fn combination(mut self, rule: CombinationRule) -> Self {
         self.rule = rule;
-        self
-    }
-
-    /// Pins the PCA eigensolver used when training local models
-    /// ([`PcaSolver::Auto`] by default: the exact Gram path).
-    pub fn pca_solver(mut self, solver: PcaSolver) -> Self {
-        self.solver = solver;
         self
     }
 
@@ -144,7 +135,6 @@ impl CollaborativeScoperBuilder {
             v: self.v,
             rule: self.rule,
             exec: self.exec,
-            solver: self.solver,
         })
     }
 }
@@ -155,7 +145,6 @@ pub struct CollaborativeScoper {
     v: f64,
     rule: CombinationRule,
     exec: ExecPolicy,
-    solver: PcaSolver,
 }
 
 impl CollaborativeScoper {
@@ -167,7 +156,6 @@ impl CollaborativeScoper {
             v,
             rule: CombinationRule::Any,
             exec: ExecPolicy::Global,
-            solver: PcaSolver::Auto,
         }
     }
 
@@ -177,7 +165,6 @@ impl CollaborativeScoper {
             v: 0.8,
             rule: CombinationRule::Any,
             exec: ExecPolicy::Global,
-            solver: PcaSolver::Auto,
         }
     }
 
@@ -190,11 +177,6 @@ impl CollaborativeScoper {
     /// The configured explained variance.
     pub fn variance(&self) -> f64 {
         self.v
-    }
-
-    /// The PCA eigensolver local models train with.
-    pub fn pca_solver(&self) -> PcaSolver {
-        self.solver
     }
 
     /// Trains one local model per schema, in parallel (phase II for the
@@ -210,11 +192,8 @@ impl CollaborativeScoper {
             return Err(ScopingError::TooFewSchemas { found: k });
         }
         let sigs = signatures.clone(); // Arc bump, not a data copy
-        let solver = self.solver;
         self.exec
-            .run_slots(k, move |idx| {
-                LocalModel::train_with(idx, sigs.schema(idx), v, solver)
-            })?
+            .run_slots(k, move |idx| LocalModel::train(idx, sigs.schema(idx), v))?
             .into_iter()
             .collect()
     }

@@ -9,7 +9,7 @@
 use crate::assess::LocalAssessor;
 use crate::error::ScopingError;
 use cs_linalg::pca::ExplainedVariance;
-use cs_linalg::{Matrix, Pca, PcaConfig, PcaSolver};
+use cs_linalg::{Matrix, Pca, PcaConfig};
 
 /// Pre-fit input guards, shared with the sweep (`crate::sweep`) so the
 /// strict and graceful paths classify degenerate schemas identically:
@@ -86,25 +86,8 @@ impl LocalModel {
         signatures: &Matrix,
         v: ExplainedVariance,
     ) -> Result<Self, ScopingError> {
-        Self::train_with(schema_index, signatures, v, PcaSolver::Auto)
-    }
-
-    /// [`Self::train`] with the PCA eigensolver pinned — the hook
-    /// `CollaborativeScoper::builder().pca_solver(..)` threads through.
-    /// Every solver honors the same determinism contract, so this only
-    /// trades fitting speed against which numerical path runs.
-    ///
-    /// # Errors
-    /// As [`Self::train`].
-    pub fn train_with(
-        schema_index: usize,
-        signatures: &Matrix,
-        v: ExplainedVariance,
-        solver: PcaSolver,
-    ) -> Result<Self, ScopingError> {
         check_trainable(schema_index, signatures)?;
-        let config = PcaConfig::new().with_variance(v).with_solver(solver);
-        let pca = Pca::fit_with(signatures, config)?;
+        let pca = Pca::fit_with(signatures, PcaConfig::new().with_variance(v))?;
         check_spectrum(schema_index, signatures, &pca)?;
         let own_errors = pca.reconstruction_errors(signatures);
         let linkability_range = own_errors.iter().copied().fold(0.0, f64::max);

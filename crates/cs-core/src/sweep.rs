@@ -22,7 +22,7 @@ use crate::local_model::{check_spectrum, check_trainable};
 use crate::outcome::{DegradedSchema, ScopingOutcome};
 use crate::pool::ExecPolicy;
 use crate::signatures::SchemaSignatures;
-use cs_linalg::{Matrix, Pca, PcaConfig, PcaSolver};
+use cs_linalg::{Matrix, Pca, PcaConfig};
 use cs_schema::ElementId;
 
 /// Cached latent projections of one element set under one model.
@@ -125,19 +125,6 @@ impl CollaborativeSweep {
         signatures: &SchemaSignatures,
         exec: &ExecPolicy,
     ) -> Result<Self, ScopingError> {
-        Self::prepare_with_solver(signatures, exec, PcaSolver::Auto)
-    }
-
-    /// [`Self::prepare_with`] with the PCA eigensolver pinned. The sweep
-    /// needs *full-rank* spectra for its prefix-sum trick, so a
-    /// [`PcaSolver::Truncated`] choice degrades to the exact Gram path
-    /// here (truncation has nothing to skip at full rank) — the pin still
-    /// controls which exact decomposition runs.
-    pub fn prepare_with_solver(
-        signatures: &SchemaSignatures,
-        exec: &ExecPolicy,
-        solver: PcaSolver,
-    ) -> Result<Self, ScopingError> {
         let k = signatures.schema_count();
         if k < 2 {
             return Err(ScopingError::TooFewSchemas { found: k });
@@ -146,11 +133,10 @@ impl CollaborativeSweep {
         // (`LocalModel::train`) applies, so both paths agree on what is
         // degenerate.
         let sigs = signatures.clone();
-        let config = PcaConfig::new().with_solver(solver);
         let fits: Vec<Result<Pca, ScopingError>> = exec.run_slots(k, move |m| {
             let data = sigs.schema(m);
             check_trainable(m, data)?;
-            let pca = Pca::fit_with(data, config)?;
+            let pca = Pca::fit_with(data, PcaConfig::new())?;
             check_spectrum(m, data, &pca)?;
             Ok(pca)
         })?;

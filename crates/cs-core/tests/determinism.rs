@@ -196,13 +196,11 @@ fn global_default_matches_sequential() {
 }
 
 #[test]
-fn every_solver_is_bit_identical_across_worker_counts() {
-    use cs_linalg::{Matrix, PcaSolver, Xoshiro256};
+fn low_rank_scoping_is_bit_identical_across_worker_counts() {
+    use cs_linalg::{Matrix, Xoshiro256};
     let pools = pinned_pools();
-    // Low-rank-plus-noise schemas large enough (~80 rows) that the
-    // truncated solver's subspace iteration actually runs instead of
-    // falling back to the exact Gram path; small enough that the FullSvd
-    // reference stays fast.
+    // Low-rank-plus-noise schemas (~80 rows, 96-d): the shape where the
+    // Gram fit's spectrum has a long near-zero tail.
     let mut rng = Xoshiro256::seed_from(0xDE7E12);
     let dim = 96;
     let rank = 10;
@@ -219,45 +217,36 @@ fn every_solver_is_bit_identical_across_worker_counts() {
         vec![make(80), make(72), make(68)],
         vec!["A".into(), "B".into(), "C".into()],
     );
-    for solver in [PcaSolver::Auto, PcaSolver::FullSvd, PcaSolver::truncated()] {
-        let baseline = CollaborativeScoper::builder()
+    let baseline = CollaborativeScoper::builder()
+        .explained_variance(0.6)
+        .exec(ExecPolicy::Sequential)
+        .build()
+        .expect("valid v")
+        .run(&sigs)
+        .expect("sequential run");
+    for (n, pool) in &pools {
+        let got = CollaborativeScoper::builder()
             .explained_variance(0.6)
-            .pca_solver(solver)
-            .exec(ExecPolicy::Sequential)
+            .exec(ExecPolicy::Pool(Arc::clone(pool)))
             .build()
             .expect("valid v")
             .run(&sigs)
-            .expect("sequential run");
-        for (n, pool) in &pools {
-            let got = CollaborativeScoper::builder()
-                .explained_variance(0.6)
-                .pca_solver(solver)
-                .exec(ExecPolicy::Pool(Arc::clone(pool)))
-                .build()
-                .expect("valid v")
-                .run(&sigs)
-                .expect("pooled run");
-            assert_eq!(got.outcome, baseline.outcome, "{solver:?}, {n} workers");
-            assert_eq!(got.accept_votes, baseline.accept_votes, "{solver:?}");
-            assert_f64_bits_equal(&got.best_margin, &baseline.best_margin, "margins");
-        }
-        // The sweep's full-rank preparation honors the same pin.
-        let seq = CollaborativeSweep::prepare_with_solver(&sigs, &ExecPolicy::Sequential, solver)
+            .expect("pooled run");
+        assert_eq!(got.outcome, baseline.outcome, "{n} workers");
+        assert_eq!(got.accept_votes, baseline.accept_votes, "{n} workers");
+        assert_f64_bits_equal(&got.best_margin, &baseline.best_margin, "margins");
+    }
+    // The sweep's full-rank preparation is just as deterministic.
+    let seq = CollaborativeSweep::prepare_with(&sigs, &ExecPolicy::Sequential).expect("prepare");
+    for (n, pool) in &pools {
+        let par = CollaborativeSweep::prepare_with(&sigs, &ExecPolicy::Pool(Arc::clone(pool)))
             .expect("prepare");
-        for (n, pool) in &pools {
-            let par = CollaborativeSweep::prepare_with_solver(
-                &sigs,
-                &ExecPolicy::Pool(Arc::clone(pool)),
-                solver,
-            )
-            .expect("prepare");
-            for &v in &[0.9, 0.6, 0.3] {
-                assert_eq!(
-                    seq.assess_at(v).expect("assess").decisions,
-                    par.assess_at(v).expect("assess").decisions,
-                    "{solver:?}, {n} workers, v={v}"
-                );
-            }
+        for &v in &[0.9, 0.6, 0.3] {
+            assert_eq!(
+                seq.assess_at(v).expect("assess").decisions,
+                par.assess_at(v).expect("assess").decisions,
+                "{n} workers, v={v}"
+            );
         }
     }
 }

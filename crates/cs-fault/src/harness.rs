@@ -25,7 +25,6 @@ use cs_datasets::synthetic::{
     SyntheticConfig,
 };
 use cs_embed::SignatureEncoder;
-use cs_linalg::PcaSolver;
 use cs_match::{AnnConfig, AnnMatcher, ElementSet, Matcher, SimMatcher};
 use cs_oda::ZScoreDetector;
 
@@ -78,7 +77,7 @@ pub enum SigRecipe {
     /// No schemas at all (config-independent).
     EmptyCatalog,
     /// The gaussian solver-probe catalog with a NaN in schema 1
-    /// (config-independent; exercises every pinned eigensolver).
+    /// (config-independent).
     SolverProbePoison,
 }
 
@@ -112,10 +111,6 @@ pub struct FaultCase {
     /// A substring the joined stage lines must contain ("" = no
     /// constraint beyond determinism and panic-freedom).
     pub expect: &'static str,
-    /// The PCA eigensolver the signature stages pin — every solver must
-    /// surface the same typed errors and obey the same determinism
-    /// contract, so the matrix re-runs the poison scenarios under each.
-    pub solver: PcaSolver,
 }
 
 /// The small synthetic catalog every scenario starts from. Kept tiny so
@@ -138,9 +133,8 @@ fn encode(ds: &cs_datasets::Dataset) -> SchemaSignatures {
     cs_core::encode_catalog(&SignatureEncoder::default(), &ds.catalog)
 }
 
-/// A small gaussian catalog for the per-solver poison cases: enough
-/// structure to train, small enough that even the FullSvd reference is
-/// instant under every policy.
+/// A small gaussian catalog for the solver poison case: enough
+/// structure to train, small enough to be instant under every policy.
 fn solver_probe_sigs() -> SchemaSignatures {
     use cs_linalg::{Matrix, Xoshiro256};
     let mut rng = Xoshiro256::seed_from(0x501_7E2);
@@ -153,93 +147,78 @@ fn solver_probe_sigs() -> SchemaSignatures {
 }
 
 /// The solver-probe catalog with one NaN planted in schema 1: the strict
-/// scoper must reject it with the same typed error under every solver,
-/// while the sweep degrades schema 1 and still fits the healthy schemas
-/// with the pinned solver.
+/// scoper must reject it with a typed error, while the sweep degrades
+/// schema 1 and still fits the healthy schemas.
 fn poisoned_solver_probe() -> SchemaSignatures {
     poison_non_finite(&solver_probe_sigs(), 1, f64::NAN, 0xBAD)
 }
 
 /// The full fault matrix: catalog-level, signature-level, parameter-level
-/// and runtime-level faults, plus the poison scenario re-run under every
-/// pinned [`PcaSolver`].
+/// and runtime-level faults.
 pub fn cases() -> Vec<FaultCase> {
-    let auto = |name, scenario, expect| FaultCase {
+    let case = |name, scenario, expect| FaultCase {
         name,
         scenario,
         expect,
-        solver: PcaSolver::Auto,
     };
-    let mut cases = vec![
-        auto(
+    vec![
+        case(
             "baseline",
             Scenario::Signatures(SigRecipe::Baseline),
             "scoper: kept=",
         ),
-        auto(
+        case(
             "empty_schema",
             Scenario::Signatures(SigRecipe::EmptySchema),
             "has no elements",
         ),
-        auto(
+        case(
             "singleton_schema",
             Scenario::Signatures(SigRecipe::SingletonSchema),
             "too few to train",
         ),
-        auto(
+        case(
             "duplicate_signatures",
             Scenario::Signatures(SigRecipe::DuplicateSignatures),
             "rank-deficient",
         ),
-        auto(
+        case(
             "all_unlinkable",
             Scenario::Signatures(SigRecipe::AllUnlinkable),
             "scoper: kept=",
         ),
-        auto(
+        case(
             "nan_signature",
             Scenario::Signatures(SigRecipe::PoisonNan),
             "NaN/inf entry",
         ),
-        auto(
+        case(
             "inf_signature",
             Scenario::Signatures(SigRecipe::PoisonInf),
             "NaN/inf entry",
         ),
-        auto(
+        case(
             "flattened_schema",
             Scenario::Signatures(SigRecipe::Flattened),
             "rank-deficient",
         ),
-        auto(
+        case(
             "empty_catalog",
             Scenario::Signatures(SigRecipe::EmptyCatalog),
             "needs ≥ 2 schemas",
         ),
-        auto(
+        case(
             "worker_panic",
             Scenario::WorkerPanic,
             "injected fault: worker panic",
         ),
-        auto("invalid_params", Scenario::InvalidParams, "out of range"),
-    ];
-    for (suffix, solver) in [
-        ("auto", PcaSolver::Auto),
-        ("fullsvd", PcaSolver::FullSvd),
-        ("truncated", PcaSolver::truncated()),
-    ] {
-        cases.push(FaultCase {
-            name: match suffix {
-                "auto" => "poison_solver_auto",
-                "fullsvd" => "poison_solver_fullsvd",
-                _ => "poison_solver_truncated",
-            },
-            scenario: Scenario::Signatures(SigRecipe::SolverProbePoison),
-            expect: "NaN/inf entry",
-            solver,
-        });
-    }
-    cases
+        case("invalid_params", Scenario::InvalidParams, "out of range"),
+        case(
+            "poison_solver_auto",
+            Scenario::Signatures(SigRecipe::SolverProbePoison),
+            "NaN/inf entry",
+        ),
+    ]
 }
 
 /// Formats a stage outcome; errors render through their pinned `Display`.
@@ -282,7 +261,7 @@ pub fn run_case_on(case: &FaultCase, config: &SyntheticConfig, exec: &ExecPolicy
         config.schemas
     );
     match case.scenario {
-        Scenario::Signatures(recipe) => run_signature_case(recipe, config, exec, case.solver),
+        Scenario::Signatures(recipe) => run_signature_case(recipe, config, exec),
         Scenario::WorkerPanic => run_worker_panic_case(config, exec),
         Scenario::InvalidParams => run_invalid_params_case(config, exec),
     }
@@ -292,7 +271,6 @@ fn run_signature_case(
     recipe: SigRecipe,
     config: &SyntheticConfig,
     exec: &ExecPolicy,
-    solver: PcaSolver,
 ) -> Vec<String> {
     let sigs = recipe.build(config);
     let mut lines = vec![format!(
@@ -306,7 +284,6 @@ fn run_signature_case(
     lines.push(guarded("scoper", || {
         let run = CollaborativeScoper::builder()
             .explained_variance(STRICT_V)
-            .pca_solver(solver)
             .exec(exec.clone())
             .build()
             .and_then(|s| s.run(&sigs));
@@ -319,7 +296,7 @@ fn run_signature_case(
     // Stage 2: the sweep — must degrade gracefully (skip broken schemas,
     // record them, keep assessing) and agree with its own pointwise path.
     lines.push(guarded("sweep", || {
-        let sweep = match CollaborativeSweep::prepare_with_solver(&sigs, exec, solver) {
+        let sweep = match CollaborativeSweep::prepare_with(&sigs, exec) {
             Ok(s) => s,
             Err(e) => return format!("sweep: error: {e}"),
         };

@@ -157,41 +157,6 @@ pub fn gram_rows(a: &Matrix, tile: usize) -> Matrix {
     out
 }
 
-/// Product `a · b` specialized for a *narrow* right operand (few columns),
-/// the shape of the truncated PCA solver's `G · Q` step where `Q` has
-/// 32–128 columns against a Gram matrix of a few hundred rows.
-///
-/// Each column of `b` is gathered once into a contiguous buffer so every
-/// output element is one full-length [`dot`] over two contiguous slices —
-/// the same floating-point expression as `a.matmul_transposed(bᵀ)`, so the
-/// result is bit-identical to [`Matrix::matmul`]-free reference
-/// `dot(a.row(i), b.col(j))` order and deterministic everywhere.
-///
-/// # Panics
-/// If `a.cols() != b.rows()`.
-pub fn matmul_narrow(a: &Matrix, b: &Matrix) -> Matrix {
-    assert_eq!(
-        a.cols(),
-        b.rows(),
-        "matmul_narrow shape mismatch: {:?} · {:?}",
-        a.shape(),
-        b.shape()
-    );
-    let n = a.rows();
-    let p = b.cols();
-    let cols: Vec<Vec<f64>> = (0..p).map(|j| b.col(j)).collect();
-    let mut out = Matrix::zeros(n, p);
-    let out_data = out.as_mut_slice();
-    for i in 0..n {
-        let a_row = a.row(i);
-        let out_row = &mut out_data[i * p..(i + 1) * p];
-        for (o, col) in out_row.iter_mut().zip(cols.iter()) {
-            *o = dot(a_row, col);
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -349,26 +314,5 @@ mod tests {
     fn zero_tile_rejected() {
         let a = Matrix::zeros(2, 2);
         matmul_blocked(&a, &a, 0);
-    }
-
-    #[test]
-    fn narrow_matmul_bit_identical_to_dot_reference() {
-        run("matmul_narrow", 48, |g| {
-            let n = g.usize_in(1, 30);
-            let kd = g.usize_in(1, 30);
-            let p = g.usize_in(1, 8);
-            let mut rng = Xoshiro256::seed_from(g.seed() ^ 0x7A11);
-            let a = Matrix::from_fn(n, kd, |_, _| rng.next_gaussian());
-            let b = Matrix::from_fn(kd, p, |_, _| rng.next_gaussian());
-            let got = matmul_narrow(&a, &b);
-            // Same expression: dot(row of a, column of b).
-            let mut want = Matrix::zeros(n, p);
-            for i in 0..n {
-                for j in 0..p {
-                    want[(i, j)] = dot(a.row(i), &b.col(j));
-                }
-            }
-            assert_bits_equal(&got, &want, "matmul_narrow");
-        });
     }
 }

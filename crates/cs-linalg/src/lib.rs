@@ -30,7 +30,6 @@ pub mod matrix;
 pub mod pca;
 pub mod pool;
 pub mod projection;
-pub mod qr;
 pub mod rng;
 pub mod sanitize;
 pub mod stats;
@@ -40,7 +39,6 @@ pub mod vecops;
 pub use matrix::Matrix;
 pub use pca::{ExplainedVariance, Pca, PcaConfig, PcaRehydrateError, PcaSolver, PcaTarget};
 pub use projection::TruncatedProjection;
-pub use qr::qr;
 pub use rng::{SplitMix64, Xoshiro256};
 pub use svd::{Svd, SvdError};
 pub use vecops::total_cmp_f64;

@@ -19,7 +19,7 @@
 use crate::stats::column_mean;
 use crate::svd::GramEigen;
 use crate::vecops::mse;
-use crate::{Matrix, Svd, SvdError, Xoshiro256};
+use crate::{Matrix, Svd, SvdError};
 
 /// Validated explained-variance parameter `v ∈ (0, 1]`.
 ///
@@ -46,52 +46,20 @@ impl ExplainedVariance {
 
 /// The eigensolver backing a [`Pca::fit_with`] call.
 ///
-/// Every solver honors the same determinism contract: for a fixed input,
-/// config, and seed the result is bit-identical across runs, platforms and
-/// worker counts — none of them parallelize or depend on ambient state.
+/// Both solvers are exact and honor the same determinism contract: for a
+/// fixed input and config the result is bit-identical across runs,
+/// platforms and worker counts — neither parallelizes or depends on
+/// ambient state.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PcaSolver {
     /// The default, for every shape and target: the exact Gram path.
     /// It eigendecomposes the smaller of `X·Xᵀ` / `Xᵀ·X` and, on the rows
-    /// side, recovers the kept components as `Xᵀ·u/σ`. It beats the
-    /// truncated solver at every Gram side the pipeline produces
-    /// (DESIGN.md §11).
+    /// side, recovers the kept components as `Xᵀ·u/σ` (DESIGN.md §11).
     Auto,
     /// One-sided (Hestenes) Jacobi over all `d` columns ([`Svd::jacobi`]) —
     /// the reference path, exact but slowest for `n ≪ d`.
     FullSvd,
-    /// Deterministic seeded block subspace iteration on the Gram matrix,
-    /// stopping as soon as the leading eigenvalues satisfy the fit target
-    /// instead of resolving the full spectrum. `tol` is the relative
-    /// Ritz-value convergence threshold (relative to the largest
-    /// eigenvalue); [`DEFAULT_TRUNCATED_TOL`] is a good default. Fits
-    /// that need the full spectrum (full-rank target, `v = 1`) or whose
-    /// Gram side is too small to truncate degrade to the exact Gram path.
-    Truncated {
-        /// Relative Ritz-value convergence threshold; must be positive
-        /// and finite.
-        tol: f64,
-    },
 }
-
-impl PcaSolver {
-    /// The truncated solver with [`DEFAULT_TRUNCATED_TOL`].
-    pub fn truncated() -> Self {
-        PcaSolver::Truncated {
-            tol: DEFAULT_TRUNCATED_TOL,
-        }
-    }
-}
-
-/// Default relative convergence tolerance for [`PcaSolver::Truncated`].
-/// Tight enough that component counts and reconstruction errors agree
-/// with the exact solvers to well below any decision threshold in the
-/// pipeline; see DESIGN.md §11 for the tolerance policy.
-pub const DEFAULT_TRUNCATED_TOL: f64 = 1e-10;
-
-/// Default seed for the truncated solver's starting block
-/// ([`PcaConfig::with_seed`] overrides it).
-pub const DEFAULT_PCA_SEED: u64 = 0x5CA1_AB1E;
 
 /// What a [`Pca::fit_with`] call should retain.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -105,22 +73,21 @@ pub enum PcaTarget {
     Components(usize),
 }
 
-/// Validated fit configuration consumed by [`Pca::fit_with`]: a solver, a
-/// fit target, and the seed for the truncated solver's random block.
+/// Validated fit configuration consumed by [`Pca::fit_with`]: a solver and
+/// a fit target.
 ///
 /// ```
 /// use cs_linalg::{ExplainedVariance, PcaConfig, PcaSolver};
 /// let v = ExplainedVariance::new(0.5).unwrap();
 /// let config = PcaConfig::new()
 ///     .with_variance(v)
-///     .with_solver(PcaSolver::truncated());
-/// assert_eq!(config.solver(), PcaSolver::truncated());
+///     .with_solver(PcaSolver::FullSvd);
+/// assert_eq!(config.solver(), PcaSolver::FullSvd);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PcaConfig {
     solver: PcaSolver,
     target: PcaTarget,
-    seed: u64,
 }
 
 impl Default for PcaConfig {
@@ -130,12 +97,11 @@ impl Default for PcaConfig {
 }
 
 impl PcaConfig {
-    /// A full-rank fit under [`PcaSolver::Auto`] with [`DEFAULT_PCA_SEED`].
+    /// A full-rank fit under [`PcaSolver::Auto`].
     pub fn new() -> Self {
         Self {
             solver: PcaSolver::Auto,
             target: PcaTarget::FullRank,
-            seed: DEFAULT_PCA_SEED,
         }
     }
 
@@ -164,13 +130,6 @@ impl PcaConfig {
         self
     }
 
-    /// Seeds the truncated solver's starting block (ignored by the exact
-    /// solvers).
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
     /// The configured solver.
     pub fn solver(&self) -> PcaSolver {
         self.solver
@@ -179,11 +138,6 @@ impl PcaConfig {
     /// The configured fit target.
     pub fn target(&self) -> PcaTarget {
         self.target
-    }
-
-    /// The configured truncated-solver seed.
-    pub fn seed(&self) -> u64 {
-        self.seed
     }
 }
 
@@ -239,19 +193,6 @@ impl std::fmt::Display for PcaRehydrateError {
 
 impl std::error::Error for PcaRehydrateError {}
 
-/// Explained-variance ratios for a spectrum with zero total variance: the
-/// first component carries the full (empty) variance so downstream
-/// truncation keeps exactly one component. Shared by the full-SVD, Gram,
-/// and truncated paths so the degenerate behavior cannot drift between
-/// solvers.
-fn zero_variance_ratios(len: usize) -> Vec<f64> {
-    let mut r = vec![0.0; len];
-    if let Some(first) = r.first_mut() {
-        *first = 1.0;
-    }
-    r
-}
-
 /// A fitted PCA encoder–decoder: `(μ, PC)` plus the spectrum bookkeeping
 /// needed to re-truncate at different explained-variance levels.
 #[derive(Debug, Clone)]
@@ -259,8 +200,7 @@ pub struct Pca {
     mean: Vec<f64>,
     /// Principal components as rows: `n_components × dim`.
     components: Matrix,
-    /// Per-component explained-variance ratios. Exact fits carry the full
-    /// spectrum; truncated fits carry the computed prefix only.
+    /// Per-component explained-variance ratios over the full spectrum.
     explained_variance_ratio: Vec<f64>,
     /// Singular values matching `explained_variance_ratio`.
     singular_values: Vec<f64>,
@@ -307,18 +247,10 @@ impl Pca {
 
     /// Fits under an explicit [`PcaConfig`] — the one fitting entry point.
     ///
-    /// Truncated fits retain only the computed spectrum prefix, so
-    /// [`Self::truncated`] on the result can re-truncate *within* that
-    /// prefix but cannot recover components the fit never resolved.
-    ///
     /// # Errors
     /// [`SvdError::NonFiniteInput`] when the input carries NaN/inf (caught
     /// up front, before a NaN mean could smear across every centered
     /// entry), [`SvdError::EmptyMatrix`] when it has no rows or columns.
-    ///
-    /// # Panics
-    /// When a pinned [`PcaSolver::Truncated`] carries a non-finite or
-    /// non-positive `tol`.
     pub fn fit_with(data: &Matrix, config: PcaConfig) -> Result<Self, SvdError> {
         if data.has_non_finite() {
             return Err(SvdError::NonFiniteInput);
@@ -330,19 +262,6 @@ impl Pca {
         match config.solver {
             PcaSolver::Auto => Self::fit_gram(data, target),
             PcaSolver::FullSvd => Self::fit_full_svd(data, target),
-            PcaSolver::Truncated { tol } => {
-                assert!(
-                    tol.is_finite() && tol > 0.0,
-                    "truncation tolerance must be positive and finite"
-                );
-                match target {
-                    // The full spectrum is needed anyway: truncation has
-                    // nothing to skip, so degrade to the exact Gram path.
-                    PcaTarget::FullRank => Self::fit_gram(data, target),
-                    PcaTarget::Variance(v) if v.get() >= 1.0 => Self::fit_gram(data, target),
-                    _ => Self::fit_truncated(data, target, tol, config.seed),
-                }
-            }
         }
     }
 
@@ -376,190 +295,6 @@ impl Pca {
             components: svd.vt.select_rows(&idx),
             explained_variance_ratio,
             singular_values: svd.singular_values,
-        })
-    }
-
-    /// The truncated solver: deterministic seeded block subspace iteration
-    /// on the Gram matrix, resolving only the leading eigenpairs the
-    /// target needs. Falls back to the exact Gram path whenever the block
-    /// would cover most of the spectrum anyway or the iteration budget
-    /// runs out, so the result is always well-defined.
-    fn fit_truncated(
-        data: &Matrix,
-        target: PcaTarget,
-        tol: f64,
-        seed: u64,
-    ) -> Result<Self, SvdError> {
-        let (n, d) = data.shape();
-        let r = n.min(d);
-        let mean = column_mean(data);
-        let x = data.sub_row_vector(&mean);
-
-        // Eigendecompose the smaller Gram side, as the exact path does. On
-        // the rows side the eigenvectors are left singular vectors `u_i`
-        // and components are recovered as `Xᵀ·u/σ`; on the columns side
-        // they are the components directly.
-        let rows_side = n <= d;
-        let g = if rows_side {
-            crate::kernels::gram_rows(&x, crate::kernels::TILE)
-        } else {
-            crate::kernels::gram_rows(&x.transpose(), crate::kernels::TILE)
-        };
-        let m = g.rows();
-
-        // The total variance is the Gram trace — available exactly before
-        // a single eigenvalue is resolved, which is what lets the
-        // cumulative-explained-variance rule stop early.
-        let total: f64 = (0..m).map(|i| g[(i, i)]).sum();
-        if total <= 0.0 {
-            // Zero-variance data: one zero component carrying the full
-            // (empty) variance — reconstruction through it is the mean,
-            // exactly as the exact solvers behave after truncation.
-            return Ok(Self {
-                mean,
-                components: Matrix::zeros(1, d),
-                explained_variance_ratio: zero_variance_ratios(1),
-                singular_values: vec![0.0],
-            });
-        }
-
-        let component_goal = match target {
-            PcaTarget::Components(c) => Some(c.clamp(1, r)),
-            _ => None,
-        };
-        let mut block = match component_goal {
-            Some(c) => (c + 8).min(m),
-            None => 32.min(m),
-        };
-        if block * 2 >= m {
-            return Self::fit_gram(data, target);
-        }
-
-        let mut rng = Xoshiro256::seed_from(seed);
-        let mut q = crate::qr::qr(&Matrix::from_fn(m, block, |_, _| rng.next_gaussian())).0;
-        let mut z = crate::kernels::matmul_narrow(&g, &q);
-        let mut prev: Vec<f64> = Vec::new();
-        let mut converged: Option<(Vec<f64>, Matrix, usize)> = None;
-        for _ in 0..MAX_SUBSPACE_ITERS {
-            q = crate::qr::qr(&z).0;
-            z = crate::kernels::matmul_narrow(&g, &q);
-            // Rayleigh–Ritz on the block: B = Qᵀ·(G·Q), eigenvalues are
-            // the current estimates of the leading spectrum.
-            let b_small = q.transpose().matmul(&z);
-            let (theta, w) = crate::svd::symmetric_eigen(&b_small);
-
-            // How much of the target the current estimates satisfy. Ritz
-            // values underestimate the true eigenvalues, so a satisfied
-            // cumulative target here is also satisfied exactly.
-            let (keep, satisfiable) = match component_goal {
-                Some(c) => (c.min(block), c < block),
-                None => {
-                    let v = match target {
-                        PcaTarget::Variance(v) => v.get(),
-                        // fit_with routes full-rank targets to the exact
-                        // path before this solver runs.
-                        _ => 1.0,
-                    };
-                    let mut cum = 0.0;
-                    let mut found = None;
-                    for (i, &t) in theta.iter().enumerate() {
-                        cum += t.max(0.0) / total;
-                        if cum >= v - 1e-12 {
-                            found = Some(i + 1);
-                            break;
-                        }
-                    }
-                    match found {
-                        Some(k) => (k, k < block),
-                        None => (theta.len(), false),
-                    }
-                }
-            };
-
-            let scale = theta.first().copied().unwrap_or(0.0).max(f64::MIN_POSITIVE);
-            let stable_prefix = |count: usize| {
-                prev.len() == theta.len()
-                    && theta
-                        .iter()
-                        .take(count)
-                        .zip(prev.iter())
-                        .all(|(&t, &p)| (t - p).abs() <= tol * scale)
-            };
-            if satisfiable && stable_prefix(keep) {
-                converged = Some((theta, w, keep));
-                break;
-            }
-            if !satisfiable && stable_prefix(block) {
-                // The spectrum has settled but the block cannot cover the
-                // target: widen it, keeping the converged basis and
-                // appending fresh random probes.
-                let grown = (block * 2).min(m);
-                if grown * 2 >= m {
-                    return Self::fit_gram(data, target);
-                }
-                let basis = q.matmul(&w);
-                let extended =
-                    Matrix::from_fn(m, grown, |i, j| if j < block { basis[(i, j)] } else { 0.0 });
-                let mut extended = extended;
-                for j in block..grown {
-                    for i in 0..m {
-                        extended[(i, j)] = rng.next_gaussian();
-                    }
-                }
-                block = grown;
-                q = crate::qr::qr(&extended).0;
-                z = crate::kernels::matmul_narrow(&g, &q);
-                prev.clear();
-                continue;
-            }
-            prev = theta;
-        }
-        let Some((theta, w, keep)) = converged else {
-            // Iteration budget exhausted (pathologically clustered
-            // spectrum): resolve exactly rather than return estimates.
-            return Self::fit_gram(data, target);
-        };
-
-        // Ritz vectors for the kept prefix, then component recovery.
-        let ritz = q.matmul(&w);
-        let mut singular_values = Vec::with_capacity(keep);
-        let mut ratios = Vec::with_capacity(keep);
-        for &t in theta.iter().take(keep) {
-            let lambda = t.max(0.0);
-            singular_values.push(lambda.sqrt());
-            ratios.push(lambda / total);
-        }
-        let mut components = Matrix::zeros(keep, d);
-        if rows_side {
-            // components = Σ⁻¹ · Uᵀ · X, rows zero where σ ≈ 0.
-            let mut ut = Matrix::zeros(keep, n);
-            for slot in 0..keep {
-                for i in 0..n {
-                    ut[(slot, i)] = ritz[(i, slot)];
-                }
-            }
-            let unscaled = ut.matmul(&x);
-            for slot in 0..keep {
-                let sigma = singular_values[slot];
-                if sigma > crate::EPS {
-                    for k in 0..d {
-                        components[(slot, k)] = unscaled[(slot, k)] / sigma;
-                    }
-                }
-            }
-        } else {
-            // Columns-side eigenvectors are the components themselves.
-            for slot in 0..keep {
-                for k in 0..d {
-                    components[(slot, k)] = ritz[(k, slot)];
-                }
-            }
-        }
-        Ok(Self {
-            mean,
-            components,
-            explained_variance_ratio: ratios,
-            singular_values,
         })
     }
 
@@ -616,8 +351,7 @@ impl Pca {
         &self.components
     }
 
-    /// Per-component explained-variance ratios — the full spectrum for
-    /// exact fits, the computed prefix for truncated fits.
+    /// Per-component explained-variance ratios over the full spectrum.
     pub fn explained_variance_ratio(&self) -> &[f64] {
         &self.explained_variance_ratio
     }
@@ -675,14 +409,19 @@ impl Pca {
 }
 
 /// Per-component explained-variance ratios `σ_i² / Σσ²` of a full
-/// spectrum.
+/// spectrum, shared by both solvers. With zero total variance the first
+/// component carries the full (empty) variance, so downstream truncation
+/// keeps exactly one component.
 fn variance_ratios(singular_values: &[f64]) -> Vec<f64> {
     let total: f64 = singular_values.iter().map(|s| s * s).sum();
     if total > 0.0 {
-        singular_values.iter().map(|s| s * s / total).collect()
-    } else {
-        zero_variance_ratios(singular_values.len())
+        return singular_values.iter().map(|s| s * s / total).collect();
     }
+    let mut r = vec![0.0; singular_values.len()];
+    if let Some(first) = r.first_mut() {
+        *first = 1.0;
+    }
+    r
 }
 
 /// How many leading components a fit target keeps of a full spectrum with
@@ -703,10 +442,6 @@ fn clamp_kept(n: usize, avail: usize) -> usize {
     n.clamp(1.min(avail), avail)
 }
 
-/// Iteration ceiling for the truncated solver across all block growths;
-/// exhausting it falls back to the exact Gram path.
-const MAX_SUBSPACE_ITERS: usize = 200;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -717,8 +452,7 @@ mod tests {
         Matrix::from_fn(rows, cols, |_, _| rng.next_gaussian())
     }
 
-    /// Short-and-wide data with a decaying spectrum — the shape the
-    /// truncated solver is built for.
+    /// Short-and-wide data with a decaying spectrum.
     fn decaying_data(rows: usize, cols: usize, rank: usize, seed: u64) -> Matrix {
         let mut rng = Xoshiro256::seed_from(seed);
         let basis = Matrix::from_fn(rank, cols, |_, _| rng.next_gaussian());
@@ -834,7 +568,7 @@ mod tests {
     fn zero_variance_data_under_every_solver() {
         let data = Matrix::from_fn(5, 4, |_, _| 3.5);
         let v = ExplainedVariance::new(0.5).unwrap();
-        for solver in [PcaSolver::Auto, PcaSolver::FullSvd, PcaSolver::truncated()] {
+        for solver in [PcaSolver::Auto, PcaSolver::FullSvd] {
             let config = PcaConfig::new().with_variance(v).with_solver(solver);
             let pca = Pca::fit_with(&data, config).unwrap();
             assert_eq!(pca.n_components(), 1, "{solver:?}");
@@ -903,7 +637,7 @@ mod tests {
     #[test]
     fn every_solver_rejects_degenerate_input() {
         let v = ExplainedVariance::new(0.5).unwrap();
-        for solver in [PcaSolver::Auto, PcaSolver::FullSvd, PcaSolver::truncated()] {
+        for solver in [PcaSolver::Auto, PcaSolver::FullSvd] {
             let config = PcaConfig::new().with_variance(v).with_solver(solver);
             assert_eq!(
                 Pca::fit_with(&Matrix::zeros(3, 0), config).unwrap_err(),
@@ -932,79 +666,6 @@ mod tests {
         // row itself.
         let err = pca.reconstruction_errors(&data);
         assert!(err[0] < 1e-18);
-    }
-
-    #[test]
-    fn truncated_solver_matches_exact_reference() {
-        // A spectrum-decaying matrix large enough that the subspace
-        // iteration actually runs (Gram side ≥ 2 × initial block).
-        let data = decaying_data(140, 200, 24, 21);
-        let v = ExplainedVariance::new(0.7).unwrap();
-        let exact = Pca::fit_with(&data, PcaConfig::new().with_variance(v)).unwrap();
-        let trunc = Pca::fit_with(
-            &data,
-            PcaConfig::new()
-                .with_variance(v)
-                .with_solver(PcaSolver::truncated()),
-        )
-        .unwrap();
-        assert_eq!(trunc.n_components(), exact.n_components());
-        let e_exact = exact.reconstruction_errors(&data);
-        let e_trunc = trunc.reconstruction_errors(&data);
-        for (a, b) in e_exact.iter().zip(&e_trunc) {
-            assert!((a - b).abs() <= 1e-9 * (1.0 + a.abs()), "{a} vs {b}");
-        }
-    }
-
-    #[test]
-    fn truncated_solver_is_seed_deterministic() {
-        let data = decaying_data(120, 180, 16, 33);
-        let v = ExplainedVariance::new(0.5).unwrap();
-        let config = PcaConfig::new()
-            .with_variance(v)
-            .with_solver(PcaSolver::truncated());
-        let a = Pca::fit_with(&data, config).unwrap();
-        let b = Pca::fit_with(&data, config).unwrap();
-        assert_eq!(a.n_components(), b.n_components());
-        for (x, y) in a
-            .components()
-            .as_slice()
-            .iter()
-            .zip(b.components().as_slice())
-        {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
-    }
-
-    #[test]
-    fn truncated_component_target() {
-        let data = decaying_data(130, 190, 20, 55);
-        let config = PcaConfig::new()
-            .with_components(6)
-            .with_solver(PcaSolver::truncated());
-        let trunc = Pca::fit_with(&data, config).unwrap();
-        assert_eq!(trunc.n_components(), 6);
-        let exact = Pca::fit_with(&data, PcaConfig::new().with_components(6)).unwrap();
-        let e_exact = exact.reconstruction_errors(&data);
-        let e_trunc = trunc.reconstruction_errors(&data);
-        for (a, b) in e_exact.iter().zip(&e_trunc) {
-            // Ritz *vectors* converge as the square root of the Ritz-value
-            // tolerance, and a hard component cut exposes the boundary
-            // vector directly (a variance cut hides it behind the
-            // cumulative sum), so the pin is looser here.
-            assert!((a - b).abs() <= 1e-6 * (1.0 + a.abs()), "{a} vs {b}");
-        }
-    }
-
-    #[test]
-    fn truncated_full_rank_degrades_to_gram() {
-        let data = random_data(12, 30, 77);
-        let trunc =
-            Pca::fit_with(&data, PcaConfig::new().with_solver(PcaSolver::truncated())).unwrap();
-        let gram = Pca::fit_with(&data, PcaConfig::new()).unwrap();
-        for (a, b) in trunc.singular_values().iter().zip(gram.singular_values()) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
     }
 
     #[test]
@@ -1061,45 +722,10 @@ mod tests {
     }
 
     #[test]
-    fn tall_matrix_truncated_uses_columns_side() {
-        // n > d: the Gram side is d×d and eigenvectors are components
-        // directly. d must exceed twice the initial block for the
-        // iteration to run.
-        let data = decaying_data(260, 130, 18, 44);
-        let v = ExplainedVariance::new(0.6).unwrap();
-        let exact = Pca::fit_with(&data, PcaConfig::new().with_variance(v)).unwrap();
-        let trunc = Pca::fit_with(
-            &data,
-            PcaConfig::new()
-                .with_variance(v)
-                .with_solver(PcaSolver::truncated()),
-        )
-        .unwrap();
-        assert_eq!(trunc.n_components(), exact.n_components());
-        let e_exact = exact.reconstruction_errors(&data);
-        let e_trunc = trunc.reconstruction_errors(&data);
-        for (a, b) in e_exact.iter().zip(&e_trunc) {
-            assert!((a - b).abs() <= 1e-9 * (1.0 + a.abs()), "{a} vs {b}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "truncation tolerance must be positive")]
-    fn bad_truncated_tol_panics() {
-        let data = random_data(8, 8, 3);
-        let _ = Pca::fit_with(
-            &data,
-            PcaConfig::new()
-                .with_variance(ExplainedVariance::new(0.5).unwrap())
-                .with_solver(PcaSolver::Truncated { tol: 0.0 }),
-        );
-    }
-
-    #[test]
     fn prop_solvers_agree_on_reconstruction_mse() {
         // Stated tolerance: per-row reconstruction MSE of the Auto (exact
-        // Gram) and truncated solvers within 1e-7 relative of the full-SVD
-        // reference on random n ≪ d matrices with decaying spectra.
+        // Gram) solver within 1e-7 relative of the full-SVD reference on
+        // random n ≪ d matrices with decaying spectra.
         crate::check::run("pca_solver_mse_agreement", 10, |g| {
             let n = g.usize_in(70, 100);
             let d = n + g.usize_in(40, 90);
@@ -1114,17 +740,10 @@ mod tests {
             )
             .unwrap();
             let e_ref = reference.reconstruction_errors(&data);
-            for solver in [PcaSolver::Auto, PcaSolver::truncated()] {
-                let fit =
-                    Pca::fit_with(&data, PcaConfig::new().with_variance(v).with_solver(solver))
-                        .unwrap();
-                let e = fit.reconstruction_errors(&data);
-                for (a, b) in e_ref.iter().zip(&e) {
-                    assert!(
-                        (a - b).abs() <= 1e-7 * (1.0 + a.abs()),
-                        "{solver:?}: {a} vs {b}"
-                    );
-                }
+            let fit = Pca::fit_with(&data, PcaConfig::new().with_variance(v)).unwrap();
+            let e = fit.reconstruction_errors(&data);
+            for (a, b) in e_ref.iter().zip(&e) {
+                assert!((a - b).abs() <= 1e-7 * (1.0 + a.abs()), "{a} vs {b}");
             }
         });
     }
@@ -1132,7 +751,7 @@ mod tests {
     #[test]
     fn prop_solvers_agree_on_component_count() {
         // The GetIndex(CEV, v) rule must pick the same component count
-        // under every solver — the pipeline's scoping decisions hang off
+        // under both solvers — the pipeline's scoping decisions hang off
         // this integer, not off the raw spectrum.
         crate::check::run("pca_solver_count_agreement", 10, |g| {
             let n = g.usize_in(70, 100);
@@ -1141,17 +760,16 @@ mod tests {
             let data = decaying_data(n, d, rank, g.seed() ^ 0xC0DE);
             let v = ExplainedVariance::new(g.f64_in(0.3, 0.9)).unwrap();
             let reference = Pca::fit_with(&data, PcaConfig::new().with_variance(v)).unwrap();
-            for solver in [PcaSolver::FullSvd, PcaSolver::truncated()] {
-                let fit =
-                    Pca::fit_with(&data, PcaConfig::new().with_variance(v).with_solver(solver))
-                        .unwrap();
-                assert_eq!(
-                    fit.n_components(),
-                    reference.n_components(),
-                    "{solver:?} at v = {}",
-                    v.get()
-                );
-            }
+            let config = PcaConfig::new()
+                .with_variance(v)
+                .with_solver(PcaSolver::FullSvd);
+            let fit = Pca::fit_with(&data, config).unwrap();
+            assert_eq!(
+                fit.n_components(),
+                reference.n_components(),
+                "v = {}",
+                v.get()
+            );
         });
     }
 

@@ -17,11 +17,11 @@
 //! makes the fused ranking's schema-permutation metamorphic property
 //! hold even with the PCA prefilter enabled.
 
-use crate::pca::{Pca, PcaConfig, PcaSolver};
+use crate::pca::{Pca, PcaConfig};
 use crate::vecops::total_cmp_f64;
 use crate::Matrix;
 
-/// A seeded projection onto a leading low-dimensional basis: PCA
+/// A projection onto a leading low-dimensional basis: PCA
 /// components when the data supports a fit, coordinate truncation when
 /// it does not (non-finite entries, too few rows, or a degenerate
 /// spectrum).
@@ -38,18 +38,20 @@ impl TruncatedProjection {
     /// Fits a projection of at most `dims ≥ 1` output dimensions onto
     /// the rows of `data`.
     ///
-    /// The PCA fit is attempted with the seeded truncated solver over a
+    /// The PCA fit is the exact one ([`crate::PcaSolver::Auto`]) over a
     /// canonical (sorted) row order; any reason the fit cannot produce at
     /// least one component — non-finite input, fewer than two rows, rank
     /// collapse — selects the coordinate-truncation fallback instead of
-    /// erroring.
-    pub fn fit(data: &Matrix, dims: usize, seed: u64) -> Self {
+    /// erroring. The fallback keeps the first `dims.min(in_dim)`
+    /// coordinates, so [`Self::out_dim`] is always the length
+    /// [`Self::project`] returns.
+    pub fn fit(data: &Matrix, dims: usize) -> Self {
         assert!(dims >= 1, "projection needs at least one output dim");
         let in_dim = data.cols();
         let fallback = Self {
             basis: None,
             in_dim,
-            out_dim: dims.min(in_dim.max(1)),
+            out_dim: dims.min(in_dim),
         };
         if in_dim == 0 || data.rows() < 2 || dims >= in_dim || data.has_non_finite() {
             return fallback;
@@ -70,11 +72,7 @@ impl TruncatedProjection {
                 .unwrap_or(std::cmp::Ordering::Equal)
         });
         let canonical = data.select_rows(&order);
-        let config = PcaConfig::new()
-            .with_components(target)
-            .with_solver(PcaSolver::truncated())
-            .with_seed(seed);
-        match Pca::fit_with(&canonical, config) {
+        match Pca::fit_with(&canonical, PcaConfig::new().with_components(target)) {
             Ok(pca) if pca.n_components() >= 1 => Self {
                 basis: Some((pca.mean().to_vec(), pca.components().clone())),
                 in_dim,
@@ -144,7 +142,7 @@ mod tests {
     #[test]
     fn pca_fit_projects_to_requested_dims() {
         let data = random(40, 16, 3);
-        let p = TruncatedProjection::fit(&data, 4, 7);
+        let p = TruncatedProjection::fit(&data, 4);
         assert!(!p.is_coordinate());
         assert_eq!(p.in_dim(), 16);
         assert_eq!(p.out_dim(), 4);
@@ -160,8 +158,8 @@ mod tests {
             .rev()
             .map(|i| data.row(i).to_vec())
             .collect();
-        let a = TruncatedProjection::fit(&data, 3, 5);
-        let b = TruncatedProjection::fit(&Matrix::from_rows(&reversed), 3, 5);
+        let a = TruncatedProjection::fit(&data, 3);
+        let b = TruncatedProjection::fit(&Matrix::from_rows(&reversed), 3);
         assert_eq!(a.project(data.row(0)), b.project(data.row(0)));
     }
 
@@ -169,26 +167,38 @@ mod tests {
     fn non_finite_data_falls_back_to_coordinates() {
         let mut data = random(10, 6, 2);
         data.row_mut(3)[1] = f64::NAN;
-        let p = TruncatedProjection::fit(&data, 2, 1);
+        let p = TruncatedProjection::fit(&data, 2);
         assert!(p.is_coordinate());
         assert_eq!(p.project(&[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]), vec![1.0, 2.0]);
     }
 
     #[test]
     fn degenerate_inputs_fall_back() {
-        // Too few rows.
-        let one = random(1, 5, 4);
-        assert!(TruncatedProjection::fit(&one, 2, 1).is_coordinate());
-        // Zero variance: every row identical.
-        let flat = Matrix::from_fn(8, 5, |_, c| c as f64);
-        let p = TruncatedProjection::fit(&flat, 2, 1);
-        assert_eq!(p.project(flat.row(0)).len(), p.out_dim());
-        // Requested dims at/above input dim.
-        assert!(TruncatedProjection::fit(&random(10, 4, 6), 4, 1).is_coordinate());
-        // Empty matrix.
-        let p = TruncatedProjection::fit(&Matrix::zeros(0, 4), 2, 1);
-        assert!(p.is_coordinate());
-        assert_eq!(p.project_rows(&Matrix::zeros(0, 4)).rows(), 0);
+        let cases = [
+            // Too few rows.
+            (random(1, 5, 4), 2),
+            // Zero variance: every row identical.
+            (Matrix::from_fn(8, 5, |_, c| c as f64), 2),
+            // Requested dims at/above input dim.
+            (random(10, 4, 6), 4),
+            (random(10, 4, 6), 9),
+            // Empty matrix, and rows without columns.
+            (Matrix::zeros(0, 4), 2),
+            (Matrix::zeros(3, 0), 2),
+        ];
+        for (data, dims) in cases {
+            let p = TruncatedProjection::fit(&data, dims);
+            let label = format!("{:?} dims {dims}", data.shape());
+            if data.rows() < 2 || dims >= data.cols() {
+                assert!(p.is_coordinate(), "{label}");
+            }
+            assert_eq!(p.out_dim(), dims.min(data.cols()), "{label}");
+            let probe = vec![1.0; data.cols()];
+            assert_eq!(p.project(&probe).len(), p.out_dim(), "{label}");
+            let projected = p.project_rows(&data);
+            assert_eq!(projected.rows(), data.rows(), "{label}");
+            assert_eq!(projected.cols(), p.out_dim(), "{label}");
+        }
     }
 
     #[test]
@@ -203,7 +213,7 @@ mod tests {
                 base * 0.01
             }
         });
-        let p = TruncatedProjection::fit(&data, 2, 3);
+        let p = TruncatedProjection::fit(&data, 2);
         assert!(!p.is_coordinate());
         let a = p.project(data.row(0));
         let b = p.project(data.row(0));
@@ -213,13 +223,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one output dim")]
     fn zero_dims_panics() {
-        TruncatedProjection::fit(&Matrix::zeros(2, 2), 0, 1);
+        TruncatedProjection::fit(&Matrix::zeros(2, 2), 0);
     }
 
     #[test]
     #[should_panic(expected = "input dim mismatch")]
     fn wrong_input_dim_panics() {
-        let p = TruncatedProjection::fit(&random(10, 4, 1), 2, 1);
+        let p = TruncatedProjection::fit(&random(10, 4, 1), 2);
         p.project(&[0.0; 3]);
     }
 }

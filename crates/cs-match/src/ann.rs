@@ -43,7 +43,7 @@ pub struct AnnConfig {
     /// Truncated-projection dimensionality for hashing/prefiltering;
     /// `0` disables the projection (hash in full dimension).
     pub prefilter_dims: usize,
-    /// Seed for the hyperplane draws and the projection fit.
+    /// Seed for the hyperplane draws.
     pub seed: u64,
 }
 
@@ -133,7 +133,7 @@ impl AnnIndex {
         config.validate();
         let band_bits = config.resolve_band_bits(data.rows());
         let projection = (config.prefilter_dims > 0 && config.prefilter_dims < data.cols())
-            .then(|| TruncatedProjection::fit(&data, config.prefilter_dims, config.seed));
+            .then(|| TruncatedProjection::fit(&data, config.prefilter_dims));
         let hashed = match &projection {
             Some(p) => p.project_rows(&data),
             None => data.clone(),
@@ -474,6 +474,41 @@ mod tests {
         }
         let recall = hits as f64 / total as f64;
         assert!(recall >= 0.9, "two-stage recall too low: {recall}");
+    }
+
+    #[test]
+    fn full_budget_pca_prefilter_returns_flat_top_k() {
+        // Differential oracle: with a candidate budget covering every
+        // row, the LSH stage hands the rerank every row, so the PCA
+        // prefilter's basis can never cost exactness — the index must
+        // return exactly the flat top-k on tie-free random data.
+        for (rows, dim, seed) in [(40, 24, 31), (150, 64, 32), (60, 768, 33)] {
+            let mut rng = Xoshiro256::seed_from(seed);
+            let data = Matrix::from_fn(rows, dim, |_, _| rng.next_gaussian());
+            let config = AnnConfig {
+                candidate_budget: rows,
+                ..AnnConfig::with_k(10)
+            };
+            let index = AnnIndex::build(data.clone(), config);
+            assert!(index.prefilter_is_pca(), "{rows}x{dim}");
+            let exact = FlatIndex::build(data.clone());
+            let fresh: Vec<Vec<f64>> = (0..10)
+                .map(|_| (0..dim).map(|_| rng.next_gaussian()).collect())
+                .collect();
+            let queries = data.rows_iter().map(|r| r.to_vec()).chain(fresh);
+            for (q, query) in queries.enumerate() {
+                for k in [1, 10] {
+                    let bits = |hits: Vec<(usize, f64)>| -> Vec<(usize, u64)> {
+                        hits.into_iter().map(|(i, d)| (i, d.to_bits())).collect()
+                    };
+                    assert_eq!(
+                        bits(index.search(&query, k)),
+                        bits(exact.search(&query, k)),
+                        "{rows}x{dim} query {q} k {k}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

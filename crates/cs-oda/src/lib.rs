@@ -18,7 +18,7 @@ pub mod lof;
 
 use cs_linalg::pca::ExplainedVariance;
 use cs_linalg::stats::row_zscore_magnitude;
-use cs_linalg::{Matrix, Pca, PcaConfig, PcaSolver};
+use cs_linalg::{Matrix, Pca, PcaConfig};
 use cs_nn::{ensemble_scores, TrainConfig};
 
 pub use lof::LofDetector;
@@ -55,17 +55,13 @@ impl OutlierDetector for ZScoreDetector {
 #[derive(Debug, Clone, Copy)]
 pub struct PcaDetector {
     v: ExplainedVariance,
-    solver: PcaSolver,
 }
 
 impl PcaDetector {
     /// Creates a detector keeping components per explained variance `v`,
-    /// fitting under [`PcaSolver::Auto`] (the exact Gram path).
+    /// fitting through the exact PCA ([`Pca::fit_with`]).
     pub fn new(v: ExplainedVariance) -> Self {
-        Self {
-            v,
-            solver: PcaSolver::Auto,
-        }
+        Self { v }
     }
 
     /// Convenience constructor from a raw `v ∈ (0, 1]`.
@@ -76,21 +72,9 @@ impl PcaDetector {
         Self::new(ExplainedVariance::new(v).expect("explained variance must lie in (0, 1]"))
     }
 
-    /// Pins the PCA eigensolver — `GlobalScoper` inherits the choice
-    /// through the detector it wraps.
-    pub fn with_solver(mut self, solver: PcaSolver) -> Self {
-        self.solver = solver;
-        self
-    }
-
     /// The configured explained variance.
     pub fn variance(&self) -> f64 {
         self.v.get()
-    }
-
-    /// The configured eigensolver.
-    pub fn solver(&self) -> PcaSolver {
-        self.solver
     }
 }
 
@@ -100,11 +84,8 @@ impl OutlierDetector for PcaDetector {
     }
 
     fn score(&self, data: &Matrix) -> Vec<f64> {
-        let config = PcaConfig::new()
-            .with_variance(self.v)
-            .with_solver(self.solver);
-        let pca =
-            Pca::fit_with(data, config).expect("signature matrix must be non-empty and finite");
+        let pca = Pca::fit_with(data, PcaConfig::new().with_variance(self.v))
+            .expect("signature matrix must be non-empty and finite");
         pca.reconstruction_errors(data)
     }
 }

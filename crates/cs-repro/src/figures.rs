@@ -49,15 +49,14 @@ pub fn figure_data(dataset: &Dataset, steps: usize) -> FigureData {
     }
 }
 
-/// Writes the three CSVs (metrics, roc, pr) for one method's sweep.
-pub fn write_method_csvs(
+/// Builds the three CSVs (metrics, roc, pr) for one method's sweep, each
+/// paired with its file name under `results/`.
+pub fn method_csvs(
     fig: &str,
     method_tag: &str,
     curve: &SweepCurve,
     param_name: &str,
-) -> std::io::Result<Vec<String>> {
-    let mut written = Vec::new();
-
+) -> [(String, CsvTable); 3] {
     let mut metrics = CsvTable::new(&[param_name, "accuracy", "precision", "recall", "f1"]);
     for p in curve.points() {
         metrics.push_row(vec![
@@ -68,27 +67,22 @@ pub fn write_method_csvs(
             fmt_f64(p.confusion.f1()),
         ]);
     }
-    let path = format!("{}/{fig}_{method_tag}_metrics.csv", crate::RESULTS_DIR);
-    metrics.write_to(&path)?;
-    written.push(path);
 
     let mut roc = CsvTable::new(&["fpr", "tpr"]);
     for pt in curve.roc_points() {
         roc.push_row(vec![fmt_f64(pt.fpr), fmt_f64(pt.tpr)]);
     }
-    let path = format!("{}/{fig}_{method_tag}_roc.csv", crate::RESULTS_DIR);
-    roc.write_to(&path)?;
-    written.push(path);
 
     let mut pr = CsvTable::new(&["recall", "precision"]);
     for (r, p) in curve.pr_points() {
         pr.push_row(vec![fmt_f64(r), fmt_f64(p)]);
     }
-    let path = format!("{}/{fig}_{method_tag}_pr.csv", crate::RESULTS_DIR);
-    pr.write_to(&path)?;
-    written.push(path);
 
-    Ok(written)
+    [
+        (format!("{fig}_{method_tag}_metrics.csv"), metrics),
+        (format!("{fig}_{method_tag}_roc.csv"), roc),
+        (format!("{fig}_{method_tag}_pr.csv"), pr),
+    ]
 }
 
 /// Prints a compact textual rendering of a figure's panels and writes all
@@ -126,9 +120,10 @@ pub fn run_figure(fig: &str, dataset: &Dataset, steps: usize) {
         } else {
             "collaborative"
         };
-        let files = write_method_csvs(fig, tag, &res.curve, param).expect("write CSVs");
-        for f in files {
-            println!("  written: {f}");
+        for (name, table) in method_csvs(fig, tag, &res.curve, param) {
+            let path = format!("{}/{name}", crate::RESULTS_DIR);
+            table.write_to(&path).expect("write CSVs");
+            println!("  written: {path}");
         }
         println!();
     }

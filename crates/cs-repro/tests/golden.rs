@@ -7,14 +7,15 @@
 //! contract (DESIGN.md §8) is what makes this a meaningful gate: worker
 //! counts may never influence these bytes.
 //!
-//! `table2`/`table3` are cheap and always run. `table4`/`fig7` need
-//! minutes in a debug build, so they only run when optimized
+//! `table2`/`table3` and the Fig. 5/6 series are cheap and always run.
+//! `table4`, `fig7`, `ann_quality` and `scaling_quality` need minutes in
+//! a debug build, so they only run when optimized
 //! (`cargo test --release`) or when `CS_GOLDEN_FULL` is set.
 
 use std::path::PathBuf;
 
 use cs_repro::csv::CsvTable;
-use cs_repro::goldens;
+use cs_repro::{figures, goldens};
 
 fn results_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results")
@@ -62,6 +63,31 @@ fn table2_csv_is_byte_identical() {
 #[test]
 fn table3_csv_is_byte_identical() {
     assert_matches_golden("table3.csv", &goldens::table3().csv);
+}
+
+/// Byte-diffs the six CSVs a `fig5`/`fig6` binary writes: metrics, ROC
+/// and PR series for the best global scoping method and for
+/// collaborative scoping, at the binaries' 50-point grid.
+fn assert_figure_matches_golden(fig: &str, dataset: &cs_datasets::Dataset) {
+    let data = figures::figure_data(dataset, 50);
+    for (tag, result, param) in [
+        ("scoping", &data.scoping, "p"),
+        ("collaborative", &data.collaborative, "v"),
+    ] {
+        for (name, csv) in figures::method_csvs(fig, tag, &result.curve, param) {
+            assert_matches_golden(&name, &csv);
+        }
+    }
+}
+
+#[test]
+fn fig5_csvs_are_byte_identical() {
+    assert_figure_matches_golden("fig5", &cs_datasets::oc3());
+}
+
+#[test]
+fn fig6_csvs_are_byte_identical() {
+    assert_figure_matches_golden("fig6", &cs_datasets::oc3_fo());
 }
 
 #[test]
