@@ -720,9 +720,11 @@ fn traffic_signatures(mode: Mode) -> cs_linalg::Matrix {
 /// The PCA fit and the kernels behind it: the exact Gram fit (`Auto`) on
 /// one local schema of generated signatures at paper width (the traffic
 /// it serves), `Auto` against the full-SVD reference (`FullSvd`) on a
-/// low-rank-plus-noise probe with a decaying spectrum, and the eigensolve
-/// and blocked matmul kernels alone. The reference is not timed on the
-/// traffic matrix: Jacobi over 768 columns takes seconds per fit.
+/// low-rank-plus-noise probe with a decaying spectrum, and the kernels
+/// alone: the Gram and the encode product (both the register-tiled
+/// `a · bᵀ` kernel), the eigensolve and the blocked matmul. The reference
+/// is not timed on the traffic matrix: Jacobi over 768 columns takes
+/// seconds per fit.
 fn bench_solver(mode: Mode, cfg: &MeasureConfig, out: &mut Vec<BenchRecord>) {
     use cs_linalg::pca::ExplainedVariance;
     use cs_linalg::{kernels, Matrix, Pca, PcaConfig, PcaSolver, Xoshiro256};
@@ -738,8 +740,25 @@ fn bench_solver(mode: Mode, cfg: &MeasureConfig, out: &mut Vec<BenchRecord>) {
         format!("pca_fit_v08/auto/{tn}x{td}"),
         || Pca::fit_with(&traffic, config).expect("healthy signatures"),
     );
+    // The two `a · bᵀ` products of a local model at this shape: the Gram
+    // its fit eigendecomposes, and the encode against its v = 0.8
+    // components.
     let centered = traffic.sub_row_vector(&cs_linalg::stats::column_mean(&traffic));
-    let gram = kernels::gram_rows(&centered, kernels::TILE);
+    push(out, cfg, "solver", format!("gram_rows/{tn}x{td}"), || {
+        kernels::gram_rows(&centered)
+    });
+    let components = Pca::fit_with(&traffic, config)
+        .expect("healthy signatures")
+        .components()
+        .clone();
+    push(
+        out,
+        cfg,
+        "solver",
+        format!("matmul_transposed/{tn}x{td}x{}", components.rows()),
+        || centered.matmul_transposed(&components),
+    );
+    let gram = kernels::gram_rows(&centered);
     push(
         out,
         cfg,
@@ -1028,7 +1047,7 @@ mod tests {
         }
 
         // The solver group times the pipeline's own fit shape and the
-        // eigensolve beneath it.
+        // kernels beneath it.
         let solver_ids: Vec<&str> = doc
             .get("groups")
             .and_then(|g| g.get("solver"))
@@ -1040,6 +1059,8 @@ mod tests {
         for prefix in [
             "pca_fit_v08/auto/",
             "pca_fit_v05/fullsvd/",
+            "gram_rows/",
+            "matmul_transposed/",
             "symmetric_eigen/",
         ] {
             assert!(

@@ -1,34 +1,41 @@
-//! Cache-tiled (blocked) matrix kernels.
+//! Matrix kernels: one register-tiled `a · bᵀ` micro-kernel and the
+//! cache-tiled (blocked) `a · b`.
 //!
-//! The per-schema SVD/PCA hot path multiplies short-and-wide signature
-//! matrices (`n × 768`); at those widths the naive loops stream every
-//! operand from memory once per output tile. These kernels block the
-//! index space into [`TILE`]-sized squares so each operand tile is reused
-//! from cache while it is hot.
+//! Every `a · bᵀ` in the workspace runs the micro-kernel:
+//! [`Matrix::matmul_transposed`] (PCA encode, the sweep's projection
+//! table, the prefilter projection, SIM's dot blocks, the autoencoder
+//! backward pass) and [`gram_rows`] (every PCA fit). It packs `b` into
+//! panels of four rows, `panel[k·4 + l] = b[j + l][k]`, and sweeps each
+//! panel with a 4×4 tile of accumulators over four rows of `a`.
+//! [`gram_rows`] sweeps only the panels on and above the diagonal and
+//! mirrors the rest.
 //!
 //! # Bit-identity contract (DESIGN.md §8)
 //!
 //! Every kernel here produces **bit-identical** output to its naive
-//! counterpart in [`crate::matrix`], on every shape — aligned or ragged:
+//! counterpart, on every shape — aligned or ragged:
 //!
+//! - In the micro-kernel the lanes of a tile are *distinct output
+//!   cells*, never partial sums of one cell. Each cell `(i, j)` is one
+//!   chain over ascending `k`, seeded at `-0.0`:
+//!   `acc = acc + a[i][k] · b[j][k]`, which is exactly the expression
+//!   [`dot`](crate::matrix::dot) evaluates. `mul_add` is not used, so the
+//!   compiler may vectorise across lanes without changing any cell's
+//!   rounding.
+//! - [`gram_rows`] mirrors its upper triangle; `dot(x, y)` and
+//!   `dot(y, x)` multiply the same pairs in the same order, so the mirror
+//!   is exact, not approximate.
 //! - [`matmul_blocked`] keeps the naive i-k-j accumulation order: for a
 //!   fixed output element, contributions are added in ascending `k`
 //!   exactly as the un-blocked loop does (the `k`-tile loop is outer to
 //!   the `j`-tile loop and tiles are visited in ascending order), and the
 //!   `a == 0.0` skip is preserved so a `-0.0` output is never flipped to
 //!   `+0.0` by adding `0.0 * b`.
-//! - [`matmul_transposed_blocked`] computes each output element as one
-//!   full-length [`dot`] — the reduction is never split across tiles, so
-//!   the element is the same floating-point expression as the naive path.
-//! - [`gram_rows`] computes the upper triangle with the same full-length
-//!   dots and mirrors it; `dot(x, y)` and `dot(y, x)` multiply the same
-//!   pairs in the same order, so the mirror is exact, not approximate.
 //!
 //! The determinism property suite (`kernels::tests` and
-//! `cs-core/tests/determinism.rs`) pins all three equivalences with exact
-//! `==` comparisons.
+//! `cs-core/tests/determinism.rs`) pins these equivalences with exact
+//! bit comparisons.
 
-use crate::matrix::dot;
 use crate::Matrix;
 
 /// Tile edge length, in elements. A 64×64 `f64` tile is 32 KiB — one
@@ -36,10 +43,9 @@ use crate::Matrix;
 /// blocked product touches at once fit comfortably in L2.
 pub const TILE: usize = 64;
 
-/// Dimension threshold above which [`Matrix::matmul`] and
-/// [`Matrix::matmul_transposed`] dispatch to the blocked kernels. Below
-/// it every operand already fits in L1 and the tile loop overhead is pure
-/// loss.
+/// Dimension threshold above which [`Matrix::matmul`] dispatches to
+/// [`matmul_blocked`]. Below it every operand already fits in L1 and the
+/// tile loop overhead is pure loss.
 pub const BLOCK_DISPATCH_MIN: usize = 128;
 
 /// Blocked matrix product `a · b`, bit-identical to [`Matrix::matmul`].
@@ -90,14 +96,16 @@ pub fn matmul_blocked(a: &Matrix, b: &Matrix, tile: usize) -> Matrix {
     out
 }
 
-/// Blocked `a · bᵀ`, bit-identical to [`Matrix::matmul_transposed`].
-/// Tiling only reorders *which elements* are computed when; each element
-/// is still one full-length dot product.
-///
-/// # Panics
-/// If `a.cols() != b.cols()` or `tile == 0`.
-pub fn matmul_transposed_blocked(a: &Matrix, b: &Matrix, tile: usize) -> Matrix {
-    assert!(tile > 0, "tile must be positive");
+/// Rows of `a` per micro-tile.
+const MR: usize = 4;
+
+/// Rows of `b` per packed panel: the lanes of one micro-tile row.
+const NR: usize = 4;
+
+/// `a · bᵀ` through the micro-kernel: cell `(i, j)` is
+/// [`dot`](crate::matrix::dot)`(a.row(i), b.row(j))`, bit for bit. Backs
+/// [`Matrix::matmul_transposed`].
+pub(crate) fn matmul_transposed(a: &Matrix, b: &Matrix) -> Matrix {
     assert_eq!(
         a.cols(),
         b.cols(),
@@ -105,48 +113,16 @@ pub fn matmul_transposed_blocked(a: &Matrix, b: &Matrix, tile: usize) -> Matrix 
         a.shape(),
         b.shape()
     );
-    let n = a.rows();
-    let m = b.rows();
-    let mut out = Matrix::zeros(n, m);
-    let out_data = out.as_mut_slice();
-    for i0 in (0..n).step_by(tile) {
-        let i1 = (i0 + tile).min(n);
-        for j0 in (0..m).step_by(tile) {
-            let j1 = (j0 + tile).min(m);
-            for i in i0..i1 {
-                let a_row = a.row(i);
-                for j in j0..j1 {
-                    out_data[i * m + j] = dot(a_row, b.row(j));
-                }
-            }
-        }
-    }
-    out
+    tiled_abt(a, b, false)
 }
 
 /// The Gram matrix of the rows of `a` — `a · aᵀ` — computed as the upper
 /// triangle plus an exact mirror, bit-identical to
 /// `a.matmul_transposed(a)` at roughly half the flops.
-///
-/// # Panics
-/// If `tile == 0`.
-pub fn gram_rows(a: &Matrix, tile: usize) -> Matrix {
-    assert!(tile > 0, "tile must be positive");
+pub fn gram_rows(a: &Matrix) -> Matrix {
+    let mut out = tiled_abt(a, a, true);
     let n = a.rows();
-    let mut out = Matrix::zeros(n, n);
     let out_data = out.as_mut_slice();
-    for i0 in (0..n).step_by(tile) {
-        let i1 = (i0 + tile).min(n);
-        for j0 in (i0..n).step_by(tile) {
-            let j1 = (j0 + tile).min(n);
-            for i in i0..i1 {
-                let a_row = a.row(i);
-                for j in j0.max(i)..j1 {
-                    out_data[i * n + j] = dot(a_row, a.row(j));
-                }
-            }
-        }
-    }
     // Mirror the strict upper triangle. dot(x, y) multiplies the same
     // pairs in the same order as dot(y, x), so this is exact.
     for i in 1..n {
@@ -157,10 +133,66 @@ pub fn gram_rows(a: &Matrix, tile: usize) -> Matrix {
     out
 }
 
+/// Sweeps `b` in packed panels of [`NR`] rows and `a` in micro-tiles of
+/// [`MR`] rows. With `upper` (a square `a · aᵀ`) each panel stops at the
+/// diagonal: every cell on or above it is written, and the cells below
+/// it that a diagonal tile also covers are left for the caller's mirror.
+fn tiled_abt(a: &Matrix, b: &Matrix, upper: bool) -> Matrix {
+    let (n, d) = a.shape();
+    let m = b.rows();
+    let mut out = Matrix::zeros(n, m);
+    let out_data = out.as_mut_slice();
+    let mut panel = vec![0.0; d * NR];
+    for j0 in (0..m).step_by(NR) {
+        let width = NR.min(m - j0);
+        // panel[k·NR + l] = b[j0 + l][k]. In a ragged last panel the lanes
+        // past `width` keep stale values; their cells are never stored.
+        for l in 0..width {
+            for (k, &x) in b.row(j0 + l).iter().enumerate() {
+                panel[k * NR + l] = x;
+            }
+        }
+        let rows = if upper { n.min(j0 + width) } else { n };
+        for i0 in (0..rows).step_by(MR) {
+            let height = MR.min(rows - i0);
+            // A ragged last tile repeats its final row; the repeats'
+            // cells are discarded.
+            let row = |r: usize| a.row(i0 + r.min(height - 1));
+            let tile = micro_tile([row(0), row(1), row(2), row(3)], &panel);
+            for (r, lanes) in tile.iter().enumerate().take(height) {
+                let at = (i0 + r) * m + j0;
+                out_data[at..at + width].copy_from_slice(&lanes[..width]);
+            }
+        }
+    }
+    out
+}
+
+/// One [`MR`]×[`NR`] tile of `a · bᵀ`: lane `(r, l)` is the chain
+/// `acc = acc + rows[r][k] · panel[k·NR + l]` over ascending `k` from
+/// `-0.0`, the expression [`dot`](crate::matrix::dot) evaluates. The
+/// lanes are independent outputs, so vectorising across them leaves
+/// every chain's rounding as it is.
+#[inline(always)]
+fn micro_tile(rows: [&[f64]; MR], panel: &[f64]) -> [[f64; NR]; MR] {
+    let mut acc = [[-0.0; NR]; MR];
+    let [r0, r1, r2, r3] = rows;
+    let (columns, _) = panel.as_chunks::<NR>();
+    for ((((column, &x0), &x1), &x2), &x3) in columns.iter().zip(r0).zip(r1).zip(r2).zip(r3) {
+        for (lanes, x) in acc.iter_mut().zip([x0, x1, x2, x3]) {
+            for (lane, &y) in lanes.iter_mut().zip(column) {
+                *lane += x * y;
+            }
+        }
+    }
+    acc
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::check::run;
+    use crate::matrix::dot;
     use crate::Xoshiro256;
 
     fn naive_matmul(a: &Matrix, b: &Matrix) -> Matrix {
@@ -237,16 +269,15 @@ mod tests {
     }
 
     #[test]
-    fn blocked_matmul_transposed_bit_identical() {
-        run("blocked_matmul_transposed", 48, |g| {
+    fn matmul_transposed_bit_identical() {
+        run("matmul_transposed", 48, |g| {
             let n = g.usize_in(1, 25);
             let m = g.usize_in(1, 25);
             let d = g.usize_in(1, 40);
             let mut rng = Xoshiro256::seed_from(g.seed() ^ 0xABCD);
             let a = Matrix::from_fn(n, d, |_, _| rng.next_gaussian());
             let b = Matrix::from_fn(m, d, |_, _| rng.next_gaussian());
-            let tile = g.usize_in(1, 9);
-            let got = matmul_transposed_blocked(&a, &b, tile);
+            let got = a.matmul_transposed(&b);
             assert_bits_equal(&got, &naive_matmul_transposed(&a, &b), "matmul_transposed");
         });
     }
@@ -258,19 +289,68 @@ mod tests {
             let d = g.usize_in(1, 40);
             let mut rng = Xoshiro256::seed_from(g.seed() ^ 0x5EED);
             let a = Matrix::from_fn(n, d, |_, _| rng.next_gaussian());
-            let tile = g.usize_in(1, 9);
-            let got = gram_rows(&a, tile);
+            let got = gram_rows(&a);
             assert_bits_equal(&got, &naive_matmul_transposed(&a, &a), "gram_rows");
         });
     }
 
-    #[test]
-    fn gram_is_exactly_symmetric() {
-        let a = random(37, 19, 7);
-        let g = gram_rows(&a, TILE);
+    fn assert_exactly_symmetric(g: &Matrix, what: &str) {
         for i in 0..g.rows() {
             for j in 0..g.cols() {
-                assert_eq!(g[(i, j)].to_bits(), g[(j, i)].to_bits());
+                assert_eq!(
+                    g[(i, j)].to_bits(),
+                    g[(j, i)].to_bits(),
+                    "{what}: ({i}, {j})"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn gram_is_exactly_symmetric() {
+        assert_exactly_symmetric(&gram_rows(&random(37, 19, 7)), "37x19");
+    }
+
+    /// Gaussian rows with the edge cases planted: an all-zero row, a
+    /// `-0.0` row, and (with `specials`) one NaN and one `±inf` entry in
+    /// two other rows. The NaN row has no zero entries, so every NaN cell
+    /// comes from one source and its bits do not depend on operand order.
+    fn planted(rows: usize, d: usize, seed: u64, specials: bool) -> Matrix {
+        let mut m = random(rows, d, seed);
+        if d == 0 {
+            return m;
+        }
+        m.row_mut(0).fill(0.0);
+        if rows > 1 {
+            m.row_mut(1).fill(-0.0);
+        }
+        if specials && rows > 3 {
+            m.row_mut(2)[d / 2] = f64::NAN;
+            let sign = if seed.is_multiple_of(2) { 1.0 } else { -1.0 };
+            m.row_mut(3)[d - 1] = sign * f64::INFINITY;
+        }
+        m
+    }
+
+    #[test]
+    fn micro_tile_straddling_shapes_match_per_cell_dot() {
+        // n, m ∈ 1..=9 straddle the 4×4 micro-tile: one partial tile,
+        // whole tiles, and whole tiles plus a ragged edge.
+        for d in [0usize, 1, 2, 7, 768] {
+            for n in 1..=9usize {
+                for m in 1..=9usize {
+                    let seed = (d * 100 + n * 10 + m) as u64;
+                    let a = planted(n, d, seed, true);
+                    let b = planted(m, d, seed ^ 0xF00D, false);
+                    let what = format!("{n}x{d} · ({m}x{d})ᵀ");
+                    let got = a.matmul_transposed(&b);
+                    assert_bits_equal(&got, &naive_matmul_transposed(&a, &b), &what);
+                }
+                let a = planted(n, d, n as u64, true);
+                let g = gram_rows(&a);
+                let what = format!("gram {n}x{d}");
+                assert_bits_equal(&g, &naive_matmul_transposed(&a, &a), &what);
+                assert_exactly_symmetric(&g, &what);
             }
         }
     }
@@ -278,8 +358,7 @@ mod tests {
     #[test]
     fn dispatch_thresholds_are_transparent() {
         // Shapes straddling BLOCK_DISPATCH_MIN: the public Matrix methods
-        // must agree with the reference loops regardless of which kernel
-        // they picked.
+        // must agree with the reference loops whatever the dispatch.
         for &(n, kd, p, seed) in &[
             (3usize, 150usize, 140usize, 11u64),
             (150, 3, 150, 12),
@@ -302,11 +381,12 @@ mod tests {
         let a = Matrix::zeros(0, 5);
         let b = Matrix::zeros(5, 3);
         assert_eq!(matmul_blocked(&a, &b, TILE).shape(), (0, 3));
-        let g = gram_rows(&Matrix::zeros(0, 4), TILE);
+        let g = gram_rows(&Matrix::zeros(0, 4));
         assert_eq!(g.shape(), (0, 0));
+        assert_eq!(a.matmul_transposed(&Matrix::zeros(2, 5)).shape(), (0, 2));
         let one = Matrix::from_rows(&[vec![2.0]]);
         assert_eq!(matmul_blocked(&one, &one, TILE)[(0, 0)], 4.0);
-        assert_eq!(gram_rows(&one, TILE)[(0, 0)], 4.0);
+        assert_eq!(gram_rows(&one)[(0, 0)], 4.0);
     }
 
     #[test]

@@ -162,10 +162,10 @@ impl Matrix {
 
     /// Matrix product `self · other`.
     ///
-    /// Cache-friendly i-k-j loop ordering over the row-major buffers; this
-    /// is the workspace's hot kernel (PCA encode/decode, autoencoder
-    /// forward/backward). Large products dispatch to the cache-tiled
-    /// kernel of [`crate::kernels`], which is bit-identical to this loop.
+    /// Cache-friendly i-k-j loop ordering over the row-major buffers; it
+    /// serves PCA decode and the autoencoder's forward pass and weight
+    /// gradients. Large products dispatch to the cache-tiled kernel of
+    /// [`crate::kernels`], which is bit-identical to this loop.
     ///
     /// # Panics
     /// If `self.cols != other.rows`.
@@ -198,30 +198,14 @@ impl Matrix {
         out
     }
 
-    /// `self · otherᵀ` without materializing the transpose. Large
-    /// products dispatch to the cache-tiled kernel of [`crate::kernels`],
-    /// which computes the same full-length dot per element.
+    /// `self · otherᵀ` without materializing the transpose, through the
+    /// register-tiled micro-kernel of [`crate::kernels`]: cell `(i, j)` is
+    /// [`dot`]`(self.row(i), other.row(j))`, bit for bit, on every shape.
+    ///
+    /// # Panics
+    /// If `self.cols != other.cols`.
     pub fn matmul_transposed(&self, other: &Matrix) -> Matrix {
-        assert_eq!(
-            self.cols,
-            other.cols,
-            "matmul_transposed shape mismatch: {:?} · {:?}ᵀ",
-            self.shape(),
-            other.shape()
-        );
-        use crate::kernels::{matmul_transposed_blocked, BLOCK_DISPATCH_MIN, TILE};
-        if self.rows.max(self.cols).max(other.rows) >= BLOCK_DISPATCH_MIN {
-            return matmul_transposed_blocked(self, other, TILE);
-        }
-        let mut out = Matrix::zeros(self.rows, other.rows);
-        for i in 0..self.rows {
-            let a_row = self.row(i);
-            for j in 0..other.rows {
-                let b_row = other.row(j);
-                out.data[i * other.rows + j] = dot(a_row, b_row);
-            }
-        }
-        out
+        crate::kernels::matmul_transposed(self, other)
     }
 
     /// Matrix-vector product `self · v`.
@@ -388,11 +372,19 @@ impl fmt::Debug for Matrix {
     }
 }
 
-/// Dot product of two equal-length slices.
+/// Dot product of two equal-length slices: one chain over ascending
+/// index, seeded at `-0.0`, with no fused multiply-add.
+///
+/// This is the workspace's one summation contract for products: every
+/// cell of [`Matrix::matmul_transposed`] and of
+/// [`crate::kernels::gram_rows`] reproduces it bit for bit. The `-0.0`
+/// seed makes the empty dot `-0.0` and keeps `-0.0 · x` terms signed.
 #[inline]
 pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     debug_assert_eq!(a.len(), b.len());
-    a.iter().zip(b.iter()).map(|(&x, &y)| x * y).sum()
+    a.iter()
+        .zip(b.iter())
+        .fold(-0.0, |acc, (&x, &y)| acc + x * y)
 }
 
 #[cfg(test)]
@@ -457,6 +449,15 @@ mod tests {
         let a = sample();
         let b = Matrix::from_rows(&[vec![1.0, 0.5, -1.0], vec![2.0, -2.0, 0.0]]);
         assert_eq!(a.matmul_transposed(&b), a.matmul(&b.transpose()));
+    }
+
+    #[test]
+    fn dot_is_seeded_at_negative_zero() {
+        let neg_zero = (-0.0f64).to_bits();
+        assert_eq!(dot(&[], &[]).to_bits(), neg_zero);
+        assert_eq!(dot(&[-0.0], &[1.0]).to_bits(), neg_zero);
+        assert_eq!(dot(&[-0.0, 0.0], &[1.0, -1.0]).to_bits(), neg_zero);
+        assert_eq!(dot(&[0.0], &[1.0]).to_bits(), 0.0f64.to_bits());
     }
 
     #[test]

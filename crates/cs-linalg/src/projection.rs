@@ -118,13 +118,18 @@ impl TruncatedProjection {
         }
     }
 
-    /// Projects every row of `m`, preserving row order.
+    /// Projects every row of `m`, preserving row order. A PCA fit is one
+    /// kernel product `(m − μ) · basisᵀ`; row `i` equals
+    /// [`Self::project`] of row `i` bit for bit (the same centering, and
+    /// each cell is the same ascending chain of commuted products).
+    ///
+    /// # Panics
+    /// If `m.cols()` differs from [`Self::in_dim`].
     pub fn project_rows(&self, m: &Matrix) -> Matrix {
-        let rows: Vec<Vec<f64>> = (0..m.rows()).map(|i| self.project(m.row(i))).collect();
-        if rows.is_empty() {
-            Matrix::zeros(0, self.out_dim)
-        } else {
-            Matrix::from_rows(&rows)
+        assert_eq!(m.cols(), self.in_dim, "projection input dim mismatch");
+        match &self.basis {
+            Some((mean, basis)) => m.sub_row_vector(mean).matmul_transposed(basis),
+            None => Matrix::from_fn(m.rows(), self.out_dim, |i, j| m[(i, j)]),
         }
     }
 }
@@ -149,6 +154,31 @@ mod tests {
         assert_eq!(p.project(data.row(0)).len(), 4);
         let projected = p.project_rows(&data);
         assert_eq!((projected.rows(), projected.cols()), (40, 4));
+    }
+
+    #[test]
+    fn project_rows_matches_project_bit_for_bit() {
+        let data = random(23, 12, 5);
+        let mut coordinate_data = data.clone();
+        coordinate_data.row_mut(4)[7] = f64::NAN;
+        for (p, label) in [
+            (TruncatedProjection::fit(&data, 5), "pca"),
+            (TruncatedProjection::fit(&coordinate_data, 5), "coordinate"),
+        ] {
+            assert_eq!(p.is_coordinate(), label == "coordinate");
+            let probe = random(9, 12, 6);
+            let projected = p.project_rows(&probe);
+            assert_eq!(projected.shape(), (9, 5), "{label}");
+            for i in 0..probe.rows() {
+                let want: Vec<u64> = p
+                    .project(probe.row(i))
+                    .iter()
+                    .map(|x| x.to_bits())
+                    .collect();
+                let got: Vec<u64> = projected.row(i).iter().map(|x| x.to_bits()).collect();
+                assert_eq!(got, want, "{label} row {i}");
+            }
+        }
     }
 
     #[test]

@@ -195,16 +195,17 @@ pub(crate) struct GramEigen {
 }
 
 impl GramEigen {
-    /// Eigendecomposes the smaller Gram side of `a`. The symmetry-aware
-    /// tiled kernel halves the Gram flops and is bit-identical to the
+    /// Eigendecomposes the smaller Gram side of `a`.
+    /// [`crate::kernels::gram_rows`] sweeps only the upper triangle with
+    /// the register-tiled `a · bᵀ` kernel and is bit-identical to the
     /// plain product.
     pub(crate) fn new(a: &Matrix) -> Result<GramEigen, SvdError> {
         validate(a)?;
         let rows_side = a.rows() <= a.cols();
         let g = if rows_side {
-            crate::kernels::gram_rows(a, crate::kernels::TILE)
+            crate::kernels::gram_rows(a)
         } else {
-            crate::kernels::gram_rows(&a.transpose(), crate::kernels::TILE)
+            crate::kernels::gram_rows(&a.transpose())
         };
         let (eigvals, vectors) = eigen_rows(&g);
         Ok(GramEigen {

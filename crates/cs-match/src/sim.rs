@@ -3,10 +3,18 @@
 //! Enumerates the full Cartesian product of every schema pair (the
 //! "Preparation" module of Zhang et al.) and keeps pairs whose cosine
 //! similarity meets the threshold `t`. Each row's norm is computed once
-//! per set, so a pair costs one dot product.
+//! per set, and each schema pair's dot products come from the
+//! register-tiled `a · bᵀ` kernel ([`Matrix::matmul_transposed`]) in
+//! blocks of at most [`QUERY_CHUNK`] rows, so every score has the same
+//! bits as [`cs_linalg::vecops::cosine`] on the pair.
 
 use crate::{CandidatePair, ElementSet, Matcher};
-use cs_linalg::vecops::{cosine_with_norms, norm};
+use cs_linalg::vecops::norm;
+use cs_linalg::Matrix;
+
+/// Rows of the left set per dot block: bounds the block at
+/// `QUERY_CHUNK × rows(right)` scores whatever the schema sizes.
+const QUERY_CHUNK: usize = 256;
 
 /// Cosine-threshold matcher.
 #[derive(Debug, Clone, Copy)]
@@ -48,12 +56,30 @@ impl Matcher for SimMatcher {
         for i in 0..sets.len() {
             for j in (i + 1)..sets.len() {
                 let (x, y) = (&sets[i], &sets[j]);
-                for (xi, xid) in x.ids.iter().enumerate() {
-                    let (xrow, xnorm) = (x.signatures.row(xi), norms[i][xi]);
-                    for (yi, yid) in y.ids.iter().enumerate() {
-                        let c = cosine_with_norms(xrow, xnorm, y.signatures.row(yi), norms[j][yi]);
-                        if c >= self.threshold {
-                            out.push(CandidatePair::new(*xid, *yid));
+                if y.is_empty() {
+                    // No pairs, and an empty schema's signatures may
+                    // carry no columns at all.
+                    continue;
+                }
+                let dim = x.signatures.cols();
+                for start in (0..x.ids.len()).step_by(QUERY_CHUNK) {
+                    let end = (start + QUERY_CHUNK).min(x.ids.len());
+                    let chunk = x.signatures.as_slice()[start * dim..end * dim].to_vec();
+                    let dots =
+                        Matrix::from_vec(end - start, dim, chunk).matmul_transposed(&y.signatures);
+                    let rows = x.ids[start..end].iter().zip(&norms[i][start..end]);
+                    for (r, (xid, &xnorm)) in rows.enumerate() {
+                        for ((yid, &d), &ynorm) in y.ids.iter().zip(dots.row(r)).zip(&norms[j]) {
+                            // The zero-norm guard, divide and clamp of
+                            // `vecops::cosine_with_norms`.
+                            let c = if xnorm == 0.0 || ynorm == 0.0 {
+                                0.0
+                            } else {
+                                (d / (xnorm * ynorm)).clamp(-1.0, 1.0)
+                            };
+                            if c >= self.threshold {
+                                out.push(CandidatePair::new(*xid, *yid));
+                            }
                         }
                     }
                 }
@@ -127,22 +153,33 @@ mod tests {
             ElementSet::full(1, Matrix::zeros(0, 3)),
         ];
         assert!(SimMatcher::new(0.5).match_pairs(&empty).is_empty());
+        // An empty schema's signatures may have no columns at all.
+        let mixed = vec![
+            ElementSet::full(0, Matrix::from_rows(&[vec![1.0, 0.0, 0.0]])),
+            ElementSet::full(1, Matrix::zeros(0, 0)),
+        ];
+        assert!(SimMatcher::new(-1.0).match_pairs(&mixed).is_empty());
     }
 
     #[test]
     fn pairs_equal_per_pair_cosine_reference() {
-        // Random sets with a zero row and a NaN row: hoisting the norms
-        // must keep exactly the pairs a per-pair `cosine` keeps.
+        // Random sets with zero rows and NaN rows: hoisted norms and
+        // chunked dot blocks must keep exactly the pairs a per-pair
+        // `cosine` keeps. The sizes cover an empty set, sets that
+        // straddle the kernel's 4×4 micro-tile, and one set larger than
+        // a query chunk.
         use cs_linalg::vecops::cosine;
         use cs_linalg::{SplitMix64, Xoshiro256};
         let mut rng = Xoshiro256::seed_from(SplitMix64::new(17).next_u64());
         let dim = 24;
         let mut sets = Vec::new();
-        for (k, rows) in [7, 5, 9].into_iter().enumerate() {
+        for (k, rows) in [7, 0, 5, 1, 9, QUERY_CHUNK + 44].into_iter().enumerate() {
             let mut m = Matrix::zeros(rows, dim);
             rng.fill_gaussian(m.as_mut_slice());
-            m.row_mut(1).fill(0.0);
-            if k == 1 {
+            if rows > 1 {
+                m.row_mut(1).fill(0.0);
+            }
+            if k % 2 == 0 && rows > 3 {
                 m.row_mut(3)[5] = f64::NAN;
             }
             sets.push(ElementSet::full(k, m));

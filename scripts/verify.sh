@@ -98,6 +98,9 @@ done
 echo "==> cargo test -q --offline"
 cargo test -q --workspace --offline
 
+echo "==> cs-linalg tests in release (the kernels' bit-identity must hold under vectorised codegen)"
+cargo test -q --release --offline -p cs-linalg
+
 echo "==> golden CSVs in release (the heavy goldens skip themselves in debug)"
 cargo test -q --release --offline -p cs-repro --test golden
 
