@@ -721,10 +721,10 @@ fn traffic_signatures(mode: Mode) -> cs_linalg::Matrix {
 /// one local schema of generated signatures at paper width (the traffic
 /// it serves), `Auto` against the full-SVD reference (`FullSvd`) on a
 /// low-rank-plus-noise probe with a decaying spectrum, and the kernels
-/// alone: the Gram and the encode product (both the register-tiled
-/// `a · bᵀ` kernel), the eigensolve and the blocked matmul. The reference
-/// is not timed on the traffic matrix: Jacobi over 768 columns takes
-/// seconds per fit.
+/// alone: the Gram, the encode product `(x − μ) · PCᵀ`, the decode
+/// product `Z · PC` (all three the one register-tiled micro-kernel) and
+/// the eigensolve. The reference is not timed on the traffic matrix:
+/// Jacobi over 768 columns takes seconds per fit.
 fn bench_solver(mode: Mode, cfg: &MeasureConfig, out: &mut Vec<BenchRecord>) {
     use cs_linalg::pca::ExplainedVariance;
     use cs_linalg::{kernels, Matrix, Pca, PcaConfig, PcaSolver, Xoshiro256};
@@ -740,9 +740,9 @@ fn bench_solver(mode: Mode, cfg: &MeasureConfig, out: &mut Vec<BenchRecord>) {
         format!("pca_fit_v08/auto/{tn}x{td}"),
         || Pca::fit_with(&traffic, config).expect("healthy signatures"),
     );
-    // The two `a · bᵀ` products of a local model at this shape: the Gram
-    // its fit eigendecomposes, and the encode against its v = 0.8
-    // components.
+    // The products of a local model at this shape: the Gram its fit
+    // eigendecomposes, the encode against its v = 0.8 components, and
+    // the decode of those latents.
     let centered = traffic.sub_row_vector(&cs_linalg::stats::column_mean(&traffic));
     push(out, cfg, "solver", format!("gram_rows/{tn}x{td}"), || {
         kernels::gram_rows(&centered)
@@ -751,13 +751,18 @@ fn bench_solver(mode: Mode, cfg: &MeasureConfig, out: &mut Vec<BenchRecord>) {
         .expect("healthy signatures")
         .components()
         .clone();
+    let k = components.rows();
     push(
         out,
         cfg,
         "solver",
-        format!("matmul_transposed/{tn}x{td}x{}", components.rows()),
+        format!("matmul_transposed/{tn}x{td}x{k}"),
         || centered.matmul_transposed(&components),
     );
+    let latent = centered.matmul_transposed(&components);
+    push(out, cfg, "solver", format!("matmul/{tn}x{k}x{td}"), || {
+        latent.matmul(&components)
+    });
     let gram = kernels::gram_rows(&centered);
     push(
         out,
@@ -789,16 +794,6 @@ fn bench_solver(mode: Mode, cfg: &MeasureConfig, out: &mut Vec<BenchRecord>) {
             || Pca::fit_with(&data, config).expect("healthy probe"),
         );
     }
-
-    let m = match mode {
-        Mode::Full => 192usize,
-        Mode::Smoke => 16,
-    };
-    let a = Matrix::from_fn(m, m, |_, _| rng.next_gaussian());
-    let b = Matrix::from_fn(m, m, |_, _| rng.next_gaussian());
-    push(out, cfg, "solver", format!("matmul_blocked/{m}"), || {
-        a.matmul(&b)
-    });
 }
 
 /// Runs every benchmark group under `mode` and returns the report.
@@ -1061,6 +1056,7 @@ mod tests {
             "pca_fit_v05/fullsvd/",
             "gram_rows/",
             "matmul_transposed/",
+            "matmul/",
             "symmetric_eigen/",
         ] {
             assert!(

@@ -26,9 +26,6 @@ pub const MAGIC: &[u8; 4] = b"CSDS";
 /// Bump when the byte layout changes.
 pub const VERSION: u32 = 1;
 
-const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
-
 fn put_str(buf: &mut Vec<u8>, s: &str) {
     buf.extend_from_slice(&(s.len() as u32).to_le_bytes());
     buf.extend_from_slice(s.as_bytes());
@@ -78,12 +75,7 @@ pub fn dataset_to_bytes(dataset: &Dataset) -> Vec<u8> {
 /// FNV-1a digest of [`dataset_to_bytes`] — the workspace-standard 64-bit
 /// fold used by the fault matrix and the sanitizer reports.
 pub fn dataset_digest(dataset: &Dataset) -> u64 {
-    let mut hash = FNV_BASIS;
-    for byte in dataset_to_bytes(dataset) {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
+    cs_linalg::fnv1a(&dataset_to_bytes(dataset))
 }
 
 #[cfg(test)]

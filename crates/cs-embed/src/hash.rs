@@ -15,17 +15,8 @@
 //! batch plan (`crate::encoder`) generates each distinct label once per
 //! batch, into a recycled buffer, and drops it after its last use.
 
+pub use cs_linalg::fnv1a;
 use cs_linalg::{SplitMix64, Xoshiro256};
-
-/// FNV-1a hash of a byte string — stable across platforms and runs.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
 
 /// Writes the deterministic unit Gaussian direction of an arbitrary label
 /// into `out` (its length is the dimension).
@@ -41,14 +32,6 @@ pub fn seeded_direction(label: &str, seed: u64, out: &mut [f64]) {
 mod tests {
     use super::*;
     use cs_linalg::vecops::{cosine, norm};
-
-    #[test]
-    fn fnv_matches_known_vectors() {
-        // Published FNV-1a test vectors.
-        assert_eq!(fnv1a(b""), 0xcbf29ce484222325);
-        assert_eq!(fnv1a(b"a"), 0xaf63dc4c8601ec8c);
-        assert_eq!(fnv1a(b"foobar"), 0x85944171f73967e8);
-    }
 
     fn direction(label: &str, seed: u64, dim: usize) -> Vec<f64> {
         let mut v = vec![0.0; dim];

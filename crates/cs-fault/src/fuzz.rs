@@ -21,11 +21,9 @@
 use cs_core::pool::ExecPolicy;
 use cs_datasets::codec::dataset_digest;
 use cs_datasets::synthetic::{try_generate, SizeDistribution, SyntheticConfig};
+use cs_linalg::Fnv1a;
 
 use crate::harness::run_matrix_on;
-
-const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
 
 /// The linkable-ratio axis: legacy counts, empty positive class, and two
 /// derived fractions.
@@ -124,13 +122,7 @@ fn run_fuzz_on(
     execs: &[(&str, ExecPolicy)],
 ) -> Result<FuzzReport, String> {
     let mut catalogs = Vec::new();
-    let mut digest = FNV_BASIS;
-    let fold = |d: &mut u64, bytes: &[u8]| {
-        for &b in bytes {
-            *d ^= u64::from(b);
-            *d = d.wrapping_mul(FNV_PRIME);
-        }
-    };
+    let mut digest = Fnv1a::default();
     for (label, config) in lattice {
         let dataset = try_generate(config)
             .map_err(|e| format!("{label}: lattice produced an invalid config: {e}"))?;
@@ -143,16 +135,19 @@ fn run_fuzz_on(
             ));
         }
         let matrix = run_matrix_on(config, execs).map_err(|e| format!("{label}: {e}"))?;
-        fold(&mut digest, label.as_bytes());
-        fold(&mut digest, &matrix.digest.to_le_bytes());
-        fold(&mut digest, &ds_digest.to_le_bytes());
+        digest.write(label.as_bytes());
+        digest.write(&matrix.digest.to_le_bytes());
+        digest.write(&ds_digest.to_le_bytes());
         catalogs.push(FuzzCatalog {
             label: label.clone(),
             matrix_digest: matrix.digest,
             dataset_digest: ds_digest,
         });
     }
-    Ok(FuzzReport { catalogs, digest })
+    Ok(FuzzReport {
+        catalogs,
+        digest: digest.finish(),
+    })
 }
 
 #[cfg(test)]

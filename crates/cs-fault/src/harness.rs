@@ -25,6 +25,7 @@ use cs_datasets::synthetic::{
     SyntheticConfig,
 };
 use cs_embed::SignatureEncoder;
+use cs_linalg::Fnv1a;
 use cs_match::{AnnConfig, AnnMatcher, ElementSet, Matcher, SimMatcher};
 use cs_oda::ZScoreDetector;
 
@@ -553,18 +554,15 @@ pub fn run_matrix_on(
         }
         report.push((case.name.to_string(), reference));
     }
-    let mut digest = 0xcbf2_9ce4_8422_2325u64; // FNV-1a offset basis
+    let mut digest = Fnv1a::default();
     for (name, lines) in &report {
-        for chunk in std::iter::once(name.as_str()).chain(lines.iter().map(String::as_str)) {
-            for b in chunk.bytes() {
-                digest ^= u64::from(b);
-                digest = digest.wrapping_mul(0x0000_0100_0000_01B3);
-            }
+        for chunk in std::iter::once(name).chain(lines) {
+            digest.write(chunk.as_bytes());
         }
     }
     Ok(MatrixReport {
         cases: report,
-        digest,
+        digest: digest.finish(),
     })
 }
 

@@ -13,15 +13,15 @@
 //!   paper's local self-supervised models (Algorithm 1),
 //! - [`stats`] — column means/variances, z-scores, distance helpers,
 //! - [`SplitMix64`] / [`Xoshiro256`] — small seeded PRNGs so every
-//!   experiment in the workspace is exactly reproducible.
+//!   experiment in the workspace is exactly reproducible, and [`Fnv1a`],
+//!   the one digest every pinned fingerprint folds through.
 //!
 //! The signature matrices this workspace manipulates are short and wide
-//! (hundreds of rows, 768 columns). The reference loops in [`matrix`] are
-//! written for clarity and numerical robustness; large products dispatch
-//! to the cache-tiled kernels of [`kernels`], which are pinned by
-//! property tests to be **bit-identical** to the reference loops
-//! (DESIGN.md §8) — blocking only reorders memory traffic, never
-//! floating-point accumulation.
+//! (hundreds of rows, 768 columns). Every dense product runs the one
+//! register-tiled micro-kernel of [`kernels`], and every product cell is
+//! pinned by property tests to be **bit-identical** to
+//! [`matrix::dot`] (DESIGN.md §8) — tiling only reorders memory traffic,
+//! never floating-point accumulation.
 
 pub mod check;
 pub mod config;
@@ -39,7 +39,7 @@ pub mod vecops;
 pub use matrix::Matrix;
 pub use pca::{ExplainedVariance, Pca, PcaConfig, PcaRehydrateError, PcaSolver, PcaTarget};
 pub use projection::TruncatedProjection;
-pub use rng::{SplitMix64, Xoshiro256};
+pub use rng::{fnv1a, Fnv1a, SplitMix64, Xoshiro256};
 pub use svd::{Svd, SvdError};
 pub use vecops::total_cmp_f64;
 

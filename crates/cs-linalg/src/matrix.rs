@@ -122,7 +122,7 @@ impl Matrix {
 
     /// Iterator over rows as slices.
     pub fn rows_iter(&self) -> impl Iterator<Item = &[f64]> {
-        self.data.chunks_exact(self.cols.max(1))
+        (0..self.rows).map(|i| self.row(i))
     }
 
     /// Copies column `j` into a new vector.
@@ -160,12 +160,11 @@ impl Matrix {
         out
     }
 
-    /// Matrix product `self · other`.
-    ///
-    /// Cache-friendly i-k-j loop ordering over the row-major buffers; it
-    /// serves PCA decode and the autoencoder's forward pass and weight
-    /// gradients. Large products dispatch to the cache-tiled kernel of
-    /// [`crate::kernels`], which is bit-identical to this loop.
+    /// Matrix product `self · other`, through the register-tiled
+    /// micro-kernel of [`crate::kernels`]: cell `(i, j)` is
+    /// [`dot`]`(self.row(i), &other.col(j))`, bit for bit, on every shape.
+    /// It serves PCA decode, the exact fit's component recovery and the
+    /// autoencoder's forward pass and weight gradients.
     ///
     /// # Panics
     /// If `self.cols != other.rows`.
@@ -177,25 +176,7 @@ impl Matrix {
             self.shape(),
             other.shape()
         );
-        use crate::kernels::{matmul_blocked, BLOCK_DISPATCH_MIN, TILE};
-        if self.rows.max(self.cols).max(other.cols) >= BLOCK_DISPATCH_MIN {
-            return matmul_blocked(self, other, TILE);
-        }
-        let mut out = Matrix::zeros(self.rows, other.cols);
-        for i in 0..self.rows {
-            let a_row = self.row(i);
-            let out_row = &mut out.data[i * other.cols..(i + 1) * other.cols];
-            for (k, &a) in a_row.iter().enumerate() {
-                if a == 0.0 {
-                    continue;
-                }
-                let b_row = &other.data[k * other.cols..(k + 1) * other.cols];
-                for (o, &b) in out_row.iter_mut().zip(b_row.iter()) {
-                    *o += a * b;
-                }
-            }
-        }
-        out
+        crate::kernels::matmul(self, other)
     }
 
     /// `self · otherᵀ` without materializing the transpose, through the
@@ -376,9 +357,10 @@ impl fmt::Debug for Matrix {
 /// index, seeded at `-0.0`, with no fused multiply-add.
 ///
 /// This is the workspace's one summation contract for products: every
-/// cell of [`Matrix::matmul_transposed`] and of
-/// [`crate::kernels::gram_rows`] reproduces it bit for bit. The `-0.0`
-/// seed makes the empty dot `-0.0` and keeps `-0.0 · x` terms signed.
+/// cell of [`Matrix::matmul`], [`Matrix::matmul_transposed`],
+/// [`Matrix::matvec`] and [`crate::kernels::gram_rows`] reproduces it bit
+/// for bit. The `-0.0` seed makes the empty dot `-0.0` and keeps
+/// `-0.0 · x` terms signed.
 #[inline]
 pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     debug_assert_eq!(a.len(), b.len());
@@ -471,6 +453,16 @@ mod tests {
         let a = sample();
         let v = vec![1.0, -1.0, 2.0];
         assert_eq!(a.matvec(&v), vec![5.0, 11.0]);
+    }
+
+    #[test]
+    fn zero_width_matrix_keeps_its_rows() {
+        let m = Matrix::zeros(3, 0);
+        assert_eq!(m.rows_iter().count(), 3);
+        let v = m.matvec(&[]);
+        assert_eq!(v.len(), 3);
+        // Each entry is the empty `dot`.
+        assert!(v.iter().all(|x| x.to_bits() == (-0.0f64).to_bits()));
     }
 
     #[test]

@@ -124,12 +124,6 @@ impl PcaConfig {
         self
     }
 
-    /// Targets the full `min(n, d)`-component decomposition.
-    pub fn with_full_rank(mut self) -> Self {
-        self.target = PcaTarget::FullRank;
-        self
-    }
-
     /// The configured solver.
     pub fn solver(&self) -> PcaSolver {
         self.solver
@@ -356,15 +350,6 @@ impl Pca {
         &self.explained_variance_ratio
     }
 
-    /// Cumulative explained variance actually captured by the retained
-    /// components.
-    pub fn captured_variance(&self) -> f64 {
-        self.explained_variance_ratio
-            .iter()
-            .take(self.n_components())
-            .sum()
-    }
-
     /// Singular values matching [`Self::explained_variance_ratio`].
     pub fn singular_values(&self) -> &[f64] {
         &self.singular_values
@@ -399,12 +384,6 @@ impl Pca {
             .zip(recon.rows_iter())
             .map(|(orig, rec)| mse(orig, rec))
             .collect()
-    }
-
-    /// Reconstruction MSE of a single signature vector.
-    pub fn reconstruction_error_one(&self, signature: &[f64]) -> f64 {
-        let row = Matrix::from_rows(&[signature.to_vec()]);
-        self.reconstruction_errors(&row)[0]
     }
 }
 
@@ -522,7 +501,12 @@ mod tests {
             PcaConfig::new().with_variance(ExplainedVariance::new(0.7).unwrap()),
         )
         .unwrap();
-        assert!(pca.captured_variance() >= 0.7 - 1e-9);
+        let captured: f64 = pca
+            .explained_variance_ratio()
+            .iter()
+            .take(pca.n_components())
+            .sum();
+        assert!(captured >= 0.7 - 1e-9);
     }
 
     #[test]
@@ -595,8 +579,10 @@ mod tests {
             PcaConfig::new().with_variance(ExplainedVariance::new(0.95).unwrap()),
         )
         .unwrap();
-        let on_plane = pca.reconstruction_error_one(&[1.0, 1.0, 2.0, 0.0, 0.0]);
-        let off_plane = pca.reconstruction_error_one(&[1.0, 1.0, 2.0, 0.0, 8.0]);
+        let probes =
+            Matrix::from_rows(&[vec![1.0, 1.0, 2.0, 0.0, 0.0], vec![1.0, 1.0, 2.0, 0.0, 8.0]]);
+        let errors = pca.reconstruction_errors(&probes);
+        let (on_plane, off_plane) = (errors[0], errors[1]);
         assert!(off_plane > on_plane * 10.0, "{off_plane} vs {on_plane}");
     }
 

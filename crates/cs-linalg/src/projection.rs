@@ -104,16 +104,10 @@ impl TruncatedProjection {
     pub fn project(&self, v: &[f64]) -> Vec<f64> {
         assert_eq!(v.len(), self.in_dim, "projection input dim mismatch");
         match &self.basis {
-            Some((mean, basis)) => basis
-                .rows_iter()
-                .map(|comp| {
-                    comp.iter()
-                        .zip(v.iter())
-                        .zip(mean.iter())
-                        .map(|((c, x), m)| c * (x - m))
-                        .sum()
-                })
-                .collect(),
+            Some((mean, basis)) => {
+                let centered: Vec<f64> = v.iter().zip(mean).map(|(x, m)| x - m).collect();
+                basis.matvec(&centered)
+            }
             None => v.iter().copied().take(self.out_dim).collect(),
         }
     }

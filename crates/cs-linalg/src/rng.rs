@@ -1,10 +1,11 @@
-//! Small, seeded pseudo-random number generators.
+//! Small, seeded pseudo-random number generators, and the workspace's one
+//! FNV-1a digest.
 //!
 //! The workspace needs reproducible randomness in three places: Gaussian
 //! concept vectors in the signature encoder, weight initialization in the
 //! neural autoencoder, and k-means/LSH initialization in the matchers.
-//! `rand` is available, but a self-contained generator keeps the determinism
-//! guarantees (bit-exact across platforms and `rand` versions) that the
+//! The build is hermetic (DESIGN.md §6), and a self-contained generator
+//! keeps the determinism guarantee (bit-exact across platforms) that the
 //! experiment harness relies on.
 
 /// SplitMix64: a tiny, high-quality 64-bit generator.
@@ -127,6 +128,42 @@ impl Xoshiro256 {
     }
 }
 
+/// Streaming 64-bit FNV-1a: the workspace's one digest of byte streams
+/// (signature bits, dataset encodings, fault-matrix and sanitizer
+/// reports), stable across platforms and runs. Writing `a` then `b`
+/// equals writing their concatenation.
+#[derive(Debug, Clone, Copy)]
+pub struct Fnv1a(u64);
+
+impl Default for Fnv1a {
+    /// The FNV-1a offset basis: the digest of the empty stream.
+    fn default() -> Self {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
+    }
+}
+
+impl Fnv1a {
+    /// Folds `bytes` into the digest.
+    pub fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// The digest of everything written so far.
+    pub fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// FNV-1a digest of one byte string.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h = Fnv1a::default();
+    h.write(bytes);
+    h.finish()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -220,5 +257,17 @@ mod tests {
         let mut sample = rng.sample_indices(10, 10);
         sample.sort_unstable();
         assert_eq!(sample, (0..10).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn fnv1a_matches_published_vectors_and_streams() {
+        assert_eq!(fnv1a(b""), 0xcbf29ce484222325);
+        assert_eq!(fnv1a(b"a"), 0xaf63dc4c8601ec8c);
+        assert_eq!(fnv1a(b"foobar"), 0x85944171f73967e8);
+        let mut h = Fnv1a::default();
+        h.write(b"foo");
+        h.write(b"");
+        h.write(b"bar");
+        assert_eq!(h.finish(), fnv1a(b"foobar"));
     }
 }

@@ -37,6 +37,7 @@ use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 use crate::config;
+use crate::Fnv1a;
 
 /// Enablement cache: 0 = undecided, 1 = off, 2 = on.
 static ENABLED: AtomicU8 = AtomicU8::new(0);
@@ -151,14 +152,11 @@ pub fn float_env_probe() -> u64 {
         unfused.to_bits(),
         u64::from(tiny != 0.0), // subnormals survive
     ];
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut h = Fnv1a::default();
     for w in words {
-        for b in w.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        h.write(&w.to_le_bytes());
     }
-    h
+    h.finish()
 }
 
 /// Records the calling thread's [`float_env_probe`] into the process-wide
@@ -200,26 +198,20 @@ impl SanitizeReport {
     /// inputs are sorted sets, so the digest is independent of thread
     /// timing and worker count.
     pub fn digest(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        };
+        let mut h = Fnv1a::default();
         for (a, b) in &self.edges {
-            eat(a.as_bytes());
-            eat(b"->");
-            eat(b.as_bytes());
-            eat(b";");
+            h.write(a.as_bytes());
+            h.write(b"->");
+            h.write(b.as_bytes());
+            h.write(b";");
         }
-        eat(b"|cycles:");
-        eat(&(self.cycles.len() as u64).to_le_bytes());
-        eat(b"|probes:");
+        h.write(b"|cycles:");
+        h.write(&(self.cycles.len() as u64).to_le_bytes());
+        h.write(b"|probes:");
         for p in &self.probes {
-            eat(&p.to_le_bytes());
+            h.write(&p.to_le_bytes());
         }
-        h
+        h.finish()
     }
 
     /// The report restricted to edges whose lock names start with
@@ -251,15 +243,6 @@ pub fn report() -> SanitizeReport {
         edges,
         probes,
     }
-}
-
-/// Clears all recorded evidence. The graph is process-global, so tests
-/// sharing a process should prefer [`SanitizeReport::filtered`] over
-/// resetting underneath each other.
-pub fn reset() {
-    let mut ev = evidence().lock().unwrap_or_else(|p| p.into_inner());
-    ev.edges.clear();
-    ev.probes.clear();
 }
 
 /// Elementary cycles of a lock-order graph, found by depth-first search

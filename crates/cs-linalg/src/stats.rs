@@ -66,11 +66,6 @@ pub fn variance(v: &[f64]) -> f64 {
     v.iter().map(|x| (x - mu) * (x - mu)).sum::<f64>() / v.len() as f64
 }
 
-/// Population standard deviation of a slice.
-pub fn std_dev(v: &[f64]) -> f64 {
-    variance(v).sqrt()
-}
-
 /// Per-row z-score magnitude of a signature matrix: the mean absolute
 /// standardized deviation of each row from the column means. This is the
 /// Z-score outlier score used by the scoping baseline (SciPy `zscore`

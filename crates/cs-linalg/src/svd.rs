@@ -141,15 +141,6 @@ impl Svd {
         }
         us.matmul(&self.vt)
     }
-
-    /// Number of singular values above `tol · σ_max` — the numerical rank.
-    pub fn rank(&self, tol: f64) -> usize {
-        let max = self.singular_values.first().copied().unwrap_or(0.0);
-        self.singular_values
-            .iter()
-            .filter(|&&s| s > tol * max && s > 0.0)
-            .count()
-    }
 }
 
 fn validate(a: &Matrix) -> Result<(), SvdError> {
@@ -215,30 +206,27 @@ impl GramEigen {
         })
     }
 
-    /// The first `keep` rows of `Vᵀ`. On the rows side row `i` is
-    /// `Aᵀ·u_i / σ_i` (zero where `σ_i ≤ EPS`), accumulated over the rows
-    /// of `A` in order so every entry sums its terms the same way
-    /// whatever `keep` is; on the columns side it is eigenvector `i`.
+    /// The first `keep` rows of `Vᵀ`. On the columns side row `i` is
+    /// eigenvector `i`; on the rows side it is `u_iᵀ·A / σ_i` (zero where
+    /// `σ_i ≤ EPS`), one [`Matrix::matmul`] whose every entry is the
+    /// same `dot` over the rows of `A` whatever `keep` is.
     pub(crate) fn vt_rows(&self, a: &Matrix, keep: usize) -> Matrix {
-        let d = a.cols();
-        let mut vt = Matrix::zeros(keep, d);
-        for slot in 0..keep {
-            let vector = self.vectors.row(slot);
-            let out = vt.row_mut(slot);
-            if !self.rows_side {
-                out.copy_from_slice(vector);
-                continue;
-            }
-            let sigma = self.singular_values[slot];
+        let width = self.vectors.cols();
+        let top = Matrix::from_vec(
+            keep,
+            width,
+            self.vectors.as_slice()[..keep * width].to_vec(),
+        );
+        if !self.rows_side {
+            return top;
+        }
+        let mut vt = top.matmul(a);
+        for (slot, &sigma) in self.singular_values[..keep].iter().enumerate() {
+            let row = vt.row_mut(slot);
             if sigma > crate::EPS {
-                for (a_row, &u) in a.rows_iter().zip(vector) {
-                    for (acc, &x) in out.iter_mut().zip(a_row) {
-                        *acc += x * u;
-                    }
-                }
-                for acc in out.iter_mut() {
-                    *acc /= sigma;
-                }
+                row.iter_mut().for_each(|x| *x /= sigma);
+            } else {
+                row.fill(0.0);
             }
         }
         vt
@@ -531,7 +519,14 @@ mod tests {
         let a = Matrix::from_rows(&[vec![2.0, 4.0], vec![1.0, 2.0]]);
         let svd = Svd::jacobi(&a).unwrap();
         assert!(svd.singular_values[1].abs() < 1e-10);
-        assert_eq!(svd.rank(1e-9), 1);
+        // Numerical rank: singular values above 1e-9 · σ_max.
+        let max = svd.singular_values[0];
+        let rank = svd
+            .singular_values
+            .iter()
+            .filter(|&&s| s > 1e-9 * max && s > 0.0)
+            .count();
+        assert_eq!(rank, 1);
         assert_reconstructs(&a, &svd, 1e-10);
     }
 
@@ -604,7 +599,8 @@ mod tests {
         let a = Matrix::zeros(3, 5);
         let svd = Svd::jacobi(&a).unwrap();
         assert!(svd.singular_values.iter().all(|&s| s.abs() < 1e-12));
-        assert_eq!(svd.rank(1e-9), 0);
+        // Numerical rank: no singular value is positive.
+        assert!(svd.singular_values.iter().all(|&s| s <= 0.0));
         assert_reconstructs(&a, &svd, 1e-12);
         // The Gram path leaves the rows of zero singular values zero.
         let (sv, vt) = gram_vt(&a);

@@ -104,12 +104,6 @@ pub fn argmax(v: &[f64]) -> Option<(usize, f64)> {
         })
 }
 
-/// Index and value of the minimum element; `None` on empty input or if all
-/// elements are NaN.
-pub fn argmin(v: &[f64]) -> Option<(usize, f64)> {
-    argmax(&v.iter().map(|x| -x).collect::<Vec<_>>()).map(|(i, x)| (i, -x))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -169,7 +163,8 @@ mod tests {
     fn argmax_argmin() {
         let v = [3.0, -1.0, 7.0, 2.0];
         assert_eq!(argmax(&v), Some((2, 7.0)));
-        assert_eq!(argmin(&v), Some((1, -1.0)));
+        // The minimum is the maximum of the negation.
+        assert_eq!(argmax(&v.map(|x| -x)), Some((1, 1.0)));
         assert_eq!(argmax(&[]), None);
     }
 

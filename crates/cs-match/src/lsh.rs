@@ -96,9 +96,8 @@ impl HyperplaneLsh {
         for _ in 0..tables {
             let p = Matrix::from_fn(band_bits, dim, |_, _| rng.next_gaussian());
             let mut map: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
-            for i in 0..data.rows() {
-                let h = Self::hash(&p, data.row(i));
-                map.entry(h).or_default().push(i);
+            for (i, dots) in data.matmul_transposed(&p).rows_iter().enumerate() {
+                map.entry(Self::band(dots)).or_default().push(i);
             }
             planes.push(p);
             buckets.push(map);
@@ -110,15 +109,13 @@ impl HyperplaneLsh {
         }
     }
 
-    fn hash(planes: &Matrix, v: &[f64]) -> u64 {
-        let mut h = 0u64;
-        for (bit, plane) in planes.rows_iter().enumerate() {
-            let dot: f64 = plane.iter().zip(v.iter()).map(|(a, b)| a * b).sum();
-            if dot >= 0.0 {
-                h |= 1 << bit;
-            }
-        }
-        h
+    /// The band value of one vector from its dots with a table's
+    /// hyperplanes: bit `b` is set when dot `b` is `≥ 0`.
+    fn band(dots: &[f64]) -> u64 {
+        dots.iter()
+            .enumerate()
+            .filter(|&(_, &dot)| dot >= 0.0)
+            .fold(0, |h, (bit, _)| h | 1 << bit)
     }
 
     /// Number of indexed vectors.
@@ -151,7 +148,7 @@ impl HyperplaneLsh {
         let hashes: Vec<u64> = self
             .planes
             .iter()
-            .map(|planes| Self::hash(planes, query))
+            .map(|planes| Self::band(&planes.matvec(query)))
             .collect();
         let mut out: Vec<usize> = Vec::new();
         for (h, map) in hashes.iter().zip(self.buckets.iter()) {

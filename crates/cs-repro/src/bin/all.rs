@@ -1,6 +1,6 @@
-//! Runs every experiment in sequence: Tables 2–4, Figures 5–7, and the
-//! Section 4.4 discussion numbers. Pass `--full` for the paper's
-//! autoencoder ensemble in Table 4.
+//! Runs every experiment in sequence: Tables 2–4, Figures 5–7, the
+//! non-linear extension, and the Section 4.4 discussion numbers. Pass
+//! `--full` for the paper's autoencoder ensemble in Table 4.
 
 use std::process::Command;
 
@@ -18,6 +18,7 @@ fn main() {
         ("fig5", &[]),
         ("fig6", &[]),
         ("fig7", &[]),
+        ("extension_nonlinear", &[]),
         ("discussion", &[]),
         ("scaling_quality", &[]),
         ("ann_quality", &[]),

@@ -1,66 +1,31 @@
 //! Future-work extension (paper §5): collaborative scoping with
 //! **non-linear** local encoder–decoders (dense autoencoders) instead of
 //! PCA, compared on both datasets across bottleneck widths.
-//!
-//! Usage: `extension_nonlinear [--epochs N]` (default 120).
 
-use cs_core::{CollaborativeScoper, NeuralCollaborativeScoper};
-use cs_metrics::BinaryConfusion;
-use cs_nn::TrainConfig;
-use cs_repro::experiments::dataset_signatures;
+use cs_repro::goldens::{self, EXTENSION_NONLINEAR_EPOCHS};
 use cs_repro::report::{pct, render_table};
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let epochs: usize = args
-        .iter()
-        .position(|a| a == "--epochs")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(120);
-
-    for ds in [cs_datasets::oc3(), cs_datasets::oc3_fo()] {
-        println!("Non-linear extension — {} (epochs {epochs})\n", ds.name);
-        let labels = ds.labels();
-        let signatures = dataset_signatures(&ds);
-        let mut rows = Vec::new();
-
-        // PCA reference points at comparable generalization levels.
-        for v in [0.9, 0.7, 0.5] {
-            let run = CollaborativeScoper::new(v).run(&signatures).expect("valid");
-            let c = BinaryConfusion::from_labels(&run.outcome.decisions, &labels);
-            rows.push(vec![
-                format!("PCA v={v}"),
-                pct(100.0 * c.precision()),
-                pct(100.0 * c.recall()),
-                pct(100.0 * c.f1()),
-            ]);
-        }
-
-        // Autoencoder local models across bottleneck widths.
-        for bottleneck in [4usize, 10, 24] {
-            let config = TrainConfig {
-                hidden: vec![100, bottleneck, 100],
-                epochs,
-                batch_size: 32,
-                learning_rate: 1e-3,
-                seed: 0xAE_2026,
-            };
-            let run = NeuralCollaborativeScoper::new(config)
-                .run(&signatures)
-                .expect("valid");
-            let c = BinaryConfusion::from_labels(&run.outcome.decisions, &labels);
-            rows.push(vec![
-                format!("AE 100|{bottleneck}|100"),
-                pct(100.0 * c.precision()),
-                pct(100.0 * c.recall()),
-                pct(100.0 * c.f1()),
-            ]);
-        }
-
+    let t = goldens::extension_nonlinear();
+    for (name, rows) in &t.per_dataset {
+        println!("Non-linear extension — {name} (epochs {EXTENSION_NONLINEAR_EPOCHS})\n");
+        let rows: Vec<Vec<String>> = rows
+            .iter()
+            .map(|(model, c)| {
+                vec![
+                    model.clone(),
+                    pct(100.0 * c.precision()),
+                    pct(100.0 * c.recall()),
+                    pct(100.0 * c.f1()),
+                ]
+            })
+            .collect();
         println!(
             "{}",
             render_table(&["Local model", "Precision", "Recall", "F1"], &rows)
         );
     }
+    let path = format!("{}/extension_nonlinear.csv", cs_repro::RESULTS_DIR);
+    t.csv.write_to(&path).expect("write results CSV");
+    println!("written: {path}");
 }

@@ -1,19 +1,21 @@
 //! Shared golden-table builders.
 //!
-//! The `table2` / `table3` / `table4` / `fig7` binaries and the golden
-//! regression test (`tests/golden.rs`) must produce *byte-identical* CSV —
-//! so the table construction lives here, once, and both sides consume it.
+//! The `table2` / `table3` / `table4` / `fig7` / `extension_nonlinear`
+//! binaries and the golden regression test (`tests/golden.rs`) must
+//! produce *byte-identical* CSV — so the table construction lives here,
+//! once, and both sides consume it.
 //! Each builder returns the [`CsvTable`] destined for `results/` plus the
 //! intermediate rows the binaries render on the console.
 
 use crate::ablation::{evaluate_matcher, fig7_ablation, split_element_sets, AblationPoint};
 use crate::csv::{fmt_f64, CsvTable};
 use crate::experiments::{dataset_signatures, table4_rows, ScopingMethodResult};
-use cs_core::CollaborativeSweep;
+use cs_core::{CollaborativeScoper, CollaborativeSweep, NeuralCollaborativeScoper};
 use cs_datasets::synthetic::{generate, SyntheticConfig};
 use cs_linalg::vecops::{sq_euclidean, total_cmp_f64};
 use cs_match::{AnnConfig, AnnIndex, AnnSimMatcher, ElementSet, SimMatcher};
-use cs_metrics::MatchQuality;
+use cs_metrics::{BinaryConfusion, MatchQuality};
+use cs_nn::TrainConfig;
 use cs_schema::LinkageKind;
 
 /// Table 2: linkable/unlinkable element counts.
@@ -222,6 +224,63 @@ pub fn fig7(steps: usize) -> Fig7 {
         per_dataset.push((ds.name.clone(), points));
     }
     Fig7 { per_dataset, csv }
+}
+
+/// The non-linear extension (paper §5): collaborative scoping with PCA
+/// local models at three explained variances against dense-autoencoder
+/// local models at three bottleneck widths.
+#[derive(Debug, Clone)]
+pub struct ExtensionNonlinear {
+    /// `(dataset name, (local-model label, confusion))` in emission order.
+    pub per_dataset: Vec<(String, Vec<(String, BinaryConfusion)>)>,
+    /// The `results/extension_nonlinear.csv` content.
+    pub csv: CsvTable,
+}
+
+/// Epochs each autoencoder local model of [`extension_nonlinear`] trains.
+pub const EXTENSION_NONLINEAR_EPOCHS: usize = 120;
+
+/// Builds the non-linear extension table on both datasets.
+pub fn extension_nonlinear() -> ExtensionNonlinear {
+    let mut per_dataset = Vec::new();
+    let mut csv = CsvTable::new(&["dataset", "local_model", "precision", "recall", "f1"]);
+    for ds in [cs_datasets::oc3(), cs_datasets::oc3_fo()] {
+        let labels = ds.labels();
+        let signatures = dataset_signatures(&ds);
+        let mut rows = Vec::new();
+        // PCA reference points at comparable generalization levels.
+        for v in [0.9, 0.7, 0.5] {
+            let run = CollaborativeScoper::new(v).run(&signatures).expect("valid");
+            let c = BinaryConfusion::from_labels(&run.outcome.decisions, &labels);
+            rows.push((format!("PCA v={v}"), c));
+        }
+        // Autoencoder local models across bottleneck widths.
+        for bottleneck in [4usize, 10, 24] {
+            let config = TrainConfig {
+                hidden: vec![100, bottleneck, 100],
+                epochs: EXTENSION_NONLINEAR_EPOCHS,
+                batch_size: 32,
+                learning_rate: 1e-3,
+                seed: 0xAE_2026,
+            };
+            let run = NeuralCollaborativeScoper::new(config)
+                .run(&signatures)
+                .expect("valid");
+            let c = BinaryConfusion::from_labels(&run.outcome.decisions, &labels);
+            rows.push((format!("AE 100|{bottleneck}|100"), c));
+        }
+        for (model, c) in &rows {
+            csv.push_row(vec![
+                ds.name.clone(),
+                model.clone(),
+                fmt_f64(c.precision()),
+                fmt_f64(c.recall()),
+                fmt_f64(c.f1()),
+            ]);
+        }
+        per_dataset.push((ds.name.clone(), rows));
+    }
+    ExtensionNonlinear { per_dataset, csv }
 }
 
 /// One scaling-quality measurement on a generated catalog.

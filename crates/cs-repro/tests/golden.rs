@@ -8,9 +8,9 @@
 //! counts may never influence these bytes.
 //!
 //! `table2`/`table3` and the Fig. 5/6 series are cheap and always run.
-//! `table4`, `fig7`, `ann_quality` and `scaling_quality` need minutes in
-//! a debug build, so they only run when optimized
-//! (`cargo test --release`) or when `CS_GOLDEN_FULL` is set.
+//! `table4`, `fig7`, `extension_nonlinear`, `ann_quality` and
+//! `scaling_quality` need minutes in a debug build, so they only run when
+//! optimized (`cargo test --release`) or when `CS_GOLDEN_FULL` is set.
 
 use std::path::PathBuf;
 
@@ -109,6 +109,20 @@ fn fig7_csv_is_byte_identical() {
     }
     // The `fig7` binary's default: 20 grid points.
     assert_matches_golden("fig7.csv", &goldens::fig7(20).csv);
+}
+
+#[test]
+fn extension_nonlinear_csv_is_byte_identical() {
+    if !heavy_goldens_enabled() {
+        eprintln!(
+            "skipping extension_nonlinear golden in debug build (set CS_GOLDEN_FULL=1 to force)"
+        );
+        return;
+    }
+    assert_matches_golden(
+        "extension_nonlinear.csv",
+        &goldens::extension_nonlinear().csv,
+    );
 }
 
 #[test]

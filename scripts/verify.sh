@@ -98,8 +98,8 @@ done
 echo "==> cargo test -q --offline"
 cargo test -q --workspace --offline
 
-echo "==> cs-linalg tests in release (the kernels' bit-identity must hold under vectorised codegen)"
-cargo test -q --release --offline -p cs-linalg
+echo "==> cs-linalg and cs-nn tests in release (the kernel's bit-identity must hold under vectorised codegen)"
+cargo test -q --release --offline -p cs-linalg -p cs-nn
 
 echo "==> golden CSVs in release (the heavy goldens skip themselves in debug)"
 cargo test -q --release --offline -p cs-repro --test golden
