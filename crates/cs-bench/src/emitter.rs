@@ -586,7 +586,7 @@ fn bench_scaling(mode: Mode, cfg: &MeasureConfig, out: &mut Vec<BenchRecord>) {
     };
     const MATCH_CAP: usize = 10_000;
     for target in size_totals {
-        let ds = scaling_dataset(target, 0.5, 0x5CA_1E);
+        let ds = scaling_dataset(target, 0.5, 0x0005_CA1E);
         let sigs = scaling_encode(&ds);
         let total = sigs.total_len();
         push(
@@ -776,7 +776,7 @@ fn bench_solver(mode: Mode, cfg: &MeasureConfig, out: &mut Vec<BenchRecord>) {
         Mode::Full => (128usize, 512usize, 16usize),
         Mode::Smoke => (20, 48, 4),
     };
-    let mut rng = Xoshiro256::seed_from(0xBE5C_11);
+    let mut rng = Xoshiro256::seed_from(0x00BE_5C11);
     let basis = Matrix::from_fn(rank, d, |_, _| rng.next_gaussian());
     let coeff = Matrix::from_fn(n, rank, |_, j| rng.next_gaussian() / (1.0 + j as f64));
     let mut data = coeff.matmul(&basis);

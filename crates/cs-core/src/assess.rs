@@ -8,7 +8,8 @@
 //! - [`assess`] — trained models in, [`CollaborativeRun`] out; the PCA
 //!   and neural scopers, model exchange and the ablations call it;
 //! - the crate-private `Tally` fold and `assemble` step — the `v`
-//!   sweep feeds them errors read from its cached projection tables.
+//!   sweep feeds a votes-only tally the acceptance bits it cached at
+//!   prepare time.
 //!
 //! Any model kind plugs in through the small [`LocalAssessor`] trait.
 
@@ -51,7 +52,8 @@ pub trait LocalAssessor {
 pub(crate) struct Tally {
     /// Per element: how many foreign models accepted it.
     votes: Vec<usize>,
-    /// Per element: `min_m (err_m − l_m)`, from `+∞`.
+    /// Per element: `min_m (err_m − l_m)`, from `+∞`; empty for a
+    /// votes-only tally, which never sees an error.
     margin: Vec<f64>,
     /// A degraded schema has no model; its elements are pruned wholesale.
     degraded: bool,
@@ -67,12 +69,21 @@ impl Tally {
         }
     }
 
-    /// The tally of a degraded schema of `n` elements: no votes, and
-    /// every element pruned whatever the rule.
+    /// An empty tally that counts votes only (see [`Self::fold_votes`]).
+    pub(crate) fn votes_only(n: usize) -> Self {
+        Self {
+            votes: vec![0; n],
+            margin: Vec::new(),
+            degraded: false,
+        }
+    }
+
+    /// The votes-only tally of a degraded schema of `n` elements: no
+    /// votes, and every element pruned whatever the rule.
     pub(crate) fn degraded(n: usize) -> Self {
         Self {
             degraded: true,
-            ..Self::new(n)
+            ..Self::votes_only(n)
         }
     }
 
@@ -89,12 +100,22 @@ impl Tally {
             }
         }
     }
+
+    /// Folds one foreign model's per-element verdicts (`err ≤ l`, decided
+    /// by the caller) into a votes-only tally.
+    pub(crate) fn fold_votes(&mut self, accepted: impl IntoIterator<Item = bool>) {
+        for (votes, accepted) in self.votes.iter_mut().zip(accepted) {
+            *votes += usize::from(accepted);
+        }
+    }
 }
 
 /// The assembled decision of one assessment.
 pub(crate) struct Assembled {
     pub(crate) outcome: ScopingOutcome,
     pub(crate) accept_votes: Vec<usize>,
+    /// Margins in unified element order; only votes-only tallies leave
+    /// their elements out.
     pub(crate) best_margin: Vec<f64>,
     pub(crate) cost: CostReport,
 }
@@ -273,11 +294,34 @@ mod tests {
     #[test]
     fn degraded_tally_prunes_whatever_the_rule() {
         let ids = three_schemas().element_ids();
-        let tallies = vec![Tally::new(9), Tally::degraded(11), Tally::new(7)];
+        let tallies = vec![
+            Tally::votes_only(9),
+            Tally::degraded(11),
+            Tally::votes_only(7),
+        ];
         let got = assemble(tallies, CombinationRule::AtLeast(0), 1, "", ids);
         assert_eq!(got.outcome.kept_in_schema(1), 0);
         assert_eq!(got.outcome.kept_count(), 16);
         assert_eq!(got.cost.pass_operations, 16);
         assert_eq!(got.cost.models_trained, 2);
+        assert!(got.best_margin.is_empty());
+    }
+
+    #[test]
+    fn votes_only_fold_counts_what_the_error_fold_counts() {
+        let models: [(&[f64], f64); 3] = [
+            (&[0.1, 0.5, 0.3, 0.2], 0.3),
+            (&[0.4, 0.4, 0.0, 0.9], 0.4),
+            (&[1.0, 0.0, 0.25, 0.3], 0.2),
+        ];
+        let mut full = Tally::new(4);
+        let mut votes = Tally::votes_only(4);
+        for (errors, range) in models {
+            full.fold(errors.iter().copied(), range);
+            votes.fold_votes(errors.iter().map(|&e| e <= range));
+        }
+        assert_eq!(votes.votes, full.votes);
+        assert_eq!(votes.votes, [2, 2, 2, 1]);
+        assert!(votes.margin.is_empty());
     }
 }

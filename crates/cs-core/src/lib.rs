@@ -23,7 +23,8 @@
 //! The baseline [`GlobalScoper`] ranks the unified signature set with a
 //! single outlier detector and keeps the lowest-scoring `p` fraction
 //! (Section 2.4). [`CollaborativeSweep`] evaluates the whole `v ∈ (1..0)`
-//! grid efficiently by caching full-rank latent projections.
+//! grid efficiently: it caches, per element and foreign model, one
+//! acceptance bit per retained-component count.
 
 pub mod assess;
 pub mod collaborative;

@@ -8,10 +8,26 @@
 //!
 //! `MSE(n) = (‖x − μ‖² − Σ_{i≤n} z_i²) / dim`
 //!
-//! where `z = (x − μ)·PCᵀ` is the *full-rank* latent projection. So one
-//! projection per `(element, model)` pair — cached as prefix sums — makes
-//! every grid point an O(1)-per-element lookup. A property test pins the
-//! sweep's decisions to [`CollaborativeScoper::run`]'s.
+//! where `z = (x − μ)·PCᵀ` is the *full-rank* latent projection. A
+//! decision at any `v` depends on `v` only through `n_m(v)`, the
+//! components model `m` retains. So `prepare` evaluates every `n` once:
+//! per model, the range curve `l_m(n)` (the maximum of its own elements'
+//! errors), and per (element, foreign model) one acceptance bit per `n`,
+//! `MSE_m(e, n) ≤ l_m(n)`. The floats are then dropped, and every grid
+//! point is one bit lookup per (element, foreign model). A property test
+//! pins the sweep's decisions to [`CollaborativeScoper::run`]'s.
+//!
+//! # Cache size
+//!
+//! For schemas of `n_k` elements and healthy models of full rank
+//! `rank_m`, the cache holds
+//!
+//! - `Σ_k Σ_{m≠k} ⌈n_k·(rank_m + 1)/64⌉` `u64` words of acceptance bits,
+//!   both `k` and `m` healthy;
+//! - `Σ_m (rank_m + 1)` `f64` of range curves, plus each model's
+//!   explained-variance ratios (one `f64` per singular value).
+//!
+//! [`CollaborativeScoper::run`]: crate::CollaborativeScoper::run
 
 use std::sync::Arc;
 
@@ -25,65 +41,111 @@ use crate::signatures::SchemaSignatures;
 use cs_linalg::{Matrix, Pca, PcaConfig};
 use cs_schema::ElementId;
 
-/// Cached latent projections of one element set under one model.
-#[derive(Debug, Clone)]
-struct ProjTable {
-    /// Per element: prefix sums of squared latent coordinates
-    /// (`prefix[e][n] = Σ_{i<n} z_i²`, with `prefix[e][0] = 0`).
-    prefix: Vec<Vec<f64>>,
-    /// Per element: squared norm of the centered signature.
-    total: Vec<f64>,
-}
-
-impl ProjTable {
-    fn build(pca: &Pca, data: &Matrix) -> Self {
-        let centered = data.sub_row_vector(pca.mean());
-        let z = centered.matmul_transposed(pca.components());
-        let mut prefix = Vec::with_capacity(data.rows());
-        let mut total = Vec::with_capacity(data.rows());
-        for (zrow, crow) in z.rows_iter().zip(centered.rows_iter()) {
-            let mut p = Vec::with_capacity(zrow.len() + 1);
-            let mut acc = 0.0;
-            p.push(0.0);
-            for &v in zrow {
-                acc += v * v;
-                p.push(acc);
-            }
-            prefix.push(p);
-            total.push(crow.iter().map(|x| x * x).sum());
+/// Calls `visit(e, curve)` for every row `e` of `data` under `pca`, where
+/// `curve[n]` is the row's reconstruction MSE at `n` retained components,
+/// `n = 0..=rank`. The range curves and the acceptance bits both come
+/// from here, so they compare the same floats.
+fn for_each_error_curve(
+    pca: &Pca,
+    data: &Matrix,
+    dim: usize,
+    mut visit: impl FnMut(usize, &[f64]),
+) {
+    let centered = data.sub_row_vector(pca.mean());
+    let z = centered.matmul_transposed(pca.components());
+    let mut curve = vec![0.0; z.cols() + 1];
+    for (e, (zrow, crow)) in z.rows_iter().zip(centered.rows_iter()).enumerate() {
+        let total: f64 = crow.iter().map(|x| x * x).sum();
+        let mut acc = 0.0;
+        curve[0] = (total - acc).max(0.0) / dim as f64;
+        for (slot, &v) in curve[1..].iter_mut().zip(zrow) {
+            acc += v * v;
+            *slot = (total - acc).max(0.0) / dim as f64;
         }
-        Self { prefix, total }
-    }
-
-    /// Reconstruction MSE of element `e` at `n` retained components.
-    fn error_at(&self, e: usize, n: usize, dim: usize) -> f64 {
-        let p = &self.prefix[e];
-        let n = n.min(p.len() - 1);
-        (self.total[e] - p[n]).max(0.0) / dim as f64
-    }
-
-    fn len(&self) -> usize {
-        self.prefix.len()
+        visit(e, &curve);
     }
 }
 
-/// The immutable projection cache, shared by every clone of a sweep.
+/// One healthy model's `v`-independent state.
+#[derive(Debug, Clone)]
+struct ModelCurve {
+    /// Full explained-variance ratios.
+    ratios: Vec<f64>,
+    /// `range[n]` — the local linkability range `l_m` at `n` retained
+    /// components, `n = 0..=rank`.
+    range: Vec<f64>,
+}
+
+impl ModelCurve {
+    /// A fitted model's curves: its ratios, and its own elements' error
+    /// curves folded into the range curve (the projections are dropped
+    /// on return).
+    fn fit(pca: &Pca, own: &Matrix, dim: usize) -> Self {
+        let mut range = vec![0.0f64; pca.n_components() + 1];
+        for_each_error_curve(pca, own, dim, |_, curve| {
+            for (l, &err) in range.iter_mut().zip(curve) {
+                *l = f64::max(*l, err);
+            }
+        });
+        Self {
+            ratios: pca.explained_variance_ratio().to_vec(),
+            range,
+        }
+    }
+
+    /// The range-curve index at `n` retained components (a request past
+    /// the full rank keeps every component).
+    fn index(&self, n: usize) -> usize {
+        n.min(self.range.len() - 1)
+    }
+}
+
+/// One schema's acceptance bits under one foreign model: bit
+/// `e·stride + n` is set when element `e`'s error at `n` retained
+/// components lies within the model's range, `stride = rank + 1`.
+#[derive(Debug)]
+struct AcceptBits {
+    words: Vec<u64>,
+    stride: usize,
+}
+
+impl AcceptBits {
+    /// Projects `data` under `pca` and compares each error curve with
+    /// `model`'s range curve.
+    fn build(pca: &Pca, model: &ModelCurve, data: &Matrix, dim: usize) -> Self {
+        let stride = model.range.len();
+        let mut words = vec![0u64; (data.rows() * stride).div_ceil(64)];
+        for_each_error_curve(pca, data, dim, |e, curve| {
+            for (n, (&err, &l)) in curve.iter().zip(&model.range).enumerate() {
+                if err <= l {
+                    let bit = e * stride + n;
+                    words[bit / 64] |= 1 << (bit % 64);
+                }
+            }
+        });
+        Self { words, stride }
+    }
+
+    /// Whether element `e` is accepted at range-curve index `n`.
+    fn get(&self, e: usize, n: usize) -> bool {
+        let bit = e * self.stride + n;
+        self.words[bit / 64] >> (bit % 64) & 1 == 1
+    }
+}
+
+/// The immutable acceptance cache, shared by every clone of a sweep.
 #[derive(Debug)]
 struct SweepCache {
     element_ids: Vec<ElementId>,
-    dim: usize,
     /// Element count per schema (degraded schemas included — their
     /// elements still occupy rows of the unified order).
     schema_lens: Vec<usize>,
-    /// Full explained-variance ratios per schema model (empty for
-    /// degraded schemas).
-    ratios: Vec<Vec<f64>>,
-    /// `own[m]` — schema `m`'s own elements under its own model
-    /// (`None` when `m` is degraded).
-    own: Vec<Option<ProjTable>>,
-    /// `cross[k][m]` — schema `k`'s elements under model `m` (`None` on
+    /// `models[m]` — schema `m`'s model curves (`None` when `m` is
+    /// degraded).
+    models: Vec<Option<ModelCurve>>,
+    /// `accept[k][m]` — schema `k`'s elements under model `m` (`None` on
     /// the diagonal and wherever `k` or `m` is degraded).
-    cross: Vec<Vec<Option<ProjTable>>>,
+    accept: Vec<Vec<Option<AcceptBits>>>,
     /// Schemas no local model could be trained for, in schema order.
     degraded: Vec<DegradedSchema>,
 }
@@ -92,24 +154,23 @@ struct SweepCache {
 ///
 /// The cache is immutable once prepared and held behind an [`Arc`], so
 /// `Clone` is a reference-count bump — each worker of
-/// [`Self::assess_grid`] carries its own handle to the shared
-/// projections.
+/// [`Self::assess_grid`] carries its own handle to the shared bits.
 #[derive(Debug, Clone)]
 pub struct CollaborativeSweep {
     inner: Arc<SweepCache>,
 }
 
 impl CollaborativeSweep {
-    /// Fits full-rank PCA per schema and caches all projections, fanning
-    /// the per-schema work out on the shared pool.
+    /// Fits full-rank PCA per schema and caches every acceptance bit,
+    /// fanning the per-schema work out on the shared pool.
     pub fn prepare(signatures: &SchemaSignatures) -> Result<Self, ScopingError> {
         Self::prepare_with(signatures, &ExecPolicy::Global)
     }
 
     /// [`Self::prepare`] under an explicit execution policy. Both the
-    /// PCA fits and the projection tables are per-schema pure
-    /// computations assembled in slot order, so every policy produces a
-    /// bit-identical cache.
+    /// PCA fits (with their range curves) and the acceptance bits are
+    /// per-schema pure computations assembled in slot order, so every
+    /// policy produces a bit-identical cache.
     ///
     /// # Graceful degradation
     ///
@@ -133,20 +194,22 @@ impl CollaborativeSweep {
         // (`LocalModel::train`) applies, so both paths agree on what is
         // degenerate.
         let sigs = signatures.clone();
-        let fits: Vec<Result<Pca, ScopingError>> = exec.run_slots(k, move |m| {
+        let dim = signatures.dim();
+        let fits: Vec<Result<(Pca, ModelCurve), ScopingError>> = exec.run_slots(k, move |m| {
             let data = sigs.schema(m);
             check_trainable(m, data)?;
             let pca = Pca::fit_with(data, PcaConfig::new())?;
             check_spectrum(m, data, &pca)?;
-            Ok(pca)
+            let curve = ModelCurve::fit(&pca, data, dim);
+            Ok((pca, curve))
         })?;
-        let mut pcas: Vec<Option<Pca>> = Vec::with_capacity(k);
+        let mut fitted: Vec<Option<(Pca, ModelCurve)>> = Vec::with_capacity(k);
         let mut degraded = Vec::new();
         for (m, fit) in fits.into_iter().enumerate() {
             match fit {
-                Ok(pca) => pcas.push(Some(pca)),
+                Ok(fit) => fitted.push(Some(fit)),
                 Err(error) => {
-                    pcas.push(None);
+                    fitted.push(None);
                     degraded.push(DegradedSchema { schema: m, error });
                 }
             }
@@ -161,49 +224,36 @@ impl CollaborativeSweep {
                 .map(|d| d.error)
                 .unwrap_or(ScopingError::TooFewSchemas { found: k }));
         }
-        let ratios = pcas
-            .iter()
-            .map(|p| {
-                p.as_ref()
-                    .map(|p| p.explained_variance_ratio().to_vec())
-                    .unwrap_or_default()
-            })
-            .collect();
-        // One slot per schema: its own-model table plus its row of
-        // cross-model tables. Degraded schemas get no tables at all —
-        // their signatures may be non-finite and must never be projected.
+        // One slot per schema: its row of acceptance bitsets. Degraded
+        // schemas get none — their signatures may be non-finite and must
+        // never be projected.
         let sigs = signatures.clone();
-        let shared_pcas: Arc<Vec<Option<Pca>>> = Arc::new(pcas);
-        let per_schema = exec.run_slots(k, move |sk| {
-            let own = shared_pcas[sk]
-                .as_ref()
-                .map(|pca| ProjTable::build(pca, sigs.schema(sk)));
-            let cross: Vec<Option<ProjTable>> = (0..k)
-                .map(|m| {
-                    if m == sk || own.is_none() {
-                        return None;
+        let fitted = Arc::new(fitted);
+        let shared = Arc::clone(&fitted);
+        let accept = exec.run_slots(k, move |sk| {
+            (0..k)
+                .map(|m| match (&shared[sk], &shared[m]) {
+                    (Some(_), Some((pca, model))) if m != sk => {
+                        Some(AcceptBits::build(pca, model, sigs.schema(sk), dim))
                     }
-                    shared_pcas[m]
-                        .as_ref()
-                        .map(|pca| ProjTable::build(pca, sigs.schema(sk)))
+                    _ => None,
                 })
-                .collect();
-            (own, cross)
+                .collect()
         })?;
-        let mut own = Vec::with_capacity(k);
-        let mut cross = Vec::with_capacity(k);
-        for (o, c) in per_schema {
-            own.push(o);
-            cross.push(c);
-        }
+        // Workers may still be dropping their Arc clones for an instant
+        // after the last result lands; fall back to a clone in that case.
+        // Only the curves outlive `prepare`; the fitted models drop here.
+        let models = Arc::try_unwrap(fitted)
+            .unwrap_or_else(|shared| (*shared).clone())
+            .into_iter()
+            .map(|fit| fit.map(|(_, model)| model))
+            .collect();
         Ok(Self {
             inner: Arc::new(SweepCache {
                 element_ids: signatures.element_ids(),
-                dim: signatures.dim(),
                 schema_lens: (0..k).map(|m| signatures.schema_len(m)).collect(),
-                ratios,
-                own,
-                cross,
+                models,
+                accept,
                 degraded,
             }),
         })
@@ -221,21 +271,18 @@ impl CollaborativeSweep {
 
     /// Number of schemas.
     pub fn schema_count(&self) -> usize {
-        self.inner.own.len()
+        self.inner.schema_lens.len()
     }
 
     /// Components each model retains at explained variance `v`
     /// (0 for degraded schemas, which have no model).
     pub fn components_at(&self, v: f64) -> Vec<usize> {
         self.inner
-            .ratios
+            .models
             .iter()
-            .map(|r| {
-                if r.is_empty() {
-                    0
-                } else {
-                    Pca::components_for_variance(r, v)
-                }
+            .map(|m| {
+                m.as_ref()
+                    .map_or(0, |m| Pca::components_for_variance(&m.ratios, v))
             })
             .collect()
     }
@@ -243,21 +290,11 @@ impl CollaborativeSweep {
     /// Local linkability ranges `l_m` at explained variance `v`
     /// (0.0 for degraded schemas, which accept nothing).
     pub fn ranges_at(&self, v: f64) -> Vec<f64> {
-        let comps = self.components_at(v);
         self.inner
-            .own
+            .models
             .iter()
-            .zip(comps.iter())
-            .map(|(table, &n)| {
-                table
-                    .as_ref()
-                    .map(|t| {
-                        (0..t.len())
-                            .map(|e| t.error_at(e, n, self.inner.dim))
-                            .fold(0.0, f64::max)
-                    })
-                    .unwrap_or(0.0)
-            })
+            .zip(self.components_at(v))
+            .map(|(m, n)| m.as_ref().map_or(0.0, |m| m.range[m.index(n)]))
             .collect()
     }
 
@@ -290,19 +327,23 @@ impl CollaborativeSweep {
     /// out).
     fn assess_with_rule_unchecked(&self, v: f64, rule: CombinationRule) -> ScopingOutcome {
         let cache = &*self.inner;
-        let comps = self.components_at(v);
-        let ranges = self.ranges_at(v);
+        // Per model: the range-curve index at `v` (unused when degraded).
+        let at: Vec<usize> = cache
+            .models
+            .iter()
+            .zip(self.components_at(v))
+            .map(|(m, n)| m.as_ref().map_or(0, |m| m.index(n)))
+            .collect();
         let tallies = (0..self.schema_count())
             .map(|sk| {
                 let n = cache.schema_lens[sk];
-                if cache.own[sk].is_none() {
+                if cache.models[sk].is_none() {
                     return Tally::degraded(n);
                 }
-                let mut tally = Tally::new(n);
-                for (m, table) in cache.cross[sk].iter().enumerate() {
-                    if let Some(table) = table {
-                        let errors = (0..n).map(|e| table.error_at(e, comps[m], cache.dim));
-                        tally.fold(errors, ranges[m]);
+                let mut tally = Tally::votes_only(n);
+                for (m, bits) in cache.accept[sk].iter().enumerate() {
+                    if let Some(bits) = bits {
+                        tally.fold_votes((0..n).map(|e| bits.get(e, at[m])));
                     }
                 }
                 tally
@@ -324,7 +365,7 @@ impl CollaborativeSweep {
 
     /// Assesses every grid point of `vs`, dealing contiguous `v`-slices
     /// to the shared pool's workers. Each grid point reads the cached
-    /// projections independently, so the output vector (in `vs` order)
+    /// bits independently, so the output vector (in `vs` order)
     /// is bit-identical to calling [`Self::assess_with_rule`] in a loop.
     pub fn assess_grid(
         &self,
@@ -421,25 +462,152 @@ mod tests {
         }
     }
 
+    /// Each row's error curve under `pca`, re-derived from the identity
+    /// `(‖x − μ‖² − Σ_{i<n} z_i²) / dim` one `dot` at a time.
+    fn identity_curves(pca: &Pca, data: &Matrix) -> Vec<Vec<f64>> {
+        let dim = data.cols() as f64;
+        data.rows_iter()
+            .map(|row| {
+                let centered: Vec<f64> = row.iter().zip(pca.mean()).map(|(x, m)| x - m).collect();
+                let total: f64 = centered.iter().map(|x| x * x).sum();
+                let mut prefix = vec![0.0];
+                let mut acc = 0.0;
+                for pc in pca.components().rows_iter() {
+                    let z = cs_linalg::matrix::dot(&centered, pc);
+                    acc += z * z;
+                    prefix.push(acc);
+                }
+                prefix.iter().map(|p| (total - p).max(0.0) / dim).collect()
+            })
+            .collect()
+    }
+
     #[test]
     fn errors_match_explicit_reconstruction() {
         let sigs = random_sigs(8);
         let sweep = CollaborativeSweep::prepare(&sigs).unwrap();
-        // Compare the cached error of schema 1's elements under model 0
-        // against the explicit PCA reconstruction at v = 0.6.
-        let v = 0.6;
-        let n0 = sweep.components_at(v)[0];
-        let pca = Pca::fit_with(sigs.schema(0), PcaConfig::new())
-            .unwrap()
-            .with_components(n0);
-        let explicit = pca.reconstruction_errors(sigs.schema(1));
-        let table = sweep.inner.cross[1][0].as_ref().unwrap();
-        for (e, expected) in explicit.iter().enumerate() {
-            let got = table.error_at(e, n0, sigs.dim());
-            assert!(
-                (got - expected).abs() < 1e-9,
-                "elem {e}: {got} vs {expected}"
-            );
+        // Schema 1's elements under model 0, against model 0's own range
+        // curve.
+        let pca = Pca::fit_with(sigs.schema(0), PcaConfig::new()).unwrap();
+        let own = identity_curves(&pca, sigs.schema(0));
+        let foreign = identity_curves(&pca, sigs.schema(1));
+        let model = sweep.inner.models[0].as_ref().unwrap();
+        let bits = sweep.inner.accept[1][0].as_ref().unwrap();
+        let rank = pca.n_components();
+        assert_eq!(model.range.len(), rank + 1);
+        for n in 0..=rank {
+            let l = own.iter().map(|c| c[n]).fold(0.0, f64::max);
+            assert_eq!(model.range[n].to_bits(), l.to_bits(), "l_0({n})");
+            for (e, curve) in foreign.iter().enumerate() {
+                assert_eq!(bits.get(e, n), curve[n] <= l, "elem {e}, n {n}");
+            }
+            // The identity agrees with an explicit decode-and-compare.
+            if n > 0 {
+                let explicit = pca.with_components(n).reconstruction_errors(sigs.schema(1));
+                for (e, expected) in explicit.iter().enumerate() {
+                    let got = foreign[e][n];
+                    assert!(
+                        (got - expected).abs() < 1e-9,
+                        "elem {e}, n {n}: {got} vs {expected}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn copies_of_own_signatures_are_accepted_at_every_n() {
+        // A foreign element equal to one of model 0's own signatures has
+        // an error equal to an own error, so within `l_0(n)` at every `n`
+        // — the tie `err == l` included.
+        let sigs = random_sigs(15);
+        let joined = sigs.schema(1).vstack(sigs.schema(0));
+        let sweep = CollaborativeSweep::prepare(&with_schema_replaced(&sigs, 1, joined)).unwrap();
+        let bits = sweep.inner.accept[1][0].as_ref().unwrap();
+        for n in 0..bits.stride {
+            for e in sigs.schema_len(1)..sigs.schema_len(1) + sigs.schema_len(0) {
+                assert!(bits.get(e, n), "copy {e} rejected at n {n}");
+            }
+        }
+    }
+
+    #[test]
+    fn cache_holds_one_bit_per_element_model_and_n() {
+        let sigs = random_sigs(13);
+        let flat = Matrix::from_rows(&vec![vec![0.5; sigs.dim()]; sigs.schema_len(2)]);
+        for (sigs, healthy) in [(sigs.clone(), 3), (with_schema_replaced(&sigs, 2, flat), 2)] {
+            let sweep = CollaborativeSweep::prepare(&sigs).unwrap();
+            assert_eq!(sweep.healthy_count(), healthy);
+            // Full rank of each healthy schema's model, from a fresh fit.
+            let ranks: Vec<Option<usize>> = (0..sigs.schema_count())
+                .map(|m| {
+                    sweep.inner.models[m].as_ref().map(|_| {
+                        Pca::fit_with(sigs.schema(m), PcaConfig::new())
+                            .unwrap()
+                            .n_components()
+                    })
+                })
+                .collect();
+            let mut expected = 0;
+            for (k, rank_k) in ranks.iter().enumerate() {
+                for (m, rank_m) in ranks.iter().enumerate() {
+                    if let (Some(_), Some(rank_m), true) = (rank_k, rank_m, m != k) {
+                        expected += (sigs.schema_len(k) * (rank_m + 1)).div_ceil(64);
+                    }
+                }
+            }
+            let held: usize = sweep
+                .inner
+                .accept
+                .iter()
+                .flatten()
+                .flatten()
+                .map(|b| b.words.len())
+                .sum();
+            assert_eq!(held, expected);
+        }
+    }
+
+    #[test]
+    fn breakpoints_match_direct_run_under_every_policy() {
+        let sigs = random_sigs(14);
+        let sweep = CollaborativeSweep::prepare(&sigs).unwrap();
+        // Every cumulative explained-variance ratio of every model, summed
+        // as `Pca::components_for_variance` sums them: `n_m(v)` steps at
+        // exactly these points.
+        let mut breakpoints = Vec::new();
+        for model in sweep.inner.models.iter().flatten() {
+            let mut cum = 0.0;
+            for &r in &model.ratios {
+                cum += r;
+                if cum > 0.0 && cum <= 1.0 {
+                    breakpoints.push(cum);
+                }
+            }
+        }
+        // Where a model keeps all `dim` components it reconstructs every
+        // signature, so each error is round-off and the run's decoded MSE
+        // rounds differently from the sweep's identity. Those points are
+        // left out here; they go once both compute one formula.
+        breakpoints.retain(|&v| sweep.components_at(v).iter().all(|&n| n < sigs.dim()));
+        assert!(breakpoints.len() >= 20, "{} breakpoints", breakpoints.len());
+        let pool = ExecPolicy::Pool(Arc::new(crate::pool::ThreadPool::with_threads(2)));
+        for exec in [ExecPolicy::Sequential, pool] {
+            let prepared = CollaborativeSweep::prepare_with(&sigs, &exec).unwrap();
+            for &v in &breakpoints {
+                let direct = CollaborativeScoper::builder()
+                    .explained_variance(v)
+                    .exec(exec.clone())
+                    .build()
+                    .unwrap()
+                    .run(&sigs)
+                    .unwrap();
+                assert_eq!(
+                    prepared.assess_at(v).unwrap().decisions,
+                    direct.outcome.decisions,
+                    "v={v}"
+                );
+            }
         }
     }
 

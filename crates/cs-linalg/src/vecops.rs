@@ -176,7 +176,7 @@ mod tests {
 
     #[test]
     fn total_cmp_orders_nan_last() {
-        let mut v = vec![2.0, f64::NAN, -1.0, f64::NAN, 0.5];
+        let mut v = [2.0, f64::NAN, -1.0, f64::NAN, 0.5];
         v.sort_by(total_cmp_f64);
         assert_eq!(&v[..3], &[-1.0, 0.5, 2.0]);
         assert!(v[3].is_nan() && v[4].is_nan());
@@ -198,7 +198,7 @@ mod tests {
     #[test]
     fn min_by_never_selects_nan() {
         let v = [f64::NAN, 3.0, 1.0];
-        let m = v.iter().copied().min_by(|a, b| total_cmp_f64(a, b));
+        let m = v.iter().copied().min_by(total_cmp_f64);
         assert_eq!(m, Some(1.0));
     }
 }

@@ -242,8 +242,10 @@ mod tests {
 
     #[test]
     fn report_json_shape() {
-        let mut r = LintReport::default();
-        r.files_scanned = 3;
+        let mut r = LintReport {
+            files_scanned: 3,
+            ..LintReport::default()
+        };
         let mut f = Finding::new("no-unsafe", "a.rs", 1, "m");
         f.waived = true;
         r.findings.push(f);

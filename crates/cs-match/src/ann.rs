@@ -546,9 +546,9 @@ mod tests {
     #[test]
     fn matcher_is_schema_order_invariant() {
         let sets = random_sets(3, 12, 16, 5);
-        let mut permuted = vec![sets[2].clone(), sets[0].clone(), sets[1].clone()];
+        let permuted = vec![sets[2].clone(), sets[0].clone(), sets[1].clone()];
         let a = AnnMatcher::new(4).match_pairs(&sets);
-        let b = AnnMatcher::new(4).match_pairs(&mut permuted);
+        let b = AnnMatcher::new(4).match_pairs(&permuted);
         assert_eq!(a, b, "pair set must not depend on schema order");
     }
 

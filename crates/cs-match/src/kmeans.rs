@@ -38,7 +38,7 @@ impl KMeans {
             // Assignment step.
             let mut changed = false;
             let mut new_inertia = 0.0;
-            for i in 0..n {
+            for (i, assigned) in assignments.iter_mut().enumerate() {
                 let row = data.row(i);
                 let mut best = 0usize;
                 let mut best_d = f64::INFINITY;
@@ -49,8 +49,8 @@ impl KMeans {
                         best = c;
                     }
                 }
-                if assignments[i] != best {
-                    assignments[i] = best;
+                if *assigned != best {
+                    *assigned = best;
                     changed = true;
                 }
                 new_inertia += best_d;
@@ -62,16 +62,15 @@ impl KMeans {
             // Update step.
             let mut sums = Matrix::zeros(k, data.cols());
             let mut counts = vec![0usize; k];
-            for i in 0..n {
-                let c = assignments[i];
+            for (i, &c) in assignments.iter().enumerate() {
                 counts[c] += 1;
                 for (acc, &v) in sums.row_mut(c).iter_mut().zip(data.row(i)) {
                     *acc += v;
                 }
             }
-            for c in 0..k {
-                if counts[c] > 0 {
-                    let inv = 1.0 / counts[c] as f64;
+            for (c, &count) in counts.iter().enumerate() {
+                if count > 0 {
+                    let inv = 1.0 / count as f64;
                     for v in sums.row_mut(c) {
                         *v *= inv;
                     }
@@ -155,10 +154,10 @@ fn kmeanspp_init(data: &Matrix, k: usize, rng: &mut Xoshiro256) -> Matrix {
             pick
         };
         chosen.push(next);
-        for i in 0..n {
+        for (i, best) in d2.iter_mut().enumerate() {
             let d = sq_euclidean(data.row(i), data.row(next));
-            if d < d2[i] {
-                d2[i] = d;
+            if d < *best {
+                *best = d;
             }
         }
     }

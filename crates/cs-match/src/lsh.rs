@@ -315,8 +315,8 @@ mod tests {
             })
             .collect();
         let lsh = HyperplaneLsh::build(Matrix::from_rows(&rows), 4, 16, 99);
-        for q in 0..rows.len() {
-            let hits = lsh.search(&rows[q], 4);
+        for (q, row) in rows.iter().enumerate() {
+            let hits = lsh.search(row, 4);
             assert_eq!(hits.len(), 4, "query {q} returned a short list");
             assert_eq!(hits[0].0, q, "query {q} must find itself first");
         }

@@ -51,7 +51,7 @@ fn policies() -> Vec<(String, ExecPolicy)> {
 /// the result.
 #[test]
 fn ann_matcher_is_bit_identical_across_policies() {
-    let (sets, _) = workload(4, 40, 24, 0xDE7_1);
+    let (sets, _) = workload(4, 40, 24, 0xDE71);
     let reference = AnnMatcher::new(5)
         .exec(ExecPolicy::Sequential)
         .ranked_pairs(&sets);
@@ -82,7 +82,7 @@ fn hybrid_pipeline_is_bit_identical_across_policies() {
 /// hidden state accumulates across calls.
 #[test]
 fn repeated_runs_are_bit_identical() {
-    let (sets, names) = workload(3, 24, 16, 0x5EED_5);
+    let (sets, names) = workload(3, 24, 16, 0x0005_EED5);
     let ann = AnnMatcher::new(4);
     assert_eq!(ann.ranked_pairs(&sets), ann.ranked_pairs(&sets));
     let hybrid = HybridMatcher::new(ann, names);

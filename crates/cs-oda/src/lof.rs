@@ -46,11 +46,12 @@ impl LofDetector {
 
         // Pairwise distances (symmetric, O(n²·d)).
         let mut dist = vec![vec![0.0f64; n]; n];
-        for i in 0..n {
-            for j in (i + 1)..n {
-                let d = euclidean(data.row(i), data.row(j));
-                dist[i][j] = d;
-                dist[j][i] = d;
+        for i in 1..n {
+            let (done, rest) = dist.split_at_mut(i);
+            for (j, prev) in done.iter_mut().enumerate() {
+                let d = euclidean(data.row(j), data.row(i));
+                prev[i] = d;
+                rest[0][j] = d;
             }
         }
 

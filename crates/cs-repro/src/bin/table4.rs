@@ -3,7 +3,9 @@
 //!
 //! Usage: `table4 [--full]` — `--full` uses the paper's autoencoder
 //! ensemble (100 runs × 50 epochs; slow); the default uses a light
-//! configuration (10 × 25) that preserves the ranking.
+//! configuration (10 × 25) that preserves the ranking. Only the default
+//! run writes the golden `results/table4.csv`; a `--full` run writes
+//! `target/table4-full/table4.csv`, so it never overwrites the golden.
 
 use cs_repro::experiments::DEFAULT_GRID_STEPS;
 use cs_repro::goldens;
@@ -52,7 +54,12 @@ fn main() {
             collab.auc_pr - best_scoping.auc_pr,
         );
     }
-    let path = format!("{}/table4.csv", cs_repro::RESULTS_DIR);
+    let dir = if full {
+        "target/table4-full"
+    } else {
+        cs_repro::RESULTS_DIR
+    };
+    let path = format!("{dir}/table4.csv");
     t.csv.write_to(&path).expect("write results CSV");
     println!("written: {path}");
 }

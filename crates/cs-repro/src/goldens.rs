@@ -342,7 +342,7 @@ pub fn scaling_quality(totals: &[usize], unlinkable: &[f64]) -> ScalingQuality {
     let matcher = SimMatcher::new(0.6);
     for (ti, &total) in totals.iter().enumerate() {
         for (ui, &u) in unlinkable.iter().enumerate() {
-            let seed = 0x5CA_1E + (ti * unlinkable.len() + ui) as u64;
+            let seed = 0x0005_CA1E + (ti * unlinkable.len() + ui) as u64;
             let ds = scaling_quality_dataset(total, u, seed);
             let signatures = dataset_signatures(&ds);
             let sweep = CollaborativeSweep::prepare(&signatures).expect("valid sweep");
@@ -496,7 +496,7 @@ pub fn ann_quality(totals: &[usize], unlinkable: &[f64]) -> AnnQuality {
         for (ui, &u) in unlinkable.iter().enumerate() {
             // Same seeds as the scaling-quality grid: both CSVs describe
             // the same catalogs.
-            let seed = 0x5CA_1E + (ti * unlinkable.len() + ui) as u64;
+            let seed = 0x0005_CA1E + (ti * unlinkable.len() + ui) as u64;
             let ds = scaling_quality_dataset(total, u, seed);
             let signatures = dataset_signatures(&ds);
             let (attr_sets, table_sets) = split_element_sets(&ds, &signatures, None);

@@ -27,6 +27,9 @@ pin_check() {
 echo "==> cargo build --release --offline (warnings deny the gate)"
 RUSTFLAGS="-D warnings" cargo build --workspace --release --offline
 
+echo "==> cargo clippy --offline (every target, warnings deny the gate)"
+cargo clippy --offline --workspace --all-targets -- -D warnings
+
 echo "==> cargo run -p cs-lint --offline"
 cargo run -q -p cs-lint --release --offline
 

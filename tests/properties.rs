@@ -426,9 +426,9 @@ fn linkable_ratio_knob_tracks_annotated_fraction() {
             };
             let ds = generate(&config);
             let linkable = ds.linkages.linkable_per_schema(&ds.catalog);
-            for k in 0..config.schemas {
+            for (k, &linked) in linkable.iter().enumerate().take(config.schemas) {
                 let n = ds.catalog.schema(k).attribute_count() as f64;
-                let annotated = linkable[k] as f64 / n;
+                let annotated = linked as f64 / n;
                 let eligible = (r * n).round() / n;
                 assert!(
                     annotated <= eligible + 1e-12,
