@@ -9,6 +9,7 @@
 //! - [`svd`] — one-sided Jacobi singular value decomposition, and the
 //!   Householder–QL symmetric eigensolver behind the exact PCA fit's
 //!   Gram-matrix economy path for the common `rows ≪ cols` signature case,
+//!   which computes only the eigenvectors a fit keeps,
 //! - [`Pca`] — the PCA encoder–decoder used by both global scoping and the
 //!   paper's local self-supervised models (Algorithm 1),
 //! - [`stats`] — column means/variances, z-scores, distance helpers,

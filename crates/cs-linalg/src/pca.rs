@@ -254,7 +254,7 @@ impl Pca {
         }
         let target = config.target;
         match config.solver {
-            PcaSolver::Auto => Self::fit_gram(data, target),
+            PcaSolver::Auto => Self::fit_gram(data.clone(), target),
             PcaSolver::FullSvd => Self::fit_full_svd(data, target),
         }
     }
@@ -262,10 +262,16 @@ impl Pca {
     /// The exact Gram path: center, eigendecompose the smaller Gram side,
     /// derive the spectrum bookkeeping, then recover only the component
     /// rows the target keeps. Each row is computed exactly as a full-rank
-    /// fit computes it.
-    fn fit_gram(data: &Matrix, target: PcaTarget) -> Result<Self, SvdError> {
-        let mean = column_mean(data);
-        let centered = data.sub_row_vector(&mean);
+    /// fit computes it. The rows are taken by value and centered in
+    /// place, so a caller that owns them pays for no copy; they must be
+    /// finite and non-empty, as [`Self::fit_with`] checks.
+    pub(crate) fn fit_gram(mut centered: Matrix, target: PcaTarget) -> Result<Self, SvdError> {
+        let mean = column_mean(&centered);
+        for i in 0..centered.rows() {
+            for (x, &m) in centered.row_mut(i).iter_mut().zip(&mean) {
+                *x -= m;
+            }
+        }
         let eig = GramEigen::new(&centered)?;
         let explained_variance_ratio = variance_ratios(&eig.singular_values);
         let components = eig.vt_rows(&centered, kept_rows(target, &explained_variance_ratio));

@@ -17,7 +17,7 @@
 //! makes the fused ranking's schema-permutation metamorphic property
 //! hold even with the PCA prefilter enabled.
 
-use crate::pca::{Pca, PcaConfig};
+use crate::pca::{Pca, PcaTarget};
 use crate::vecops::total_cmp_f64;
 use crate::Matrix;
 
@@ -61,7 +61,8 @@ impl TruncatedProjection {
             return fallback;
         }
         // Canonical row order: the basis must not depend on how the
-        // caller concatenated its schemas.
+        // caller concatenated its schemas. The fit centers this copy in
+        // place rather than making another.
         let mut order: Vec<usize> = (0..data.rows()).collect();
         order.sort_by(|&a, &b| {
             let (ra, rb) = (data.row(a), data.row(b));
@@ -72,7 +73,7 @@ impl TruncatedProjection {
                 .unwrap_or(std::cmp::Ordering::Equal)
         });
         let canonical = data.select_rows(&order);
-        match Pca::fit_with(&canonical, PcaConfig::new().with_components(target)) {
+        match Pca::fit_gram(canonical, PcaTarget::Components(target)) {
             Ok(pca) if pca.n_components() >= 1 => Self {
                 basis: Some((pca.mean().to_vec(), pca.components().clone())),
                 in_dim,

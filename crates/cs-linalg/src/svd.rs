@@ -9,10 +9,42 @@
 //!   robust, accurate; the reference implementation behind
 //!   `PcaSolver::FullSvd`.
 //! - [`symmetric_eigen`] — Householder tridiagonalization plus
-//!   implicit-shift QL, `O(m³)` for side `m`. The exact PCA fit
-//!   (`PcaSolver::Auto`) runs it on the smaller Gram matrix (`A·Aᵀ` when
-//!   `n ≤ d`, `Aᵀ·A` otherwise) and recovers only the component rows its
-//!   target keeps. Much faster for the `n ≪ d` signature case.
+//!   implicit-shift QL. The exact PCA fit (`PcaSolver::Auto`) runs the
+//!   same route on the smaller Gram matrix (`A·Aᵀ` when `n ≤ d`, `Aᵀ·A`
+//!   otherwise) and recovers only the component rows its target keeps.
+//!   Much faster for the `n ≪ d` signature case.
+//!
+//! # One eigenvector route
+//!
+//! Every eigenvector, for [`symmetric_eigen`] and for every Gram fit,
+//! comes out of one route that computes only the eigenvectors it keeps:
+//!
+//! 1. `tred2` reduces the matrix to tridiagonal form in place and keeps
+//!    its Householder reflectors `P_k = I − u_k·u_kᵀ / h_k` instead of
+//!    accumulating them into an orthogonal matrix;
+//! 2. `tql2` runs QL on the tridiagonal's values alone and logs each
+//!    plane rotation `(c, s)`, with `(l, m)` per sweep, instead of
+//!    rotating rows of an eigenvector matrix;
+//! 3. the eigenvalues are sorted, and the caller picks `keep` from them;
+//! 4. the `keep` wanted columns `e_j` run backwards through the log as
+//!    an `n × keep` panel, with entries below `1e-250` flushed to zero
+//!    so the decaying tails never turn subnormal;
+//! 5. they run forwards through the reflectors, `P_1` first, and get
+//!    the canonical sign.
+//!
+//! That costs `O(n³)` for the reduction, `O(T)` for the values and
+//! `O((T + n²)·keep)` for the vectors, `T` the number of rotations. A
+//! column's arithmetic does not depend on `keep`, so a fit keeping `k`
+//! components gets, bit for bit, the leading `k` rows of the full-rank
+//! fit.
+//!
+//! **Log size.** QL runs at most `MAX_QL_ITERS = 30` sweeps per
+//! eigenvalue, and a sweep for eigenvalue `l` rotates at most `n − 1 − l`
+//! pairs, so the log holds at most `30·n(n − 1)/2` rotations of 16 bytes.
+//! In practice it holds far fewer: about `0.72·n²` (2.5 MB) on a 472-side
+//! Gram of 768-d signatures. A values-only QL pass counts the rotations
+//! first, so the log is allocated at its exact length with no growth
+//! slack. Non-finite input stays within the same bound.
 //!
 //! Tests in `pca.rs` pin the two paths to agree, and the `cs-bench` solver
 //! group times them.
@@ -172,8 +204,8 @@ fn rotate_pair(cols: &mut [Vec<f64>], p: usize, q: usize, c: f64, s: f64) {
 }
 
 /// The eigen half of the Gram economy path: the spectrum of the smaller
-/// Gram side and its eigenvectors, from which the exact PCA fit recovers
-/// as many component rows as its target keeps.
+/// Gram side, from which the exact PCA fit recovers as many component
+/// rows as its target keeps.
 pub(crate) struct GramEigen {
     /// `true` when the Gram matrix is `A·Aᵀ` (`rows ≤ cols`), whose
     /// eigenvectors are left singular vectors; `false` for `Aᵀ·A`, whose
@@ -181,8 +213,8 @@ pub(crate) struct GramEigen {
     rows_side: bool,
     /// `σ_i = √max(λ_i, 0)`, descending, `min(rows, cols)` of them.
     pub(crate) singular_values: Vec<f64>,
-    /// Eigenvectors as rows, in the order of `singular_values`.
-    vectors: Matrix,
+    /// The solved Gram eigenproblem, holding no eigenvectors yet.
+    eigen: Eigensystem,
 }
 
 impl GramEigen {
@@ -198,11 +230,11 @@ impl GramEigen {
         } else {
             crate::kernels::gram_rows(&a.transpose())
         };
-        let (eigvals, vectors) = eigen_rows(&g);
+        let eigen = Eigensystem::new(g);
         Ok(GramEigen {
             rows_side,
-            singular_values: eigvals.iter().map(|&l| l.max(0.0).sqrt()).collect(),
-            vectors,
+            singular_values: eigen.values.iter().map(|&l| l.max(0.0).sqrt()).collect(),
+            eigen,
         })
     }
 
@@ -211,12 +243,7 @@ impl GramEigen {
     /// `σ_i ≤ EPS`), one [`Matrix::matmul`] whose every entry is the
     /// same `dot` over the rows of `A` whatever `keep` is.
     pub(crate) fn vt_rows(&self, a: &Matrix, keep: usize) -> Matrix {
-        let width = self.vectors.cols();
-        let top = Matrix::from_vec(
-            keep,
-            width,
-            self.vectors.as_slice()[..keep * width].to_vec(),
-        );
+        let top = self.eigen.vectors(keep).transpose();
         if !self.rows_side {
             return top;
         }
@@ -248,46 +275,196 @@ impl GramEigen {
 /// # Panics
 /// If `m` is not square.
 pub fn symmetric_eigen(m: &Matrix) -> (Vec<f64>, Matrix) {
-    let (eigvals, rows) = eigen_rows(m);
-    (eigvals, rows.transpose())
+    let eigen = Eigensystem::new(m.clone());
+    let vectors = eigen.vectors(eigen.n);
+    (eigen.values, vectors)
 }
 
-/// [`symmetric_eigen`] with the eigenvectors as *rows*.
-fn eigen_rows(m: &Matrix) -> (Vec<f64>, Matrix) {
-    assert_eq!(m.rows(), m.cols(), "symmetric_eigen needs a square matrix");
-    let n = m.rows();
-    if n == 0 {
-        return (Vec::new(), Matrix::zeros(0, 0));
-    }
-    // `w` holds Vᵀ of the EISPACK formulation: row j is column j of V, so
-    // every inner loop of both phases runs along a contiguous row. For a
-    // symmetric input the starting V = A is its own transpose.
-    let mut w = m.as_slice().to_vec();
-    let mut d = vec![0.0; n];
-    let mut e = vec![0.0; n];
-    tred2(n, &mut w, &mut d, &mut e);
-    tql2(n, &mut w, &mut d, &mut e);
+/// A symmetric eigenproblem solved for its spectrum, with what it takes
+/// to recover any number of its leading eigenvectors: the Householder
+/// reflectors of the tridiagonal reduction and the log of the QL
+/// rotations. An eigenvector is `Q·G_1⋯G_T·e_j`, with `Q = P_{n−1}⋯P_1`
+/// the reflectors and `G_1, …, G_T` the rotations in the order QL applied
+/// them, so [`Self::vectors`] runs the log backwards and then the
+/// reflectors forwards, on the wanted columns only.
+struct Eigensystem {
+    n: usize,
+    /// The `n × n` buffer [`tred2`] reduced in place: row `k ≥ 1` holds
+    /// the Householder vector `u_k` of `P_k = I − u_k·u_kᵀ / h_k` in its
+    /// first `k` entries.
+    w: Vec<f64>,
+    /// `h_k` of each reflector, zero where step `k` reflected nothing.
+    h: Vec<f64>,
+    log: QlLog,
+    /// QL index of each eigenvalue, in the order of `values`.
+    order: Vec<usize>,
+    /// Eigenvalues, descending.
+    values: Vec<f64>,
+}
 
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by(|&i, &j| total_cmp_f64(&d[j], &d[i]));
-    let eigvals = order.iter().map(|&j| d[j]).collect();
-    let mut vectors = Matrix::zeros(n, n);
-    for (slot, &j) in order.iter().enumerate() {
-        let out = vectors.row_mut(slot);
-        out.copy_from_slice(&w[j * n..(j + 1) * n]);
-        let mut lead = 0;
-        for (i, x) in out.iter().enumerate() {
-            if x.abs() > out[lead].abs() {
-                lead = i;
+/// The plane rotations of one [`tql2`] run, in the order it applied them.
+#[derive(Default)]
+struct QlLog {
+    /// `(l, m)` of each implicit QL sweep; sweep `(l, m)` rotated the
+    /// coordinate pairs `(i, i + 1)` for `i` from `m − 1` down to `l`.
+    sweeps: Vec<(usize, usize)>,
+    /// `(c, s)` of every rotation, sweep after sweep.
+    rotations: Vec<(f64, f64)>,
+}
+
+impl QlLog {
+    /// Runs [`tql2`] on `(d, e)` and logs its rotations. A values-only
+    /// run on copies counts them first, so both logs are allocated at
+    /// their exact length: the log holds at most
+    /// `MAX_QL_ITERS·n(n − 1)/2` rotations of 16 bytes.
+    fn record(d: &mut [f64], e: &mut [f64]) -> QlLog {
+        let (mut sweeps, mut rotations) = (0, 0);
+        tql2(
+            &mut d.to_vec(),
+            &mut e.to_vec(),
+            |_, _| sweeps += 1,
+            |_, _| rotations += 1,
+        );
+        let mut log = QlLog {
+            sweeps: Vec::with_capacity(sweeps),
+            rotations: Vec::with_capacity(rotations),
+        };
+        tql2(
+            d,
+            e,
+            |l, m| log.sweeps.push((l, m)),
+            |c, s| log.rotations.push((c, s)),
+        );
+        log
+    }
+}
+
+impl Eigensystem {
+    /// Reduces `m` to tridiagonal form in its own buffer and solves the
+    /// tridiagonal eigenproblem for its values, logging the rotations.
+    /// Only the upper triangle of `m` is read.
+    ///
+    /// # Panics
+    /// If `m` is not square.
+    fn new(m: Matrix) -> Eigensystem {
+        assert_eq!(m.rows(), m.cols(), "symmetric_eigen needs a square matrix");
+        let n = m.rows();
+        let mut w = m.into_vec();
+        let mut d = vec![0.0; n];
+        let mut e = vec![0.0; n];
+        let mut h = vec![0.0; n];
+        let log = if n == 0 {
+            QlLog::default()
+        } else {
+            tred2(n, &mut w, &mut d, &mut e);
+            // `tred2` leaves each reflector's `h` where the diagonal goes.
+            std::mem::swap(&mut d, &mut h);
+            for (i, di) in d.iter_mut().enumerate() {
+                *di = w[i * n + i];
             }
-        }
-        if out[lead] < 0.0 {
-            for x in out.iter_mut() {
-                *x = -*x;
-            }
+            QlLog::record(&mut d, &mut e)
+        };
+        let mut order: Vec<usize> = (0..n).collect();
+        order.sort_by(|&i, &j| total_cmp_f64(&d[j], &d[i]));
+        let values = order.iter().map(|&j| d[j]).collect();
+        Eigensystem {
+            n,
+            w,
+            h,
+            log,
+            order,
+            values,
         }
     }
-    (eigvals, vectors)
+
+    /// The eigenvectors of the leading `keep` eigenvalues, as the columns
+    /// of an `n × keep` matrix. Each column runs the same arithmetic
+    /// whatever `keep` is, so it is bit-equal to that column of the full
+    /// set.
+    fn vectors(&self, keep: usize) -> Matrix {
+        let n = self.n;
+        let mut panel = Matrix::zeros(n, keep);
+        if keep == 0 {
+            return panel;
+        }
+        for (slot, &j) in self.order[..keep].iter().enumerate() {
+            panel[(j, slot)] = 1.0;
+        }
+        let p = panel.as_mut_slice();
+        // G_1⋯G_T applied right to left: the last sweep first, and
+        // within a sweep its rotations from row l up.
+        let mut end = self.log.rotations.len();
+        for &(l, m) in self.log.sweeps.iter().rev() {
+            let start = end - (m - l);
+            for (i, &(c, s)) in (l..m).zip(self.log.rotations[start..end].iter().rev()) {
+                let (head, tail) = p.split_at_mut((i + 1) * keep);
+                // Row i is final for this sweep; row i + 1 is flushed
+                // as the next rotation's row i.
+                for (x, y) in head[i * keep..].iter_mut().zip(&mut tail[..keep]) {
+                    let (xv, yv) = (*x, *y);
+                    *x = flush(c * xv + s * yv);
+                    *y = c * yv - s * xv;
+                }
+            }
+            end = start;
+        }
+        // Q = P_{n−1}⋯P_1 applied right to left: P_1 first. Each column's
+        // `g` is `dot(u_k, column)`, accumulated a row at a time.
+        let mut g = vec![0.0; keep];
+        for k in 1..n {
+            let hk = self.h[k];
+            if hk == 0.0 {
+                continue;
+            }
+            let u = &self.w[k * n..k * n + k];
+            g.fill(-0.0);
+            for (&uk, row) in u.iter().zip(p.chunks_exact(keep)) {
+                for (gc, &x) in g.iter_mut().zip(row) {
+                    *gc += uk * x;
+                }
+            }
+            for (&uk, row) in u.iter().zip(p.chunks_exact_mut(keep)) {
+                let scale = uk / hk;
+                for (x, &gc) in row.iter_mut().zip(&g) {
+                    *x -= gc * scale;
+                }
+            }
+        }
+        // Canonical signs: each column's first largest-magnitude entry is
+        // positive.
+        for c in 0..keep {
+            let mut lead = c;
+            for at in (c..n * keep).step_by(keep) {
+                if p[at].abs() > p[lead].abs() {
+                    lead = at;
+                }
+            }
+            if p[lead] < 0.0 {
+                for at in (c..n * keep).step_by(keep) {
+                    p[at] = -p[at];
+                }
+            }
+        }
+        panel
+    }
+}
+
+/// Magnitude below which a back-propagated entry is flushed to zero.
+/// Each column starts as a unit vector, and its tails decay
+/// geometrically through the rotations. Left alone they sink into the
+/// subnormal range, whose arithmetic is about 100× slower on x86-64: on
+/// a 472-side Gram that made recovering the top 16 eigenvectors 2.5×
+/// slower. The transforms are orthogonal and the columns have unit norm,
+/// so flushing moves a column by less than `√n·1e-250` in norm.
+const FLUSH_BELOW: f64 = 1e-250;
+
+/// `x`, or `+0.0` where `|x| < FLUSH_BELOW`. NaN and infinities pass
+/// through. A mask rather than a branch, so the rotation loop still
+/// vectorises.
+#[inline]
+fn flush(x: f64) -> f64 {
+    let keep = u64::from(x.abs() < FLUSH_BELOW).wrapping_sub(1);
+    f64::from_bits(x.to_bits() & keep)
 }
 
 /// QL iterations allowed per eigenvalue before [`tql2`] moves on, as in
@@ -295,8 +472,10 @@ fn eigen_rows(m: &Matrix) -> (Vec<f64>, Matrix) {
 const MAX_QL_ITERS: usize = 30;
 
 /// Householder reduction of the symmetric matrix in `w` to tridiagonal
-/// form: on return `d` holds the diagonal, `e[1..]` the subdiagonal, and
-/// `w` the accumulated orthogonal transform (transposed).
+/// form: on return the diagonal is `w[i·n + i]`, `e[1..]` holds the
+/// subdiagonal, row `k ≥ 1` of `w` holds the reflector `u_k` in its first
+/// `k` entries, and `d[k]` its `h_k` (zero where step `k` reflected
+/// nothing). `d[0]` is left unspecified.
 fn tred2(n: usize, w: &mut [f64], d: &mut [f64], e: &mut [f64]) {
     for (j, dj) in d.iter_mut().enumerate() {
         *dj = w[j * n + n - 1];
@@ -357,39 +536,23 @@ fn tred2(n: usize, w: &mut [f64], d: &mut [f64], e: &mut [f64]) {
         }
         d[i] = h;
     }
-    // Accumulate the transformations.
-    for i in 0..n - 1 {
-        w[i * n + n - 1] = w[i * n + i];
-        w[i * n + i] = 1.0;
-        let h = d[i + 1];
-        let (head, tail) = w.split_at_mut((i + 1) * n);
-        let next = &mut tail[..=i];
-        if h != 0.0 {
-            for (dk, &x) in d.iter_mut().zip(next.iter()) {
-                *dk = x / h;
-            }
-            for j in 0..=i {
-                let row = &mut head[j * n..=j * n + i];
-                let g = dot(next, row);
-                for (x, &dk) in row.iter_mut().zip(d.iter()) {
-                    *x -= g * dk;
-                }
-            }
-        }
-        next.fill(0.0);
-    }
-    for (j, dj) in d.iter_mut().enumerate() {
-        *dj = w[j * n + n - 1];
-        w[j * n + n - 1] = 0.0;
-    }
-    w[n * n - 1] = 1.0;
     e[0] = 0.0;
 }
 
-/// Implicit-shift QL on the tridiagonal `(d, e)` left by [`tred2`]: `d`
-/// becomes the eigenvalues (unsorted) and the rows of `w` their
-/// eigenvectors.
-fn tql2(n: usize, w: &mut [f64], d: &mut [f64], e: &mut [f64]) {
+/// Implicit-shift QL on the tridiagonal `(d, e)`, diagonal `d` and
+/// subdiagonal `e[1..]`: `d` becomes the eigenvalues (unsorted). Calls
+/// `sweep(l, m)` before each implicit QL sweep and `rotate(c, s)` for
+/// each of that sweep's `m − l` plane rotations, which act on the
+/// coordinate pairs `(i, i + 1)` for `i` from `m − 1` down to `l`: an
+/// eigenvector accumulation would replace columns `x = v_i`, `y = v_{i+1}`
+/// with `c·x − s·y` and `s·x + c·y`.
+fn tql2(
+    d: &mut [f64],
+    e: &mut [f64],
+    mut sweep: impl FnMut(usize, usize),
+    mut rotate: impl FnMut(f64, f64),
+) {
+    let n = d.len();
     e.copy_within(1.., 0);
     e[n - 1] = 0.0;
     let mut f = 0.0;
@@ -404,6 +567,7 @@ fn tql2(n: usize, w: &mut [f64], d: &mut [f64], e: &mut [f64]) {
         }
         if m > l {
             for _ in 0..MAX_QL_ITERS {
+                sweep(l, m);
                 // Implicit shift.
                 let mut g = d[l];
                 let mut p = (d[l + 1] - g) / (2.0 * e[l]);
@@ -436,12 +600,7 @@ fn tql2(n: usize, w: &mut [f64], d: &mut [f64], e: &mut [f64]) {
                     c = p / r;
                     p = c * d[i] - s * g;
                     d[i + 1] = h + s * (c * g + s * d[i]);
-                    let (head, tail) = w.split_at_mut((i + 1) * n);
-                    for (x, y) in head[i * n..].iter_mut().zip(&mut tail[..n]) {
-                        let yv = *y;
-                        *y = s * *x + c * yv;
-                        *x = c * *x - s * yv;
-                    }
+                    rotate(c, s);
                 }
                 p = -s * s2 * c3 * el1 * e[l] / dl1;
                 e[l] = s * p;
@@ -681,6 +840,38 @@ mod tests {
                 assert_eq!(vals.len(), n);
                 assert_eq!(vecs.shape(), (n, n));
             }
+        }
+    }
+
+    #[test]
+    fn rotation_log_is_bounded_and_sized_exactly() {
+        // The log holds at most MAX_QL_ITERS·n(n − 1)/2 rotations, with no
+        // growth slack, on healthy input and on NaN or inf, which must
+        // still terminate within the bound.
+        let n = 64;
+        let bound = MAX_QL_ITERS * n * (n - 1) / 2;
+        for bad in [None, Some(f64::NAN), Some(f64::INFINITY)] {
+            let mut m = random_matrix(n, n, 64);
+            m = m.add(&m.transpose());
+            if let Some(bad) = bad {
+                m[(n / 2, n - 1)] = bad;
+                m[(n - 1, n / 2)] = bad;
+            }
+            let eigen = Eigensystem::new(m);
+            let log = &eigen.log;
+            assert!(
+                log.rotations.len() <= bound,
+                "{bad:?}: {}",
+                log.rotations.len()
+            );
+            assert_eq!(log.rotations.capacity(), log.rotations.len(), "{bad:?}");
+            assert_eq!(log.sweeps.capacity(), log.sweeps.len(), "{bad:?}");
+            let logged: usize = log.sweeps.iter().map(|&(l, m)| m - l).sum();
+            assert_eq!(logged, log.rotations.len(), "{bad:?}");
+            if bad.is_none() {
+                assert!(logged >= n - 1, "a dense matrix needs rotations");
+            }
+            assert_eq!(eigen.vectors(n).shape(), (n, n));
         }
     }
 

@@ -219,6 +219,119 @@ fn symmetric_eigen_on_a_signature_sized_gram() {
 }
 
 #[test]
+fn symmetric_eigen_columns_are_bit_equal_whatever_the_fit_keeps() {
+    // One eigenvector route: each kept eigenvector runs the same
+    // arithmetic however many are kept. On the columns side (rows > cols)
+    // a PCA component is an eigenvector of the centered `Xᵀ·X`, so the
+    // fits keeping 1 and 7 components and the full-rank fit must each
+    // equal the leading columns of `symmetric_eigen` on that Gram, bit
+    // for bit.
+    let bits = |xs: Vec<f64>| xs.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+    run("symmetric_eigen_columns_are_bit_equal", CASES, |g| {
+        let cols = g.usize_in(1, 24);
+        let rows = g.usize_in(cols + 1, cols + 20);
+        let data = Matrix::from_vec(rows, cols, g.vec_f64(rows * cols, -10.0, 10.0));
+        let full = Pca::fit_with(&data, PcaConfig::new()).unwrap();
+        let xt = data.sub_row_vector(full.mean()).transpose();
+        let (vals, vecs) = symmetric_eigen(&xt.matmul_transposed(&xt));
+        assert_eq!(full.n_components(), cols);
+        for (sv, val) in full.singular_values().iter().zip(&vals) {
+            assert_eq!(sv.to_bits(), val.max(0.0).sqrt().to_bits());
+        }
+        for keep in [1, 7, cols] {
+            let fit = Pca::fit_with(&data, PcaConfig::new().with_components(keep)).unwrap();
+            assert_eq!(fit.n_components(), keep.min(cols));
+            for slot in 0..fit.n_components() {
+                assert_eq!(
+                    bits(fit.components().row(slot).to_vec()),
+                    bits(vecs.col(slot)),
+                    "{rows}x{cols}, keep {keep}, component {slot}"
+                );
+            }
+        }
+    });
+}
+
+/// Largest entry of `|VᵀV − I|` over the columns of `v`.
+fn orthonormality_error(v: &Matrix) -> f64 {
+    let gram = v.transpose().matmul(v);
+    let mut worst = 0.0f64;
+    for i in 0..gram.rows() {
+        for j in 0..gram.cols() {
+            let expected = if i == j { 1.0 } else { 0.0 };
+            worst = worst.max((gram[(i, j)] - expected).abs());
+        }
+    }
+    worst
+}
+
+#[test]
+fn symmetric_eigen_spans_the_reference_subspaces_on_degenerate_spectra() {
+    // Repeated eigenvalues leave the eigenvectors free within their
+    // eigenspace, so only the subspaces are comparable. Eigenvalues are
+    // grouped into clusters closer than 1e-8·max(1, |λ|max); each cluster's
+    // span must agree with the right singular vectors of the one-sided
+    // Jacobi reference (every case is positive semidefinite, so they are
+    // eigenvectors) to a principal-angle sine of 1e-10, measured as
+    // ‖V₁ − V₂·V₂ᵀ·V₁‖_F, and the eigenvectors must be orthonormal.
+    let block = [[2.0, 1.0], [1.0, 2.0]];
+    let blocks = Matrix::from_fn(8, 8, |i, j| {
+        if i / 2 == j / 2 {
+            block[i % 2][j % 2]
+        } else {
+            0.0
+        }
+    });
+    let mut rng = cs_linalg::Xoshiro256::seed_from(44);
+    let half = Matrix::from_fn(5, 6, |_, _| rng.next_gaussian());
+    let duplicated = half.vstack(&half);
+    let cases = [
+        ("identity", Matrix::identity(7)),
+        ("repeated 2x2 blocks", blocks),
+        (
+            "Gram of duplicated rows",
+            duplicated.matmul_transposed(&duplicated),
+        ),
+    ];
+    for (label, s) in cases {
+        let n = s.rows();
+        let (vals, vecs) = symmetric_eigen(&s);
+        let reference = Svd::jacobi(&s).unwrap();
+        let orth = orthonormality_error(&vecs);
+        assert!(orth <= 1e-12, "{label}: VᵀV − I reaches {orth:e}");
+        let tol = 1e-8 * vals[0].abs().max(vals[n - 1].abs()).max(1.0);
+        let mut start = 0;
+        while start < n {
+            let mut end = start + 1;
+            while end < n && vals[end - 1] - vals[end] <= tol {
+                end += 1;
+            }
+            let idx: Vec<usize> = (start..end).collect();
+            for (slot, (a, b)) in vals[start..end]
+                .iter()
+                .zip(&reference.singular_values[start..end])
+                .enumerate()
+            {
+                assert!(
+                    (a - b).abs() <= tol,
+                    "{label}: eigenvalue {} is {a}, reference {b}",
+                    start + slot
+                );
+            }
+            let ours = vecs.transpose().select_rows(&idx).transpose();
+            let theirs = reference.vt.select_rows(&idx).transpose();
+            let projected = theirs.matmul(&theirs.transpose().matmul(&ours));
+            let sine = ours.sub(&projected).frobenius_norm();
+            assert!(
+                sine <= 1e-10,
+                "{label}: cluster {start}..{end} is {sine:e} away from the reference"
+            );
+            start = end;
+        }
+    }
+}
+
+#[test]
 fn transpose_matmul_consistency() {
     run("transpose_matmul_consistency", CASES, |g| {
         let a = g.matrix(6, 9, -10.0, 10.0);

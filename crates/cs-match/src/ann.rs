@@ -481,10 +481,24 @@ mod tests {
         // Differential oracle: with a candidate budget covering every
         // row, the LSH stage hands the rerank every row, so the PCA
         // prefilter's basis can never cost exactness — the index must
-        // return exactly the flat top-k on tie-free random data.
-        for (rows, dim, seed) in [(40, 24, 31), (150, 64, 32), (60, 768, 33)] {
+        // return exactly the flat top-k, with the rows tied at its
+        // boundary. The shapes fit the prefilter on both Gram sides
+        // (rows ≤ dim and rows > dim), 300 rows puts a rows-side fit
+        // above the old 160-row solver threshold, and the last catalog
+        // holds every row twice, so distances tie.
+        let shapes = [
+            (40, 24, 31, false),
+            (150, 64, 32, false),
+            (60, 768, 33, false),
+            (300, 768, 34, false),
+            (200, 64, 35, false),
+            (80, 32, 36, true),
+        ];
+        for (rows, dim, seed, duplicated) in shapes {
             let mut rng = Xoshiro256::seed_from(seed);
-            let data = Matrix::from_fn(rows, dim, |_, _| rng.next_gaussian());
+            let distinct = if duplicated { rows / 2 } else { rows };
+            let base = Matrix::from_fn(distinct, dim, |_, _| rng.next_gaussian());
+            let data = if duplicated { base.vstack(&base) } else { base };
             let config = AnnConfig {
                 candidate_budget: rows,
                 ..AnnConfig::with_k(10)
@@ -497,13 +511,17 @@ mod tests {
                 .collect();
             let queries = data.rows_iter().map(|r| r.to_vec()).chain(fresh);
             for (q, query) in queries.enumerate() {
+                let mut ranking = exact.search(&query, rows);
+                ranking.sort_by(|a, b| total_cmp_f64(&a.1, &b.1).then(a.0.cmp(&b.0)));
                 for k in [1, 10] {
+                    let mut expected = ranking.clone();
+                    truncate_with_ties(&mut expected, k);
                     let bits = |hits: Vec<(usize, f64)>| -> Vec<(usize, u64)> {
                         hits.into_iter().map(|(i, d)| (i, d.to_bits())).collect()
                     };
                     assert_eq!(
                         bits(index.search(&query, k)),
-                        bits(exact.search(&query, k)),
+                        bits(expected),
                         "{rows}x{dim} query {q} k {k}"
                     );
                 }

@@ -101,8 +101,8 @@ done
 echo "==> cargo test -q --offline"
 cargo test -q --workspace --offline
 
-echo "==> cs-linalg and cs-nn tests in release (the kernel's bit-identity must hold under vectorised codegen)"
-cargo test -q --release --offline -p cs-linalg -p cs-nn
+echo "==> cs-linalg, cs-nn and cs-match tests in release (the kernel's bit-identity and the prefilter oracle must hold under vectorised codegen)"
+cargo test -q --release --offline -p cs-linalg -p cs-nn -p cs-match
 
 echo "==> golden CSVs in release (the heavy goldens skip themselves in debug)"
 cargo test -q --release --offline -p cs-repro --test golden
