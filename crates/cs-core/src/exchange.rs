@@ -29,6 +29,11 @@ pub const MAGIC: &[u8; 4] = b"CSEX";
 /// Current exchange format version (shared by the binary and JSON framings).
 pub const VERSION: u16 = 1;
 
+/// The largest `|C·Cᵀ − I|` a received model's component rows `C` may
+/// show. Trained OC3 and OC3-FO models reach 2.4e-10 (the Gram route's
+/// round-off on trailing components); this bound is ≈4000× that.
+const ORTHONORMAL_TOLERANCE: f64 = 1e-6;
+
 /// Errors raised while decoding an exchanged model.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ExchangeError {
@@ -89,7 +94,8 @@ impl ModelEnvelope {
         }
     }
 
-    /// Validates internal consistency (shapes, finiteness).
+    /// Validates internal consistency (shapes, finiteness, orthonormal
+    /// component rows).
     pub fn validate(&self) -> Result<(), ExchangeError> {
         if self.mean.len() != self.dim {
             return Err(ExchangeError::MalformedShape(format!(
@@ -116,6 +122,30 @@ impl ModelEnvelope {
         }
         if self.mean.iter().any(|x| !x.is_finite()) || self.components.has_non_finite() {
             return Err(ExchangeError::MalformedShape("non-finite values".into()));
+        }
+        // A model scores through an identity that equals its decoded MSE
+        // only for orthonormal rows, and more than `dim` rows never are:
+        // they are refused before the `rows × rows` Gram matrix is formed.
+        let rows = self.components.rows();
+        if rows > self.dim {
+            return Err(ExchangeError::MalformedShape(format!(
+                "{rows} components exceed dim {}",
+                self.dim
+            )));
+        }
+        let gram = self.components.matmul_transposed(&self.components);
+        let residue = gram
+            .as_slice()
+            .iter()
+            .enumerate()
+            .fold(0.0, |worst, (i, &g)| {
+                let identity = if i % (rows + 1) == 0 { 1.0 } else { 0.0 };
+                f64::max(worst, (g - identity).abs())
+            });
+        if residue > ORTHONORMAL_TOLERANCE {
+            return Err(ExchangeError::MalformedShape(format!(
+                "components are not orthonormal (max |C·Cᵀ − I| = {residue:e})"
+            )));
         }
         Ok(())
     }
@@ -328,9 +358,9 @@ pub fn from_bytes(payload: &[u8]) -> Result<ModelEnvelope, ExchangeError> {
 }
 
 /// Rehydrates a received envelope into a [`LocalModel`], so a received
-/// model scores signatures exactly like the sender's copy (the same
-/// [`Pca::reconstruction_errors`] over the same bits) and plugs into
-/// [`crate::assess::assess`] next to natively trained models.
+/// model scores signatures exactly like the sender's copy (the same error
+/// formula over the same bits) and plugs into [`crate::assess::assess`]
+/// next to natively trained models.
 ///
 /// Note the explained-variance bookkeeping is not transferred (it is not
 /// part of the paper's `M_k`), so re-truncation is not possible on the
@@ -489,6 +519,25 @@ mod tests {
             from_json(&json),
             Err(ExchangeError::MalformedShape(_))
         ));
+    }
+
+    #[test]
+    fn more_rows_than_dim_and_zero_width_rejected() {
+        let (model, _) = trained_model();
+        let mut envelope = ModelEnvelope::pack("X", &model);
+        envelope.components = Matrix::from_fn(13, 12, |i, j| f64::from(u8::from(i == j)));
+        let zero_width = ModelEnvelope {
+            dim: 0,
+            mean: Vec::new(),
+            components: Matrix::zeros(1, 0),
+            ..envelope.clone()
+        };
+        for envelope in [envelope, zero_width] {
+            assert!(matches!(
+                from_bytes(&to_bytes(&envelope)),
+                Err(ExchangeError::MalformedShape(_))
+            ));
+        }
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! `M_k = {μ_k, PC_k, l_k}` — the local signature mean, the principal
 //! components retained at the global explained variance `v`, and the
 //! **local linkability range** `l_k` = the largest reconstruction error
-//! among the model's own training signatures (Definition 3).
+//! among the model's own training signatures (Definition 3). Every PCA
+//! local model scores through `for_each_error_curve`, bit-equal to the sweep.
 
 use crate::assess::LocalAssessor;
 use crate::error::ScopingError;
@@ -63,6 +64,28 @@ pub(crate) fn check_spectrum(
     Ok(())
 }
 
+/// Calls `visit(e, curve)` per row `e` of `data`: `curve[n]` is its MSE at
+/// `pca`'s leading `n` components, `(‖x − μ‖² − Σ_{i<n} z_i²) / dim` with
+/// `z = (x − μ)·PCᵀ` in `dot`s — the one error formula of PCA local models,
+/// exact for orthonormal rows. Truncated fits keep the full-rank leading
+/// rows bit for bit, so a model ends on the full-rank curve's point at `n`.
+pub(crate) fn for_each_error_curve(pca: &Pca, data: &Matrix, mut visit: impl FnMut(usize, &[f64])) {
+    let dim = data.cols() as f64;
+    let centered = data.sub_row_vector(pca.mean());
+    let z = centered.matmul_transposed(pca.components());
+    let mut curve = vec![0.0; z.cols() + 1];
+    for (e, (zrow, crow)) in z.rows_iter().zip(centered.rows_iter()).enumerate() {
+        let total: f64 = crow.iter().map(|x| x * x).sum();
+        let mut acc = 0.0;
+        curve[0] = (total - acc).max(0.0) / dim;
+        for (slot, &v) in curve[1..].iter_mut().zip(zrow) {
+            acc += v * v;
+            *slot = (total - acc).max(0.0) / dim;
+        }
+        visit(e, &curve);
+    }
+}
+
 /// A trained local encoder–decoder for one schema.
 #[derive(Debug, Clone)]
 pub struct LocalModel {
@@ -89,9 +112,10 @@ impl LocalModel {
         check_trainable(schema_index, signatures)?;
         let pca = Pca::fit_with(signatures, PcaConfig::new().with_variance(v))?;
         check_spectrum(schema_index, signatures, &pca)?;
-        let own_errors = pca.reconstruction_errors(signatures);
-        let linkability_range = own_errors.iter().copied().fold(0.0, f64::max);
-        Ok(Self::from_parts(schema_index, pca, linkability_range))
+        let mut model = Self::from_parts(schema_index, pca, 0.0);
+        let own_errors = model.reconstruction_errors(signatures);
+        model.linkability_range = own_errors.into_iter().fold(0.0, f64::max);
+        Ok(model)
     }
 
     /// Rebuilds a model from exchanged parts (see
@@ -125,7 +149,9 @@ impl LocalAssessor for LocalModel {
     }
 
     fn reconstruction_errors(&self, foreign: &Matrix) -> Vec<f64> {
-        self.pca.reconstruction_errors(foreign)
+        let mut errors = Vec::with_capacity(foreign.rows());
+        for_each_error_curve(&self.pca, foreign, |_, c| errors.push(c[c.len() - 1]));
+        errors
     }
 }
 

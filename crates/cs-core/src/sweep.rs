@@ -6,7 +6,7 @@
 //! exploits PCA structure instead: with orthonormal components, the
 //! reconstruction error of a signature at `n` retained components is
 //!
-//! `MSE(n) = (‖x − μ‖² − Σ_{i≤n} z_i²) / dim`
+//! `MSE(n) = (‖x − μ‖² − Σ_{i<n} z_i²) / dim`
 //!
 //! where `z = (x − μ)·PCᵀ` is the *full-rank* latent projection. A
 //! decision at any `v` depends on `v` only through `n_m(v)`, the
@@ -14,8 +14,8 @@
 //! per model, the range curve `l_m(n)` (the maximum of its own elements'
 //! errors), and per (element, foreign model) one acceptance bit per `n`,
 //! `MSE_m(e, n) ≤ l_m(n)`. The floats are then dropped, and every grid
-//! point is one bit lookup per (element, foreign model). A property test
-//! pins the sweep's decisions to [`CollaborativeScoper::run`]'s.
+//! point is one bit lookup per (element, foreign model). The errors and
+//! `l_m` of [`CollaborativeScoper::run`] are these curves' points, bit for bit.
 //!
 //! # Cache size
 //!
@@ -34,37 +34,12 @@ use std::sync::Arc;
 use crate::assess::{assemble, Tally};
 use crate::collaborative::CombinationRule;
 use crate::error::ScopingError;
-use crate::local_model::{check_spectrum, check_trainable};
+use crate::local_model::{check_spectrum, check_trainable, for_each_error_curve};
 use crate::outcome::{DegradedSchema, ScopingOutcome};
 use crate::pool::ExecPolicy;
 use crate::signatures::SchemaSignatures;
 use cs_linalg::{Matrix, Pca, PcaConfig};
 use cs_schema::ElementId;
-
-/// Calls `visit(e, curve)` for every row `e` of `data` under `pca`, where
-/// `curve[n]` is the row's reconstruction MSE at `n` retained components,
-/// `n = 0..=rank`. The range curves and the acceptance bits both come
-/// from here, so they compare the same floats.
-fn for_each_error_curve(
-    pca: &Pca,
-    data: &Matrix,
-    dim: usize,
-    mut visit: impl FnMut(usize, &[f64]),
-) {
-    let centered = data.sub_row_vector(pca.mean());
-    let z = centered.matmul_transposed(pca.components());
-    let mut curve = vec![0.0; z.cols() + 1];
-    for (e, (zrow, crow)) in z.rows_iter().zip(centered.rows_iter()).enumerate() {
-        let total: f64 = crow.iter().map(|x| x * x).sum();
-        let mut acc = 0.0;
-        curve[0] = (total - acc).max(0.0) / dim as f64;
-        for (slot, &v) in curve[1..].iter_mut().zip(zrow) {
-            acc += v * v;
-            *slot = (total - acc).max(0.0) / dim as f64;
-        }
-        visit(e, &curve);
-    }
-}
 
 /// One healthy model's `v`-independent state.
 #[derive(Debug, Clone)]
@@ -80,9 +55,9 @@ impl ModelCurve {
     /// A fitted model's curves: its ratios, and its own elements' error
     /// curves folded into the range curve (the projections are dropped
     /// on return).
-    fn fit(pca: &Pca, own: &Matrix, dim: usize) -> Self {
+    fn fit(pca: &Pca, own: &Matrix) -> Self {
         let mut range = vec![0.0f64; pca.n_components() + 1];
-        for_each_error_curve(pca, own, dim, |_, curve| {
+        for_each_error_curve(pca, own, |_, curve| {
             for (l, &err) in range.iter_mut().zip(curve) {
                 *l = f64::max(*l, err);
             }
@@ -112,10 +87,10 @@ struct AcceptBits {
 impl AcceptBits {
     /// Projects `data` under `pca` and compares each error curve with
     /// `model`'s range curve.
-    fn build(pca: &Pca, model: &ModelCurve, data: &Matrix, dim: usize) -> Self {
+    fn build(pca: &Pca, model: &ModelCurve, data: &Matrix) -> Self {
         let stride = model.range.len();
         let mut words = vec![0u64; (data.rows() * stride).div_ceil(64)];
-        for_each_error_curve(pca, data, dim, |e, curve| {
+        for_each_error_curve(pca, data, |e, curve| {
             for (n, (&err, &l)) in curve.iter().zip(&model.range).enumerate() {
                 if err <= l {
                     let bit = e * stride + n;
@@ -194,13 +169,12 @@ impl CollaborativeSweep {
         // (`LocalModel::train`) applies, so both paths agree on what is
         // degenerate.
         let sigs = signatures.clone();
-        let dim = signatures.dim();
         let fits: Vec<Result<(Pca, ModelCurve), ScopingError>> = exec.run_slots(k, move |m| {
             let data = sigs.schema(m);
             check_trainable(m, data)?;
             let pca = Pca::fit_with(data, PcaConfig::new())?;
             check_spectrum(m, data, &pca)?;
-            let curve = ModelCurve::fit(&pca, data, dim);
+            let curve = ModelCurve::fit(&pca, data);
             Ok((pca, curve))
         })?;
         let mut fitted: Vec<Option<(Pca, ModelCurve)>> = Vec::with_capacity(k);
@@ -234,7 +208,7 @@ impl CollaborativeSweep {
             (0..k)
                 .map(|m| match (&shared[sk], &shared[m]) {
                     (Some(_), Some((pca, model))) if m != sk => {
-                        Some(AcceptBits::build(pca, model, sigs.schema(sk), dim))
+                        Some(AcceptBits::build(pca, model, sigs.schema(sk)))
                     }
                     _ => None,
                 })
@@ -568,14 +542,12 @@ mod tests {
         }
     }
 
-    #[test]
-    fn breakpoints_match_direct_run_under_every_policy() {
-        let sigs = random_sigs(14);
-        let sweep = CollaborativeSweep::prepare(&sigs).unwrap();
-        // Every cumulative explained-variance ratio of every model, summed
-        // as `Pca::components_for_variance` sums them: `n_m(v)` steps at
-        // exactly these points.
-        let mut breakpoints = Vec::new();
+    /// Every cumulative explained-variance ratio of every model, summed
+    /// as `Pca::components_for_variance` sums them (`n_m(v)` steps at
+    /// exactly these points), plus `v = 1`, which keeps every component
+    /// and leaves each error at round-off.
+    fn breakpoints(sweep: &CollaborativeSweep) -> Vec<f64> {
+        let mut breakpoints = vec![1.0];
         for model in sweep.inner.models.iter().flatten() {
             let mut cum = 0.0;
             for &r in &model.ratios {
@@ -585,11 +557,51 @@ mod tests {
                 }
             }
         }
-        // Where a model keeps all `dim` components it reconstructs every
-        // signature, so each error is round-off and the run's decoded MSE
-        // rounds differently from the sweep's identity. Those points are
-        // left out here; they go once both compute one formula.
-        breakpoints.retain(|&v| sweep.components_at(v).iter().all(|&n| n < sigs.dim()));
+        breakpoints
+    }
+
+    #[test]
+    fn trained_models_score_bit_equal_to_the_full_rank_curves() {
+        use crate::assess::LocalAssessor;
+        use crate::local_model::LocalModel;
+        use cs_linalg::pca::ExplainedVariance;
+
+        let sigs = random_sigs(14);
+        let sweep = CollaborativeSweep::prepare(&sigs).unwrap();
+        let k = sigs.schema_count();
+        for m in 0..k {
+            let full = Pca::fit_with(sigs.schema(m), PcaConfig::new()).unwrap();
+            // `curves[sk][e]` — element `e` of schema `sk` under the
+            // full-rank model `m`, re-derived one `dot` at a time.
+            let curves: Vec<_> = (0..k)
+                .map(|sk| identity_curves(&full, sigs.schema(sk)))
+                .collect();
+            let model_curve = sweep.inner.models[m].as_ref().unwrap();
+            for v in breakpoints(&sweep) {
+                let model =
+                    LocalModel::train(m, sigs.schema(m), ExplainedVariance::new(v).unwrap())
+                        .unwrap();
+                let n = model_curve.index(sweep.components_at(v)[m]);
+                assert_eq!(model.n_components(), n, "m={m}, v={v}");
+                assert_eq!(
+                    model.linkability_range().to_bits(),
+                    model_curve.range[n].to_bits(),
+                    "l_{m} at v={v}"
+                );
+                for (sk, schema_curves) in curves.iter().enumerate() {
+                    let errors = model.reconstruction_errors(sigs.schema(sk));
+                    for (e, (err, curve)) in errors.iter().zip(schema_curves).enumerate() {
+                        assert_eq!(err.to_bits(), curve[n].to_bits(), "m={m}, v={v}, {sk}/{e}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn breakpoints_match_direct_run_under_every_policy() {
+        let sigs = random_sigs(14);
+        let breakpoints = breakpoints(&CollaborativeSweep::prepare(&sigs).unwrap());
         assert!(breakpoints.len() >= 20, "{} breakpoints", breakpoints.len());
         let pool = ExecPolicy::Pool(Arc::new(crate::pool::ThreadPool::with_threads(2)));
         for exec in [ExecPolicy::Sequential, pool] {

@@ -17,7 +17,7 @@ use std::collections::HashSet;
 
 /// The paper's matcher roster: three parameterizations each of SIM,
 /// CLUSTER, and LSH.
-pub fn matcher_roster() -> Vec<Box<dyn Matcher>> {
+pub(crate) fn matcher_roster() -> Vec<Box<dyn Matcher>> {
     let mut roster: Vec<Box<dyn Matcher>> = Vec::new();
     for t in [0.4, 0.6, 0.8] {
         roster.push(Box::new(SimMatcher::new(t)));
@@ -64,7 +64,7 @@ pub fn split_element_sets(
 
 /// Runs one matcher on the attribute and table passes and scores the
 /// unioned candidates.
-pub fn evaluate_matcher(
+pub(crate) fn evaluate_matcher(
     matcher: &dyn Matcher,
     attr_sets: &[ElementSet],
     table_sets: &[ElementSet],
@@ -99,7 +99,7 @@ pub struct AblationPoint {
 
 /// Runs the full Figure-7 ablation on one dataset over `steps` grid
 /// points.
-pub fn fig7_ablation(dataset: &Dataset, steps: usize) -> Vec<AblationPoint> {
+pub(crate) fn fig7_ablation(dataset: &Dataset, steps: usize) -> Vec<AblationPoint> {
     let signatures = dataset_signatures(dataset);
     let roster = matcher_roster();
     let mut out = Vec::new();

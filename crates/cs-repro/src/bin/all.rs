@@ -20,6 +20,7 @@ fn main() {
         ("fig6", &[]),
         ("fig7", &[]),
         ("extension_nonlinear", &[]),
+        ("ablation", &[]),
         ("discussion", &[]),
         ("scaling_quality", &[]),
         ("ann_quality", &[]),

@@ -21,7 +21,7 @@ pub fn v_grid(steps: usize) -> Vec<f64> {
 
 /// The `p ∈ (0..1)` grid, ascending, inclusive of the endpoints (the paper
 /// notes `p = 1` reproduces the originals and `p = 0` empties them).
-pub fn p_grid(steps: usize) -> Vec<f64> {
+pub(crate) fn p_grid(steps: usize) -> Vec<f64> {
     assert!(steps >= 2, "need at least two grid points");
     (0..steps).map(|i| i as f64 / (steps - 1) as f64).collect()
 }
@@ -100,7 +100,7 @@ pub struct ScopingMethodResult {
 
 impl ScopingMethodResult {
     /// Summarizes a sweep curve into the paper's percentage metrics.
-    pub fn from_curve(method: impl Into<String>, curve: SweepCurve) -> Self {
+    pub(crate) fn from_curve(method: impl Into<String>, curve: SweepCurve) -> Self {
         Self {
             method: method.into(),
             auc_f1: 100.0 * curve.auc_f1(),
@@ -116,7 +116,7 @@ impl ScopingMethodResult {
 /// control the autoencoder ensemble cost (the paper uses 100 × 50; the
 /// default harness uses a lighter setting — pass the paper values for the
 /// full reproduction).
-pub fn table4_rows(
+pub(crate) fn table4_rows(
     dataset: &Dataset,
     steps: usize,
     ae_runs: usize,

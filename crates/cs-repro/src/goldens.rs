@@ -1,22 +1,27 @@
 //! Shared golden-table builders.
 //!
-//! The `table2` / `table3` / `table4` / `fig7` / `extension_nonlinear`
-//! binaries and the golden regression test (`tests/golden.rs`) must
-//! produce *byte-identical* CSV — so the table construction lives here,
-//! once, and both sides consume it.
+//! The `table2` / `table3` / `table4` / `fig7` / `extension_nonlinear` /
+//! `ablation` binaries and the golden regression test (`tests/golden.rs`)
+//! must produce *byte-identical* CSV — so the table construction lives
+//! here, once, and both sides consume it.
 //! Each builder returns the [`CsvTable`] destined for `results/` plus the
 //! intermediate rows the binaries render on the console.
 
 use crate::ablation::{evaluate_matcher, fig7_ablation, split_element_sets, AblationPoint};
 use crate::csv::{fmt_f64, CsvTable};
-use crate::experiments::{dataset_signatures, table4_rows, ScopingMethodResult};
-use cs_core::{CollaborativeScoper, CollaborativeSweep, NeuralCollaborativeScoper};
+use crate::experiments::{dataset_signatures, table4_rows, v_grid, ScopingMethodResult};
+use cs_core::assess::{assess, LocalAssessor};
+use cs_core::{
+    encode_catalog_with, CollaborativeScoper, CollaborativeSweep, CombinationRule, ExecPolicy,
+    LocalModel, NeuralCollaborativeScoper, SchemaSignatures,
+};
 use cs_datasets::synthetic::{generate, SyntheticConfig};
 use cs_linalg::vecops::{sq_euclidean, total_cmp_f64};
+use cs_linalg::Matrix;
 use cs_match::{AnnConfig, AnnIndex, AnnSimMatcher, ElementSet, SimMatcher};
-use cs_metrics::{BinaryConfusion, MatchQuality};
+use cs_metrics::{BinaryConfusion, MatchQuality, SweepCurve};
 use cs_nn::TrainConfig;
-use cs_schema::LinkageKind;
+use cs_schema::{LinkageKind, SerializeOptions};
 
 /// Table 2: linkable/unlinkable element counts.
 #[derive(Debug, Clone)]
@@ -283,6 +288,116 @@ pub fn extension_nonlinear() -> ExtensionNonlinear {
     ExtensionNonlinear { per_dataset, csv }
 }
 
+/// The quality-side design ablations of DESIGN.md §5 per dataset: the
+/// local linkability range `l_k` against a relaxed `l_k·(1+ε)`, the
+/// combination rule, and the signature composition.
+#[derive(Debug, Clone)]
+pub struct Ablation {
+    /// `(dataset name, (variant label, v-sweep curve))` in emission order.
+    pub per_dataset: Vec<(String, Vec<(String, SweepCurve)>)>,
+    /// The `results/ablation.csv` content.
+    pub csv: CsvTable,
+}
+
+/// Grid points every variant of [`ablation`] sweeps.
+pub const ABLATION_STEPS: usize = 25;
+
+/// A local model judged against the relaxed range `l_k + l_k·frac`.
+#[derive(Clone)]
+struct Relaxed {
+    model: LocalModel,
+    range: f64,
+}
+
+impl LocalAssessor for Relaxed {
+    fn schema_index(&self) -> usize {
+        self.model.schema_index()
+    }
+
+    fn linkability_range(&self) -> f64 {
+        self.range
+    }
+
+    fn reconstruction_errors(&self, foreign: &Matrix) -> Vec<f64> {
+        self.model.reconstruction_errors(foreign)
+    }
+}
+
+/// One ablation variant's curve: one-shot runs over the grid, each
+/// model's range relaxed by `epsilon_frac`.
+fn ablation_curve(
+    signatures: &SchemaSignatures,
+    labels: &[bool],
+    rule: CombinationRule,
+    epsilon_frac: f64,
+) -> SweepCurve {
+    let mut curve = SweepCurve::new();
+    for v in v_grid(ABLATION_STEPS) {
+        let models = CollaborativeScoper::new(v)
+            .train_models(signatures)
+            .expect("valid dataset")
+            .into_iter()
+            .map(|model| {
+                let l = model.linkability_range();
+                Relaxed {
+                    model,
+                    range: l + l * epsilon_frac,
+                }
+            })
+            .collect();
+        let run = assess(signatures, models, rule, &ExecPolicy::Global, "ablation")
+            .expect("valid dataset");
+        curve.push(
+            v,
+            BinaryConfusion::from_labels(&run.outcome.decisions, labels),
+        );
+    }
+    curve
+}
+
+/// Builds the design ablations on both datasets.
+pub fn ablation() -> Ablation {
+    use CombinationRule::{All, Any, AtLeast};
+    let mut per_dataset = Vec::new();
+    let mut csv = CsvTable::new(&["dataset", "variant", "auc_f1", "auc_pr", "auc_roc_smoothed"]);
+    let encoder = cs_embed::SignatureEncoder::default();
+    let no_types = SerializeOptions {
+        data_type: false,
+        constraint: false,
+        ..Default::default()
+    };
+    for ds in [cs_datasets::oc3(), cs_datasets::oc3_fo()] {
+        let labels = ds.labels();
+        let signatures = dataset_signatures(&ds);
+        let names_only =
+            encode_catalog_with(&encoder, &ds.catalog, &SerializeOptions::names_only());
+        let no_types_sigs = encode_catalog_with(&encoder, &ds.catalog, &no_types);
+        let variants = [
+            ("paper: l_k strict, rule=ANY", &signatures, Any, 0.0),
+            ("relaxed l_k +10%", &signatures, Any, 0.10),
+            ("relaxed l_k +50%", &signatures, Any, 0.50),
+            ("rule=ALL", &signatures, All, 0.0),
+            ("rule=AtLeast(2)", &signatures, AtLeast(2), 0.0),
+            ("names-only serialization", &names_only, Any, 0.0),
+            ("no type/constraint words", &no_types_sigs, Any, 0.0),
+        ];
+        let mut rows = Vec::new();
+        for (name, sigs, rule, epsilon_frac) in variants {
+            let curve = ablation_curve(sigs, &labels, rule, epsilon_frac);
+            csv.push_row(vec![
+                ds.name.clone(),
+                name.to_string(),
+                fmt_f64(curve.auc_f1()),
+                fmt_f64(curve.auc_pr()),
+                fmt_f64(curve.auc_roc_smoothed()),
+            ]);
+            rows.push((name.to_string(), curve));
+        }
+        per_dataset.push((ds.name.clone(), rows));
+    }
+    Ablation { per_dataset, csv }
+}
+
 /// One scaling-quality measurement on a generated catalog.
 #[derive(Debug, Clone)]
 pub struct ScalingQualityPoint {
@@ -385,7 +500,7 @@ pub const SCALING_QUALITY_TOTALS: [usize; 3] = [48, 96, 192];
 pub const SCALING_QUALITY_UNLINKABLE: [f64; 3] = [0.2, 0.5, 0.8];
 
 /// Recall cutoff of the ANN quality grid (recall@10).
-pub const ANN_RECALL_AT: usize = 10;
+pub(crate) const ANN_RECALL_AT: usize = 10;
 /// The recall@10 floor `ann_gate` enforces at every grid point.
 pub const ANN_RECALL_FLOOR: f64 = 0.9;
 /// The |ΔF1| ceiling between SIM(0.6) and ANN-SIM(0.6) at every point.
@@ -394,7 +509,7 @@ pub const ANN_F1_TOLERANCE: f64 = 0.02;
 /// The ANN configuration the quality grid (and gate) measures: the
 /// default index tuning with a neighbor count sized for the SIM
 /// comparison.
-pub fn ann_quality_config() -> AnnConfig {
+pub(crate) fn ann_quality_config() -> AnnConfig {
     AnnConfig::with_k(16)
 }
 

@@ -13,6 +13,7 @@
 //! | `table4` | Table 4 — AUC-F1 / AUC-ROC / AUC-ROC′ / AUC-PR of all scoping methods |
 //! | `fig5` / `fig6` | Figures 5–6 — metric curves, ROC, PR for OC3 / OC3-FO |
 //! | `fig7` | Figure 7 — PQ/PC/F1/RR ablation with SIM / CLUSTER / LSH |
+//! | `ablation` | design ablations — relaxed `l_k`, combination rules, serialization |
 //! | `discussion` | §4.4 — pass-operation counts and pruning floors |
 //! | `all` | everything above |
 

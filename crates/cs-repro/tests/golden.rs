@@ -8,8 +8,8 @@
 //! counts may never influence these bytes.
 //!
 //! `table2`/`table3` and the Fig. 5/6 series are cheap and always run.
-//! `table4`, `fig7`, `extension_nonlinear`, `ann_quality` and
-//! `scaling_quality` need minutes in a debug build, so they only run when
+//! `table4`, `fig7`, `extension_nonlinear`, `ablation`, `ann_quality`
+//! and `scaling_quality` need minutes in a debug build, so they only run when
 //! optimized (`cargo test --release`) or when `CS_GOLDEN_FULL` is set.
 
 use std::path::PathBuf;
@@ -123,6 +123,15 @@ fn extension_nonlinear_csv_is_byte_identical() {
         "extension_nonlinear.csv",
         &goldens::extension_nonlinear().csv,
     );
+}
+
+#[test]
+fn ablation_csv_is_byte_identical() {
+    if !heavy_goldens_enabled() {
+        eprintln!("skipping ablation golden in debug build (set CS_GOLDEN_FULL=1 to force)");
+        return;
+    }
+    assert_matches_golden("ablation.csv", &goldens::ablation().csv);
 }
 
 #[test]

@@ -101,8 +101,8 @@ done
 echo "==> cargo test -q --offline"
 cargo test -q --workspace --offline
 
-echo "==> cs-linalg, cs-nn and cs-match tests in release (the kernel's bit-identity and the prefilter oracle must hold under vectorised codegen)"
-cargo test -q --release --offline -p cs-linalg -p cs-nn -p cs-match
+echo "==> cs-linalg, cs-nn, cs-match and cs-core tests in release (the kernel's bit-identity, the prefilter oracle and the run-vs-sweep bit-equality oracles must hold under vectorised codegen)"
+cargo test -q --release --offline -p cs-linalg -p cs-nn -p cs-match -p cs-core
 
 echo "==> golden CSVs in release (the heavy goldens skip themselves in debug)"
 cargo test -q --release --offline -p cs-repro --test golden

@@ -1,6 +1,7 @@
 //! Hermetic exchange-format guarantees, exercised end-to-end on a local
 //! model trained on the paper's OC3 dataset: both codecs (JSON and binary)
-//! round-trip exactly, reject non-finite payloads, and refuse versions
+//! round-trip exactly, reject non-finite payloads and non-orthonormal
+//! components, and refuse versions
 //! they do not understand — all on the in-workspace zero-dependency
 //! implementations. A catalog assessed through received models decides
 //! exactly like the centralized run.
@@ -140,6 +141,35 @@ fn non_finite_values_are_rejected_by_both_codecs() {
         );
         let json = to_json(&envelope).unwrap();
         assert!(from_json(&json).is_err(), "JSON accepted mean {poison}");
+    }
+}
+
+#[test]
+fn non_orthonormal_components_are_rejected_by_both_codecs() {
+    let (clean, _) = trained_oc3_envelope();
+    for name in ["scaled", "duplicated"] {
+        let mut envelope = clean.clone();
+        let c = &mut envelope.components;
+        for j in 0..c.cols() {
+            match name {
+                "scaled" => c[(0, j)] *= 2.0,
+                _ => c[(1, j)] = c[(0, j)],
+            }
+        }
+        assert!(
+            matches!(
+                from_bytes(&to_bytes(&envelope)),
+                Err(ExchangeError::MalformedShape(_))
+            ),
+            "binary accepted a {name} row"
+        );
+        assert!(
+            matches!(
+                from_json(&to_json(&envelope).unwrap()),
+                Err(ExchangeError::MalformedShape(_))
+            ),
+            "JSON accepted a {name} row"
+        );
     }
 }
 

@@ -109,9 +109,23 @@ fn sweep_matches_direct_on_synthetic() {
         let encoder = SignatureEncoder::default();
         let sigs = encode_catalog(&encoder, &ds.catalog);
         let sweep = CollaborativeSweep::prepare(&sigs).unwrap();
-        let fast = sweep.assess_at(v).expect("valid v");
-        let slow = CollaborativeScoper::new(v).run(&sigs).unwrap().outcome;
-        assert_eq!(fast.decisions, slow.decisions);
+        // `v = 1` keeps every component, where each error is round-off.
+        // Equal decisions under all three rules pin the vote counts.
+        for v in [v, 1.0] {
+            for rule in [
+                CombinationRule::Any,
+                CombinationRule::All,
+                CombinationRule::AtLeast(2),
+            ] {
+                let fast = sweep.assess_with_rule(v, rule).expect("valid v");
+                let slow = CollaborativeScoper::new(v)
+                    .with_rule(rule)
+                    .run(&sigs)
+                    .unwrap()
+                    .outcome;
+                assert_eq!(fast.decisions, slow.decisions, "v={v}, {rule:?}");
+            }
+        }
     });
 }
 
