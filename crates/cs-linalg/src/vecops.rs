@@ -1,6 +1,7 @@
 //! Vector-level helpers shared by the embedder, ODAs, and matchers.
 
 use crate::matrix::dot;
+use crate::Matrix;
 
 /// Euclidean (L2) norm.
 #[inline]
@@ -46,6 +47,43 @@ pub fn sq_euclidean(a: &[f64], b: &[f64]) -> f64 {
             d * d
         })
         .sum()
+}
+
+/// [`sq_euclidean`] from `q` to each listed row of `m`, as
+/// `(row, distance)` in list order; every distance is the one
+/// `sq_euclidean(q, m.row(row))` returns, bit for bit.
+///
+/// Rows go through four at a time as four independent add chains. Each
+/// chain sums its own row in `sq_euclidean`'s order and starts at
+/// `-0.0`, as `Iterator::sum` does, so no sum is reassociated: the four
+/// chains only hide each other's add latency. The last `rows.len() % 4`
+/// rows take `sq_euclidean` itself.
+///
+/// # Panics
+/// If `q.len()` differs from `m.cols()`, or a listed row is out of range.
+pub fn sq_euclidean_rows(q: &[f64], m: &Matrix, rows: &[usize]) -> Vec<(usize, f64)> {
+    assert_eq!(q.len(), m.cols(), "sq_euclidean_rows length mismatch");
+    let mut out = Vec::with_capacity(rows.len());
+    let mut quads = rows.chunks_exact(4);
+    for quad in &mut quads {
+        let [r0, r1, r2, r3] = [quad[0], quad[1], quad[2], quad[3]].map(|i| m.row(i));
+        let (mut s0, mut s1, mut s2, mut s3) = (-0.0, -0.0, -0.0, -0.0);
+        for ((((&x, &a), &b), &c), &d) in q.iter().zip(r0).zip(r1).zip(r2).zip(r3) {
+            let (d0, d1, d2, d3) = (x - a, x - b, x - c, x - d);
+            s0 += d0 * d0;
+            s1 += d1 * d1;
+            s2 += d2 * d2;
+            s3 += d3 * d3;
+        }
+        out.extend([(quad[0], s0), (quad[1], s1), (quad[2], s2), (quad[3], s3)]);
+    }
+    out.extend(
+        quads
+            .remainder()
+            .iter()
+            .map(|&i| (i, sq_euclidean(q, m.row(i)))),
+    );
+    out
 }
 
 /// Euclidean distance.
@@ -143,6 +181,48 @@ mod tests {
     fn distances() {
         assert!((euclidean(&[0.0, 0.0], &[3.0, 4.0]) - 5.0).abs() < 1e-12);
         assert!((sq_euclidean(&[1.0], &[4.0]) - 9.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn sq_euclidean_rows_is_bit_identical_to_sq_euclidean() {
+        // Every dim the ANN path meets (0 and odd widths included), row
+        // counts on and off a multiple of four, and entries that make the
+        // sums NaN, infinite or signed zero.
+        let specials = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.0, 0.0];
+        let mut rng = crate::Xoshiro256::seed_from(41);
+        for dim in [0, 1, 3, 5, 16, 64, 768] {
+            let mut m = Matrix::from_fn(11, dim, |_, _| rng.next_gaussian() * 1e3);
+            let mut q: Vec<f64> = (0..dim).map(|_| rng.next_gaussian()).collect();
+            if dim > 0 {
+                for (r, &x) in specials.iter().enumerate() {
+                    m.row_mut(2 * r)[r % dim] = x;
+                }
+                m.row_mut(1).fill(-0.0);
+                q[dim - 1] = -0.0;
+            }
+            let mut qz = q.clone();
+            qz.fill(-0.0);
+            for query in [&q, &qz] {
+                for count in [0, 1, 3, 4, 5, 7, 8, 11] {
+                    // Repeated and unordered rows, as a caller may list them.
+                    let rows: Vec<usize> = (0..count).map(|j| (j * 7 + 3) % 11).collect();
+                    let got: Vec<(usize, u64)> = sq_euclidean_rows(query, &m, &rows)
+                        .into_iter()
+                        .map(|(i, d)| (i, d.to_bits()))
+                        .collect();
+                    let want: Vec<(usize, u64)> = rows
+                        .iter()
+                        .map(|&i| (i, sq_euclidean(query, m.row(i)).to_bits()))
+                        .collect();
+                    assert_eq!(got, want, "dim {dim} rows {count}");
+                }
+            }
+        }
+        // The empty sum is `-0.0` on both sides.
+        let empty = sq_euclidean_rows(&[], &Matrix::zeros(4, 0), &[0, 1, 2, 3]);
+        assert!(empty
+            .iter()
+            .all(|&(_, d)| d.to_bits() == (-0.0f64).to_bits()));
     }
 
     #[test]

@@ -12,6 +12,12 @@
 //! schema count back into the complexity and re-create the quadratic
 //! cliff this module removes.
 //!
+//! A query does no full sort and no map lookup: bucket tables are flat
+//! and binary-searched, the candidate union is a bitset, the prefilter
+//! and rerank cuts are selections with their boundary ties, and only the
+//! final `k`-plus-ties list is sorted. The matchers' self-queries reuse
+//! each row's projection and bands from the build.
+//!
 //! Determinism contract: hyperplanes are drawn from a fixed seed, bucket
 //! contents hold row indices in ascending order, query fan-out runs on
 //! the chunk-deal pool ([`cs_linalg::pool`]) under the matcher's
@@ -22,10 +28,9 @@
 
 use crate::{dedup_pairs, CandidatePair, ElementSet, HyperplaneLsh, Matcher};
 use cs_linalg::pool::ExecPolicy;
-use cs_linalg::vecops::{cosine, sq_euclidean, total_cmp_f64};
+use cs_linalg::vecops::{cosine, sq_euclidean_rows, total_cmp_f64};
 use cs_linalg::{Matrix, TruncatedProjection};
 use cs_schema::ElementId;
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Tuning knobs for the ANN index and matcher.
@@ -113,12 +118,50 @@ pub(crate) fn truncate_with_ties(scored: &mut Vec<(usize, f64)>, limit: usize) {
     scored.truncate(end);
 }
 
+/// The ranking order of scored rows: ascending score under
+/// [`total_cmp_f64`], then ascending row.
+fn by_score_then_index(a: &(usize, f64), b: &(usize, f64)) -> std::cmp::Ordering {
+    total_cmp_f64(&a.1, &b.1).then(a.0.cmp(&b.0))
+}
+
+/// Reduces `scored` (distinct rows) to the set that sorting it by
+/// [`by_score_then_index`] and calling [`truncate_with_ties`] would keep:
+/// the `limit` first plus every row tied with the boundary score. The
+/// survivors come back in no particular order, for a selection in `O(n)`
+/// in place of the `O(n log n)` sort.
+fn select_with_ties(scored: &mut Vec<(usize, f64)>, limit: usize) {
+    if limit == 0 {
+        scored.clear();
+        return;
+    }
+    if scored.len() <= limit {
+        return;
+    }
+    let (_, nth, _) = scored.select_nth_unstable_by(limit - 1, by_score_then_index);
+    let boundary = nth.1;
+    // Everything past the boundary ranks after it; its score ties gather
+    // right behind it.
+    let mut end = limit;
+    for j in limit..scored.len() {
+        if total_cmp_f64(&scored[j].1, &boundary).is_eq() {
+            scored.swap(end, j);
+            end += 1;
+        }
+    }
+    scored.truncate(end);
+}
+
 /// Two-stage ANN index: banded hyperplane LSH over a truncated
 /// projection, exact full-dimension rerank of the candidate budget.
 #[derive(Debug, Clone)]
 pub struct AnnIndex {
+    /// The indexed rows in full dimension, for the exact rerank.
     full: Matrix,
+    /// The prefilter projection; `None` hashes in full dimension.
     projection: Option<TruncatedProjection>,
+    /// The LSH over the projected rows (`full` itself without a
+    /// projection); its data is the prefilter's space, and its stored
+    /// bands and rows serve the self-queries.
     lsh: HyperplaneLsh,
     config: AnnConfig,
 }
@@ -187,37 +230,56 @@ impl AnnIndex {
             self.full.cols(),
             "query dimensionality mismatch"
         );
+        let projected_query = self.projection.as_ref().map(|p| p.project(query));
+        let hash_query: &[f64] = projected_query.as_deref().unwrap_or(query);
+        self.search_hashed(query, hash_query, &self.lsh.hash(hash_query), k, keep)
+    }
+
+    /// [`Self::search_filtered`] for indexed row `row` as the query, from
+    /// what the build already holds: its projected vector is row `row` of
+    /// the hashing space and its bands are the stored ones. Both are bit
+    /// for bit what projecting and hashing the row again gives, so the
+    /// hits are too.
+    fn search_row(&self, row: usize, k: usize, keep: impl Fn(usize) -> bool) -> Vec<(usize, f64)> {
+        self.search_hashed(
+            self.full.row(row),
+            self.lsh.data().row(row),
+            self.lsh.row_bands(row),
+            k,
+            keep,
+        )
+    }
+
+    /// The retrieval behind both searches, given the query in full
+    /// dimension, in the hashing space and as band values.
+    ///
+    /// Neither cut sorts: each selects its survivors ([`select_with_ties`])
+    /// and only the final `k`-plus-ties list is sorted.
+    fn search_hashed(
+        &self,
+        query: &[f64],
+        hash_query: &[f64],
+        bands: &[u64],
+        k: usize,
+        keep: impl Fn(usize) -> bool,
+    ) -> Vec<(usize, f64)> {
         if k == 0 || self.is_empty() {
             return Vec::new();
         }
-        let projected_query = self.projection.as_ref().map(|p| p.project(query));
-        let hash_query: &[f64] = projected_query.as_deref().unwrap_or(query);
         let budget = self.config.budget();
-        let mut kept: Vec<usize> = self
-            .lsh
-            .candidates(hash_query, budget.max(k))
-            .into_iter()
-            .filter(|&i| keep(i))
-            .collect();
+        let mut kept = self.lsh.banded_candidates(bands, budget);
+        kept.retain(|&i| keep(i));
         if kept.len() < k {
             kept = (0..self.full.rows()).filter(|&i| keep(i)).collect();
         }
         if kept.len() > budget {
-            let hashed = self.lsh.data();
-            let mut scored: Vec<(usize, f64)> = kept
-                .into_iter()
-                .map(|i| (i, sq_euclidean(hash_query, hashed.row(i))))
-                .collect();
-            scored.sort_by(|a, b| total_cmp_f64(&a.1, &b.1).then(a.0.cmp(&b.0)));
-            truncate_with_ties(&mut scored, budget);
+            let mut scored = sq_euclidean_rows(hash_query, self.lsh.data(), &kept);
+            select_with_ties(&mut scored, budget);
             kept = scored.into_iter().map(|(i, _)| i).collect();
         }
-        let mut reranked: Vec<(usize, f64)> = kept
-            .into_iter()
-            .map(|i| (i, sq_euclidean(query, self.full.row(i))))
-            .collect();
-        reranked.sort_by(|a, b| total_cmp_f64(&a.1, &b.1).then(a.0.cmp(&b.0)));
-        truncate_with_ties(&mut reranked, k);
+        let mut reranked = sq_euclidean_rows(query, &self.full, &kept);
+        select_with_ties(&mut reranked, k);
+        reranked.sort_unstable_by(by_score_then_index);
         reranked
     }
 
@@ -295,10 +357,9 @@ where
     let k = config.k;
     let per_query = exec.run_slots(queries, move |qi| {
         let qs = global.schema_of[qi];
-        let query = global.index.data().row(qi);
         let hits = global
             .index
-            .search_filtered(query, k, |i| global.schema_of[i] != qs);
+            .search_row(qi, k, |i| global.schema_of[i] != qs);
         emit(&global, qi, hits)
     });
     per_query.unwrap_or_else(|e| panic!("{e}"))
@@ -350,20 +411,18 @@ impl AnnMatcher {
                 .map(|(i, d)| (CandidatePair::new(g.ids[qi], g.ids[i]), d))
                 .collect()
         });
-        let mut best: BTreeMap<CandidatePair, f64> = BTreeMap::new();
-        for (pair, d) in per_query.into_iter().flatten() {
-            best.entry(pair)
-                .and_modify(|cur| {
-                    if total_cmp_f64(&d, cur).is_lt() {
-                        *cur = d;
-                    }
-                })
-                .or_insert(d);
-        }
-        let mut out: Vec<(CandidatePair, f64)> = best.into_iter().collect();
-        out.sort_by(|a, b| total_cmp_f64(&a.1, &b.1).then(a.0.cmp(&b.0)));
-        out
+        best_per_pair(per_query.into_iter().flatten().collect())
     }
+}
+
+/// Each pair of `hits` once, at its best (lowest) score, ranked by
+/// `(score, pair)`. A stable sort by `(pair, score)` puts each pair's
+/// minimum first in its run, the earliest hit among equal scores.
+fn best_per_pair(mut hits: Vec<(CandidatePair, f64)>) -> Vec<(CandidatePair, f64)> {
+    hits.sort_by(|a, b| a.0.cmp(&b.0).then(total_cmp_f64(&a.1, &b.1)));
+    hits.dedup_by_key(|h| h.0);
+    hits.sort_unstable_by(|a, b| total_cmp_f64(&a.1, &b.1).then(a.0.cmp(&b.0)));
+    hits
 }
 
 impl Matcher for AnnMatcher {
@@ -372,12 +431,12 @@ impl Matcher for AnnMatcher {
     }
 
     fn match_pairs(&self, sets: &[ElementSet]) -> Vec<CandidatePair> {
-        dedup_pairs(
-            self.ranked_pairs(sets)
-                .into_iter()
-                .map(|(p, _)| p)
-                .collect(),
-        )
+        let per_query = query_cross_schema(sets, self.config, &self.exec, |g, qi, hits| {
+            hits.into_iter()
+                .map(|(i, _)| CandidatePair::new(g.ids[qi], g.ids[i]))
+                .collect()
+        });
+        dedup_pairs(per_query.into_iter().flatten().collect())
     }
 }
 
@@ -441,6 +500,7 @@ mod tests {
     use crate::{FlatIndex, SimMatcher};
     use cs_linalg::Xoshiro256;
     use cs_schema::ElementId;
+    use std::collections::BTreeMap;
 
     fn random_sets(schemas: usize, per: usize, dim: usize, seed: u64) -> Vec<ElementSet> {
         let mut rng = Xoshiro256::seed_from(seed);
@@ -527,6 +587,125 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// `(row, score bits)` sorted by `(score, row)`: a scored list as a
+    /// set, with scores compared bit for bit.
+    fn as_set(mut scored: Vec<(usize, f64)>) -> Vec<(usize, u64)> {
+        scored.sort_by(by_score_then_index);
+        scored.into_iter().map(|(i, d)| (i, d.to_bits())).collect()
+    }
+
+    #[test]
+    fn selection_keeps_the_set_that_sort_and_truncate_keep() {
+        // Few distinct scores, so ties are everywhere; NaN, ±inf and both
+        // zeros among them (`-0.0` ranks before `+0.0`, NaNs tie).
+        let pool = [
+            f64::NAN,
+            -0.0,
+            0.0,
+            1.0,
+            1.0,
+            2.5,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        let mut rng = Xoshiro256::seed_from(29);
+        for trial in 0..400 {
+            let len = trial % 37;
+            let mut rows: Vec<usize> = (0..len * 3).step_by(3).collect();
+            for i in (1..rows.len()).rev() {
+                rows.swap(i, rng.next_below(i + 1));
+            }
+            let scored: Vec<(usize, f64)> = rows
+                .into_iter()
+                .map(|i| (i, pool[rng.next_below(pool.len())]))
+                .collect();
+            for limit in [0, 1, 2, len / 2, len.saturating_sub(1), len, len + 3] {
+                let mut want = scored.clone();
+                want.sort_by(by_score_then_index);
+                truncate_with_ties(&mut want, limit);
+                let mut got = scored.clone();
+                select_with_ties(&mut got, limit);
+                assert_eq!(as_set(got), as_set(want), "trial {trial} limit {limit}");
+            }
+        }
+    }
+
+    #[test]
+    fn self_queries_match_search_filtered_bit_for_bit() {
+        // `search_row` reuses the build's projected rows and bands; it must
+        // return what projecting and hashing the row again returns, under a
+        // PCA prefilter, the NaN coordinate fallback and no projection, with
+        // a budget small enough that the prefilter cut runs.
+        let mut rng = Xoshiro256::seed_from(31);
+        let base = Matrix::from_fn(90, 24, |_, _| rng.next_gaussian());
+        let mut poisoned = base.clone();
+        poisoned.row_mut(6)[2] = f64::NAN;
+        let duplicated = base.vstack(&base);
+        let cases = [
+            (&base, 6, true),
+            (&poisoned, 6, false),
+            (&base, 0, false),
+            (&duplicated, 6, true),
+        ];
+        for (case, &(data, prefilter_dims, pca)) in cases.iter().enumerate() {
+            let config = AnnConfig {
+                candidate_budget: 12,
+                prefilter_dims,
+                tables: 3,
+                ..AnnConfig::with_k(4)
+            };
+            let index = AnnIndex::build(data.clone(), config);
+            assert_eq!(index.prefilter_is_pca(), pca, "case {case}");
+            for q in 0..data.rows() {
+                for k in [1, 4, 30] {
+                    let keep = |i: usize| i % 3 != q % 3;
+                    let bits = |hits: Vec<(usize, f64)>| -> Vec<(usize, u64)> {
+                        hits.into_iter().map(|(i, d)| (i, d.to_bits())).collect()
+                    };
+                    assert_eq!(
+                        bits(index.search_row(q, k, keep)),
+                        bits(index.search_filtered(data.row(q), k, keep)),
+                        "case {case} row {q} k {k}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn best_per_pair_matches_a_btreemap_reference() {
+        // Every pair repeats with different scores, NaN and both zeros
+        // included; the reference keeps the first strict minimum seen.
+        let ids: Vec<ElementId> = (0..12).map(|e| ElementId::new(e % 3, e)).collect();
+        let scores = [3.0, 1.0, f64::NAN, -0.0, 0.0, 1.0, 2.0, f64::INFINITY];
+        let mut rng = Xoshiro256::seed_from(37);
+        let mut hits = Vec::new();
+        for _ in 0..400 {
+            let (a, b) = (rng.next_below(12), rng.next_below(12));
+            if ids[a].schema != ids[b].schema {
+                let pair = CandidatePair::new(ids[a], ids[b]);
+                hits.push((pair, scores[rng.next_below(scores.len())]));
+            }
+        }
+        let mut best: BTreeMap<CandidatePair, f64> = BTreeMap::new();
+        for &(pair, d) in &hits {
+            best.entry(pair)
+                .and_modify(|cur| {
+                    if total_cmp_f64(&d, cur).is_lt() {
+                        *cur = d;
+                    }
+                })
+                .or_insert(d);
+        }
+        let mut want: Vec<(CandidatePair, f64)> = best.into_iter().collect();
+        want.sort_by(|a, b| total_cmp_f64(&a.1, &b.1).then(a.0.cmp(&b.0)));
+        let bits = |list: Vec<(CandidatePair, f64)>| -> Vec<(CandidatePair, u64)> {
+            list.into_iter().map(|(p, d)| (p, d.to_bits())).collect()
+        };
+        assert!(want.len() < hits.len(), "the hits must repeat pairs");
+        assert_eq!(bits(best_per_pair(hits)), bits(want));
     }
 
     #[test]

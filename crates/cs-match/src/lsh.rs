@@ -8,12 +8,12 @@
 //! [`HyperplaneLsh`] is a genuine locality-sensitive-hashing index (random
 //! hyperplane signatures + multi-table banding) provided as the
 //! approximate variant; a test pins its recall against the exact index.
+//! Its bucket tables are flat sorted arrays and its candidate union is a
+//! bitset, so a lookup neither walks a tree nor sorts (DESIGN.md §14).
 
 use crate::flat::FlatIndex;
 use crate::{dedup_pairs, CandidatePair, ElementSet, Matcher};
-use cs_linalg::vecops::{sq_euclidean, total_cmp_f64};
 use cs_linalg::{Matrix, Xoshiro256};
-use std::collections::BTreeMap;
 
 /// Top-k nearest-neighbor matcher over exact flat indexes.
 #[derive(Debug, Clone, Copy)]
@@ -65,20 +65,103 @@ impl Matcher for LshMatcher {
 /// Random-hyperplane LSH index with banded multi-table lookup.
 ///
 /// Signatures are hashed to `tables × band_bits` sign bits; candidates
-/// share a full band in at least one table and are re-ranked by exact
-/// distance. Sparse probes widen deterministically: single-bit-flip
-/// neighbor buckets first, then an exact scan, so [`Self::search`] never
-/// silently returns fewer than `k` hits while more rows exist
-/// (DESIGN.md §14).
+/// share a full band in at least one table. Sparse probes widen
+/// deterministically: single-bit-flip neighbor buckets first, then an
+/// exact scan, so [`Self::candidates`] never returns fewer than `min`
+/// rows while the index holds that many (DESIGN.md §14).
 #[derive(Debug, Clone)]
 pub struct HyperplaneLsh {
     data: Matrix,
-    /// `tables` ordered maps: band value → row indices (ascending).
-    /// BTreeMap keeps iteration deterministic for the lint gate; rows
-    /// within a bucket are pushed in index order and stay sorted.
-    buckets: Vec<BTreeMap<u64, Vec<usize>>>,
+    /// One flat bucket table per band.
+    tables: Vec<Buckets>,
+    /// Each row's band value in every table, `rows × tables` row-major,
+    /// kept from the build so an indexed row is never hashed twice.
+    bands: Vec<u64>,
     /// Hyperplanes per table, each `band_bits × dim`.
     planes: Vec<Matrix>,
+}
+
+/// One table's buckets, flattened: `keys` holds the distinct band values
+/// in ascending order, and the rows of bucket `keys[b]` are
+/// `rows[offsets[b]..offsets[b + 1]]`, ascending. A lookup is a binary
+/// search over `keys`.
+#[derive(Debug, Clone)]
+struct Buckets {
+    keys: Vec<u64>,
+    offsets: Vec<usize>,
+    rows: Vec<usize>,
+}
+
+impl Buckets {
+    /// Groups rows `0..n` by `band(row)`; the stable sort keeps each
+    /// bucket's rows ascending.
+    fn new(n: usize, band: impl Fn(usize) -> u64) -> Self {
+        let mut rows: Vec<usize> = (0..n).collect();
+        rows.sort_by_key(|&i| band(i));
+        let mut keys = Vec::new();
+        let mut offsets = Vec::new();
+        for (at, &i) in rows.iter().enumerate() {
+            let key = band(i);
+            if keys.last() != Some(&key) {
+                keys.push(key);
+                offsets.push(at);
+            }
+        }
+        offsets.push(n);
+        // Exact sizes, so the index's footprint follows from its shapes.
+        keys.shrink_to_fit();
+        offsets.shrink_to_fit();
+        Self {
+            keys,
+            offsets,
+            rows,
+        }
+    }
+
+    /// The rows whose band is `key`, ascending; empty when none is.
+    fn get(&self, key: u64) -> &[usize] {
+        match self.keys.binary_search(&key) {
+            Ok(b) => &self.rows[self.offsets[b]..self.offsets[b + 1]],
+            Err(_) => &[],
+        }
+    }
+}
+
+/// A set of row ids as one bit per indexed row, with a running count:
+/// the union of bucket lists without a sort or a dedup.
+struct RowSet {
+    words: Vec<u64>,
+    len: usize,
+}
+
+impl RowSet {
+    fn new(rows: usize) -> Self {
+        Self {
+            words: vec![0; rows.div_ceil(64)],
+            len: 0,
+        }
+    }
+
+    fn insert_all(&mut self, rows: &[usize]) {
+        for &r in rows {
+            let (word, bit) = (&mut self.words[r / 64], 1u64 << (r % 64));
+            self.len += usize::from(*word & bit == 0);
+            *word |= bit;
+        }
+    }
+
+    /// The members, ascending.
+    fn into_rows(self) -> Vec<usize> {
+        let mut out = Vec::with_capacity(self.len);
+        for (w, &word) in self.words.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                out.push(w * 64 + bits.trailing_zeros() as usize);
+                bits &= bits - 1;
+            }
+        }
+        out
+    }
 }
 
 impl HyperplaneLsh {
@@ -90,21 +173,23 @@ impl HyperplaneLsh {
         );
         assert!(band_bits <= 63, "band bits must fit a u64");
         let mut rng = Xoshiro256::seed_from(seed);
-        let dim = data.cols();
-        let mut planes = Vec::with_capacity(tables);
-        let mut buckets = Vec::with_capacity(tables);
-        for _ in 0..tables {
-            let p = Matrix::from_fn(band_bits, dim, |_, _| rng.next_gaussian());
-            let mut map: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
-            for (i, dots) in data.matmul_transposed(&p).rows_iter().enumerate() {
-                map.entry(Self::band(dots)).or_default().push(i);
+        let (n, dim) = data.shape();
+        let planes: Vec<Matrix> = (0..tables)
+            .map(|_| Matrix::from_fn(band_bits, dim, |_, _| rng.next_gaussian()))
+            .collect();
+        let mut bands = vec![0; n * tables];
+        for (t, p) in planes.iter().enumerate() {
+            for (i, dots) in data.matmul_transposed(p).rows_iter().enumerate() {
+                bands[i * tables + t] = Self::band(dots);
             }
-            planes.push(p);
-            buckets.push(map);
         }
+        let buckets = (0..tables)
+            .map(|t| Buckets::new(n, |i| bands[i * tables + t]))
+            .collect();
         Self {
             data,
-            buckets,
+            tables: buckets,
+            bands,
             planes,
         }
     }
@@ -129,12 +214,29 @@ impl HyperplaneLsh {
     }
 
     /// The vectors the index was built over (the hashing space).
-    pub fn data(&self) -> &Matrix {
+    pub(crate) fn data(&self) -> &Matrix {
         &self.data
     }
 
+    /// The band values of `query`, one per table. For an indexed row these
+    /// are [`Self::row_bands`]: each `matvec` cell is the same `dot` as the
+    /// build's `matmul_transposed` cell.
+    pub(crate) fn hash(&self, query: &[f64]) -> Vec<u64> {
+        self.planes
+            .iter()
+            .map(|planes| Self::band(&planes.matvec(query)))
+            .collect()
+    }
+
+    /// Indexed row `row`'s band values, one per table, as the build
+    /// computed them.
+    pub(crate) fn row_bands(&self, row: usize) -> &[u64] {
+        let tables = self.tables.len();
+        &self.bands[row * tables..(row + 1) * tables]
+    }
+
     /// Candidate rows for `query`, at least `min` of them when the index
-    /// holds that many.
+    /// holds that many, so never fewer than `min(min, len)`.
     ///
     /// Three deterministic probe stages, each widening only if the
     /// previous one came up short: (1) the query's own band bucket in
@@ -142,61 +244,29 @@ impl HyperplaneLsh {
     /// bands, (3) an exact scan of all rows. The returned indices are
     /// sorted and deduplicated.
     pub fn candidates(&self, query: &[f64], min: usize) -> Vec<usize> {
-        if self.is_empty() {
-            return Vec::new();
-        }
-        let hashes: Vec<u64> = self
-            .planes
-            .iter()
-            .map(|planes| Self::band(&planes.matvec(query)))
-            .collect();
-        let mut out: Vec<usize> = Vec::new();
-        for (h, map) in hashes.iter().zip(self.buckets.iter()) {
-            if let Some(rows) = map.get(h) {
-                out.extend_from_slice(rows);
-            }
-        }
-        out.sort_unstable();
-        out.dedup();
-        if out.len() >= min {
-            return out;
-        }
-        // Widened probe: all Hamming-distance-1 buckets of each band.
-        for ((h, map), planes) in hashes
-            .iter()
-            .zip(self.buckets.iter())
-            .zip(self.planes.iter())
-        {
-            for bit in 0..planes.rows() {
-                if let Some(rows) = map.get(&(h ^ (1u64 << bit))) {
-                    out.extend_from_slice(rows);
-                }
-            }
-        }
-        out.sort_unstable();
-        out.dedup();
-        if out.len() >= min {
-            return out;
-        }
-        // Exact scan: banding is too sparse for this query.
-        (0..self.data.rows()).collect()
+        self.banded_candidates(&self.hash(query), min)
     }
 
-    /// Approximate top-`k` search: gathers bucket collisions across all
-    /// tables — widening the probe when banding yields fewer than `k`
-    /// candidates — and re-ranks them by exact squared distance.
-    pub fn search(&self, query: &[f64], k: usize) -> Vec<(usize, f64)> {
-        if k == 0 || self.is_empty() {
-            return Vec::new();
+    /// [`Self::candidates`] from a query's band values (one per table).
+    pub(crate) fn banded_candidates(&self, bands: &[u64], min: usize) -> Vec<usize> {
+        let mut set = RowSet::new(self.len());
+        for (&h, table) in bands.iter().zip(&self.tables) {
+            set.insert_all(table.get(h));
         }
-        let mut scored: Vec<(usize, f64)> = self
-            .candidates(query, k)
-            .into_iter()
-            .map(|i| (i, sq_euclidean(query, self.data.row(i))))
-            .collect();
-        scored.sort_by(|a, b| total_cmp_f64(&a.1, &b.1).then(a.0.cmp(&b.0)));
-        scored.truncate(k);
-        scored
+        if set.len >= min {
+            return set.into_rows();
+        }
+        // Widened probe: all Hamming-distance-1 buckets of each band.
+        for ((&h, table), planes) in bands.iter().zip(&self.tables).zip(&self.planes) {
+            for bit in 0..planes.rows() {
+                set.insert_all(table.get(h ^ (1u64 << bit)));
+            }
+        }
+        if set.len >= min {
+            return set.into_rows();
+        }
+        // Exact scan: banding is too sparse for this query.
+        (0..self.len()).collect()
     }
 }
 
@@ -204,6 +274,7 @@ impl HyperplaneLsh {
 mod tests {
     use super::*;
     use cs_schema::ElementId;
+    use std::collections::BTreeMap;
 
     fn sets() -> Vec<ElementSet> {
         let s0 = Matrix::from_rows(&[vec![0.0, 0.0], vec![4.0, 4.0]]);
@@ -270,9 +341,10 @@ mod tests {
             .collect();
         let query = rows[0].clone();
         let lsh = HyperplaneLsh::build(Matrix::from_rows(&rows), 8, 10, 42);
-        let hits = lsh.search(&query, 2);
-        assert_eq!(hits[0].0, 0, "query point itself first");
-        assert_eq!(hits[1].0, 1, "perturbed twin second");
+        let hits = lsh.candidates(&query, 2);
+        assert!(hits.len() < rows.len(), "own buckets, not an exact scan");
+        assert!(hits.contains(&0), "query point itself");
+        assert!(hits.contains(&1), "perturbed twin");
     }
 
     #[test]
@@ -284,6 +356,7 @@ mod tests {
         let lsh = HyperplaneLsh::build(data.clone(), 16, 8, 7);
         let mut recall_hits = 0usize;
         let mut total = 0usize;
+        let mut scanned = 0usize;
         for q in 0..20 {
             let query = data.row(q).to_vec();
             let truth: std::collections::HashSet<usize> = exact
@@ -291,20 +364,21 @@ mod tests {
                 .into_iter()
                 .map(|(i, _)| i)
                 .collect();
-            let approx: std::collections::HashSet<usize> =
-                lsh.search(&query, 5).into_iter().map(|(i, _)| i).collect();
-            recall_hits += truth.intersection(&approx).count();
+            let approx = lsh.candidates(&query, 5);
+            scanned += approx.len();
+            recall_hits += truth.iter().filter(|i| approx.contains(i)).count();
             total += truth.len();
         }
         let recall = recall_hits as f64 / total as f64;
         assert!(recall > 0.5, "LSH recall too low: {recall}");
+        assert!(scanned < 20 * 200, "banding never narrowed the scan");
     }
 
     #[test]
     fn sparse_buckets_fall_back_to_full_k() {
         // Regression: with many tables of wide bands over few, widely
-        // separated points, the query's own buckets rarely hold k rows;
-        // search must widen the probe (ultimately to an exact scan)
+        // separated points, the query's own buckets rarely hold `min`
+        // rows; the probe must widen (ultimately to an exact scan)
         // instead of silently returning a short list.
         let rows: Vec<Vec<f64>> = (0..6)
             .map(|i| {
@@ -316,17 +390,15 @@ mod tests {
             .collect();
         let lsh = HyperplaneLsh::build(Matrix::from_rows(&rows), 4, 16, 99);
         for (q, row) in rows.iter().enumerate() {
-            let hits = lsh.search(row, 4);
-            assert_eq!(hits.len(), 4, "query {q} returned a short list");
-            assert_eq!(hits[0].0, q, "query {q} must find itself first");
+            let hits = lsh.candidates(row, 4);
+            assert!(hits.len() >= 4, "query {q} returned a short list");
+            assert!(hits.contains(&q), "query {q} must find itself");
         }
-        // k beyond the index size returns everything, exactly once.
-        let all = lsh.search(&rows[0], 100);
-        assert_eq!(all.len(), rows.len());
-        let mut ids: Vec<usize> = all.iter().map(|&(i, _)| i).collect();
-        ids.sort_unstable();
-        ids.dedup();
-        assert_eq!(ids.len(), rows.len());
+        // `min` beyond the index size returns everything, exactly once.
+        assert_eq!(
+            lsh.candidates(&rows[0], 100),
+            (0..rows.len()).collect::<Vec<_>>()
+        );
     }
 
     #[test]
@@ -344,11 +416,99 @@ mod tests {
         }
     }
 
+    /// The bucket tables the flat ones replaced: one `BTreeMap` per table
+    /// from band value to ascending rows, each row hashed by `matvec`.
+    fn reference_maps(lsh: &HyperplaneLsh) -> Vec<BTreeMap<u64, Vec<usize>>> {
+        lsh.planes
+            .iter()
+            .map(|p| {
+                let mut map: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
+                for (i, row) in lsh.data.rows_iter().enumerate() {
+                    map.entry(HyperplaneLsh::band(&p.matvec(row)))
+                        .or_default()
+                        .push(i);
+                }
+                map
+            })
+            .collect()
+    }
+
+    /// The lookup the bitset union replaced: each stage's bucket lists
+    /// concatenated, sorted and deduplicated. Returns the candidates and
+    /// the stage (1 own buckets, 2 widened, 3 exact scan) that gave them.
+    fn reference_candidates(
+        lsh: &HyperplaneLsh,
+        maps: &[BTreeMap<u64, Vec<usize>>],
+        query: &[f64],
+        min: usize,
+    ) -> (Vec<usize>, u8) {
+        let hashes: Vec<u64> = lsh
+            .planes
+            .iter()
+            .map(|p| HyperplaneLsh::band(&p.matvec(query)))
+            .collect();
+        let mut out: Vec<usize> = Vec::new();
+        for (h, map) in hashes.iter().zip(maps) {
+            out.extend(map.get(h).into_iter().flatten());
+        }
+        out.sort_unstable();
+        out.dedup();
+        if out.len() >= min {
+            return (out, 1);
+        }
+        for ((h, map), p) in hashes.iter().zip(maps).zip(&lsh.planes) {
+            for bit in 0..p.rows() {
+                out.extend(map.get(&(h ^ (1u64 << bit))).into_iter().flatten());
+            }
+        }
+        out.sort_unstable();
+        out.dedup();
+        if out.len() >= min {
+            return (out, 2);
+        }
+        ((0..lsh.len()).collect(), 3)
+    }
+
+    #[test]
+    fn candidates_match_a_btreemap_reference_through_every_stage() {
+        let mut rng = Xoshiro256::seed_from(23);
+        let mut data = Matrix::from_fn(150, 8, |_, _| rng.next_gaussian());
+        // Duplicated rows share every bucket; a zero row sits on every
+        // hyperplane (all dots `-0.0`, so all bits set).
+        let twin = data.row(3).to_vec();
+        data.row_mut(40).copy_from_slice(&twin);
+        data.row_mut(41).fill(0.0);
+        let fresh: Vec<Vec<f64>> = (0..20)
+            .map(|_| (0..8).map(|_| rng.next_gaussian()).collect())
+            .collect();
+        let mut stages = [0usize; 3];
+        for (tables, band_bits) in [(2, 12), (4, 6), (1, 3)] {
+            let lsh = HyperplaneLsh::build(data.clone(), tables, band_bits, 17);
+            let maps = reference_maps(&lsh);
+            for i in 0..data.rows() {
+                assert_eq!(lsh.row_bands(i), lsh.hash(data.row(i)), "row {i} bands");
+            }
+            let queries = data.rows_iter().map(|r| r.to_vec()).chain(fresh.clone());
+            for (q, query) in queries.enumerate() {
+                for min in [0, 1, 5, 20, 60, 150, 151] {
+                    let (want, stage) = reference_candidates(&lsh, &maps, &query, min);
+                    stages[usize::from(stage) - 1] += 1;
+                    assert_eq!(
+                        lsh.candidates(&query, min),
+                        want,
+                        "{tables}x{band_bits} query {q} min {min}"
+                    );
+                }
+            }
+        }
+        assert!(stages.iter().all(|&n| n > 0), "stages reached: {stages:?}");
+    }
+
     #[test]
     fn empty_lsh_index() {
         let lsh = HyperplaneLsh::build(Matrix::zeros(0, 4), 2, 4, 1);
         assert!(lsh.is_empty());
-        assert!(lsh.search(&[0.0; 4], 3).is_empty());
+        assert!(lsh.candidates(&[0.0; 4], 3).is_empty());
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Runs every experiment in sequence: Tables 2–4, Figures 5–7, the
-//! non-linear extension, and the Section 4.4 discussion numbers. Pass
-//! `--full` for the paper's autoencoder ensemble in Table 4, whose CSV
-//! then goes to `target/table4-full/` instead of the golden `results/`.
+//! non-linear extension, the lexical baseline, and the Section 4.4
+//! discussion numbers. Pass `--full` for the paper's autoencoder
+//! ensemble in Table 4, whose CSV then goes to `target/table4-full/`
+//! instead of the golden `results/`.
 
 use std::process::Command;
 
@@ -21,6 +22,7 @@ fn main() {
         ("fig7", &[]),
         ("extension_nonlinear", &[]),
         ("ablation", &[]),
+        ("baseline_lexical", &[]),
         ("discussion", &[]),
         ("scaling_quality", &[]),
         ("ann_quality", &[]),

@@ -78,7 +78,7 @@ fn render_row(out: &mut String, cells: &[String]) {
 }
 
 /// Renders a float with enough precision for plotting.
-pub fn fmt_f64(x: f64) -> String {
+pub(crate) fn fmt_f64(x: f64) -> String {
     format!("{x:.6}")
 }
 

@@ -34,7 +34,7 @@ pub fn dataset_signatures(dataset: &Dataset) -> SchemaSignatures {
 
 /// Sweeps global scoping over the `p` grid for one detector: one scoring
 /// pass, then thresholding per grid point.
-pub fn global_scoping_curve(
+pub(crate) fn global_scoping_curve(
     detector: &dyn OutlierDetector,
     signatures: &SchemaSignatures,
     labels: &[bool],
@@ -64,7 +64,7 @@ pub fn global_scoping_curve(
 /// [`CollaborativeSweep::assess_grid`] batch, which fans the points out
 /// over the global thread pool (bit-identical to a sequential loop —
 /// DESIGN.md §8).
-pub fn collaborative_curve(
+pub(crate) fn collaborative_curve(
     sweep: &CollaborativeSweep,
     labels: &[bool],
     steps: usize,

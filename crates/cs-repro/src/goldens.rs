@@ -1,7 +1,7 @@
 //! Shared golden-table builders.
 //!
 //! The `table2` / `table3` / `table4` / `fig7` / `extension_nonlinear` /
-//! `ablation` binaries and the golden regression test (`tests/golden.rs`)
+//! `ablation` / `baseline_lexical` binaries and the golden regression test (`tests/golden.rs`)
 //! must produce *byte-identical* CSV — so the table construction lives
 //! here, once, and both sides consume it.
 //! Each builder returns the [`CsvTable`] destined for `results/` plus the
@@ -18,8 +18,12 @@ use cs_core::{
 use cs_datasets::synthetic::{generate, SyntheticConfig};
 use cs_linalg::vecops::{sq_euclidean, total_cmp_f64};
 use cs_linalg::Matrix;
-use cs_match::{AnnConfig, AnnIndex, AnnSimMatcher, ElementSet, SimMatcher};
-use cs_metrics::{BinaryConfusion, MatchQuality, SweepCurve};
+use cs_match::lexical::ranked_lexical_pairs;
+use cs_match::{
+    dedup_pairs, AnnConfig, AnnIndex, AnnSimMatcher, CandidatePair, ElementSet, Matcher, NamedSet,
+    SimMatcher,
+};
+use cs_metrics::{match_quality, BinaryConfusion, MatchQuality, SweepCurve};
 use cs_nn::TrainConfig;
 use cs_schema::{LinkageKind, SerializeOptions};
 
@@ -396,6 +400,98 @@ pub fn ablation() -> Ablation {
         per_dataset.push((ds.name.clone(), rows));
     }
     Ablation { per_dataset, csv }
+}
+
+/// Section 2.2's related-work baseline per dataset: a token-trigram name
+/// matcher against the cosine SIM matcher, each on the original and the
+/// streamlined schemas.
+#[derive(Debug, Clone)]
+pub struct BaselineLexical {
+    /// `(dataset name, (matcher label, match quality))` in emission order.
+    pub per_dataset: Vec<(String, Vec<(String, MatchQuality)>)>,
+    /// The `results/baseline_lexical.csv` content.
+    pub csv: CsvTable,
+}
+
+/// Jaccard threshold of [`baseline_lexical`]'s name matcher.
+const TRIGRAM_THRESHOLD: f64 = 0.5;
+
+/// Collaborative-scoping `v` of [`baseline_lexical`]'s streamlined rows.
+const BASELINE_LEXICAL_V: f64 = 0.75;
+
+/// PQ / PC / F1 of a pair list against the dataset's annotated linkages.
+fn pair_quality(pairs: Vec<CandidatePair>, ds: &cs_datasets::Dataset) -> MatchQuality {
+    let pairs = dedup_pairs(pairs);
+    let tp = pairs
+        .iter()
+        .filter(|p| ds.linkages.contains_pair(p.a, p.b))
+        .count();
+    match_quality(
+        pairs.len(),
+        tp,
+        ds.linkages.len(),
+        ds.catalog.cartesian_element_pairs(),
+    )
+}
+
+/// Builds the lexical-vs-semantic baseline on both datasets: the
+/// token-trigram Jaccard matcher (the hybrid scoper's lexical channel,
+/// every pair scoring at least [`TRIGRAM_THRESHOLD`]) and SIM(0.8), on
+/// the original schemas and after collaborative streamlining.
+pub fn baseline_lexical() -> BaselineLexical {
+    let mut per_dataset = Vec::new();
+    let mut csv = CsvTable::new(&["dataset", "matcher", "pq", "pc", "f1", "candidates"]);
+    for ds in [cs_datasets::oc3(), cs_datasets::oc3_fo()] {
+        let signatures = dataset_signatures(&ds);
+        let kept = CollaborativeScoper::new(BASELINE_LEXICAL_V)
+            .run(&signatures)
+            .expect("valid dataset")
+            .outcome
+            .kept();
+        let mut rows = Vec::new();
+        for (label, keep) in [("original", None), ("streamlined", Some(&kept))] {
+            // With k = every element, the trigram index returns each pair
+            // sharing a trigram, i.e. every pair with a positive score, so
+            // the threshold cut is exact.
+            let names: Vec<NamedSet> = (0..ds.catalog.schema_count())
+                .map(|k| match keep {
+                    Some(set) => NamedSet::filtered(k, ds.catalog.schema(k), set),
+                    None => NamedSet::full(k, ds.catalog.schema(k)),
+                })
+                .collect();
+            let lexical = ranked_lexical_pairs(&names, ds.catalog.element_count())
+                .into_iter()
+                .filter(|&(_, s)| s >= TRIGRAM_THRESHOLD)
+                .map(|(p, _)| p)
+                .collect();
+            rows.push((
+                format!("TokenTrigram({TRIGRAM_THRESHOLD}) {label}"),
+                pair_quality(lexical, &ds),
+            ));
+            let sets: Vec<ElementSet> = (0..signatures.schema_count())
+                .map(|k| match keep {
+                    Some(set) => ElementSet::filtered(k, signatures.schema(k), set),
+                    None => ElementSet::full(k, signatures.schema(k).clone()),
+                })
+                .collect();
+            rows.push((
+                format!("SIM(0.8) semantic {label}"),
+                pair_quality(SimMatcher::new(0.8).match_pairs(&sets), &ds),
+            ));
+        }
+        for (label, q) in &rows {
+            csv.push_row(vec![
+                ds.name.clone(),
+                label.clone(),
+                fmt_f64(q.pq),
+                fmt_f64(q.pc),
+                fmt_f64(q.f1),
+                q.candidates.to_string(),
+            ]);
+        }
+        per_dataset.push((ds.name.clone(), rows));
+    }
+    BaselineLexical { per_dataset, csv }
 }
 
 /// One scaling-quality measurement on a generated catalog.

@@ -14,6 +14,7 @@
 //! | `fig5` / `fig6` | Figures 5–6 — metric curves, ROC, PR for OC3 / OC3-FO |
 //! | `fig7` | Figure 7 — PQ/PC/F1/RR ablation with SIM / CLUSTER / LSH |
 //! | `ablation` | design ablations — relaxed `l_k`, combination rules, serialization |
+//! | `baseline_lexical` | §2.2 — token-trigram name matching vs SIM, original and streamlined |
 //! | `discussion` | §4.4 — pass-operation counts and pruning floors |
 //! | `all` | everything above |
 
@@ -24,10 +25,7 @@ pub mod figures;
 pub mod goldens;
 pub mod report;
 
-pub use experiments::{
-    collaborative_curve, dataset_signatures, global_scoping_curve, v_grid, ScopingMethodResult,
-    DEFAULT_GRID_STEPS,
-};
+pub use experiments::{dataset_signatures, v_grid, ScopingMethodResult, DEFAULT_GRID_STEPS};
 
 /// Where result CSVs are written, relative to the workspace root.
 pub const RESULTS_DIR: &str = "results";

@@ -7,7 +7,8 @@
 //! contract (DESIGN.md §8) is what makes this a meaningful gate: worker
 //! counts may never influence these bytes.
 //!
-//! `table2`/`table3` and the Fig. 5/6 series are cheap and always run.
+//! `table2`/`table3`, `baseline_lexical` and the Fig. 5/6 series are
+//! cheap and always run.
 //! `table4`, `fig7`, `extension_nonlinear`, `ablation`, `ann_quality`
 //! and `scaling_quality` need minutes in a debug build, so they only run when
 //! optimized (`cargo test --release`) or when `CS_GOLDEN_FULL` is set.
@@ -63,6 +64,11 @@ fn table2_csv_is_byte_identical() {
 #[test]
 fn table3_csv_is_byte_identical() {
     assert_matches_golden("table3.csv", &goldens::table3().csv);
+}
+
+#[test]
+fn baseline_lexical_csv_is_byte_identical() {
+    assert_matches_golden("baseline_lexical.csv", &goldens::baseline_lexical().csv);
 }
 
 /// Byte-diffs the six CSVs a `fig5`/`fig6` binary writes: metrics, ROC

@@ -104,6 +104,9 @@ cargo test -q --workspace --offline
 echo "==> cs-linalg, cs-nn, cs-match and cs-core tests in release (the kernel's bit-identity, the prefilter oracle and the run-vs-sweep bit-equality oracles must hold under vectorised codegen)"
 cargo test -q --release --offline -p cs-linalg -p cs-nn -p cs-match -p cs-core
 
+echo "==> root property tests in release (ANN ⊆ flat, recall and permutation properties under vectorised codegen)"
+cargo test -q --release --offline -p collaborative-scoping --test properties
+
 echo "==> golden CSVs in release (the heavy goldens skip themselves in debug)"
 cargo test -q --release --offline -p cs-repro --test golden
 
