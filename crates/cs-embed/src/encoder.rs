@@ -38,13 +38,29 @@
 //! rather than by the batch size: at most 228 of OC3-FO's 987 recipes are
 //! live at once, 498 of 1,231 on a generated 1128-element catalog, and
 //! 1,348 of 6,224 on an 11250-element one. Nothing outlives the call.
+//!
+//! Pooling walks the recipes as planning did, so the seeded directions
+//! are first used in ascending id order. They are generated ahead of use
+//! in that order, one look-ahead batch of at most `LOOKAHEAD_BYTES` at a
+//! time, dealt across the workers of [`cs_linalg::pool`]
+//! ([`ThreadPool::split`](pool::ThreadPool::split)) into recycled
+//! buffers the evaluation owns, so every core generates directions where
+//! one did. A direction is a pure function of its label, so the bits are
+//! the same on every pool.
 
 use crate::hash::seeded_direction;
 use crate::lexicon::{domains, ConceptEntry, Lexicon};
+use cs_linalg::pool;
 use cs_linalg::vecops::{axpy, normalize};
 use cs_linalg::Matrix;
 use cs_schema::text::{tokenize, trigrams};
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
+use std::sync::Arc;
+
+/// Bytes of seeded directions generated ahead of their use: 32 directions
+/// at 768-d, 384 at 64-d. A longer look-ahead holds more memory and
+/// gains nothing.
+const LOOKAHEAD_BYTES: usize = 32 * 768 * 8;
 
 /// Tunable knobs of the encoder. The defaults are what every experiment in
 /// the workspace uses; they were chosen once to produce plausible
@@ -247,8 +263,8 @@ enum Semantic {
 /// A vector of the batch, by what it is built from.
 enum Recipe {
     /// A seeded Gaussian direction (a trigram, `concept:` or `domain:`
-    /// label).
-    Direction(String),
+    /// label); the label waits in [`BatchPlan::directions`].
+    Direction,
     /// A concept vector: its own direction, then `(direction, weight)`
     /// terms — the hypernym chain in chain order, then the domain.
     Concept {
@@ -278,6 +294,8 @@ struct BatchPlan<'e> {
     concept_ids: HashMap<String, usize>,
     token_ids: HashMap<String, usize>,
     recipes: Vec<Recipe>,
+    /// `(id, label)` of every direction recipe, in ascending id order.
+    directions: Vec<(usize, String)>,
     /// Counted references to each recipe.
     uses: Vec<u32>,
     /// Token recipe ids of every text in text order, bare numbers left
@@ -296,6 +314,7 @@ impl<'e> BatchPlan<'e> {
             concept_ids: HashMap::new(),
             token_ids: HashMap::new(),
             recipes: Vec::new(),
+            directions: Vec::new(),
             uses: Vec::new(),
             occurrences: Vec::new(),
             text_ends: Vec::new(),
@@ -326,7 +345,8 @@ impl<'e> BatchPlan<'e> {
         let id = match self.label_ids.get(label) {
             Some(&id) => id,
             None => {
-                let id = self.recipe(Recipe::Direction(label.to_string()));
+                let id = self.recipe(Recipe::Direction);
+                self.directions.push((id, label.to_string()));
                 self.label_ids.insert(label.to_string(), id);
                 id
             }
@@ -407,12 +427,20 @@ impl<'e> BatchPlan<'e> {
 
     /// Pools every text straight into its list's output matrix: the
     /// weighted mean of its token vectors in token order, L2-normalized.
-    fn encode(&self) -> Vec<Matrix> {
+    fn encode(mut self) -> Vec<Matrix> {
         let config = &self.encoder.config;
         let mut live = Live {
             slots: vec![None; self.recipes.len()],
-            uses: self.uses.clone(),
+            uses: std::mem::take(&mut self.uses),
             spare: Vec::new(),
+            ahead: Lookahead {
+                directions: std::mem::take(&mut self.directions).into(),
+                next: 0,
+                ready: VecDeque::new(),
+                batch: (LOOKAHEAD_BYTES / (8 * config.dim)).max(1),
+                dim: config.dim,
+                seed: config.seed,
+            },
         };
         let mut ends = self.text_ends.iter();
         let mut start = 0;
@@ -448,6 +476,9 @@ impl<'e> BatchPlan<'e> {
             live.slots.iter().all(Option::is_none),
             "a vector outlived its uses"
         );
+        debug_assert!(
+            live.ahead.ready.is_empty() && live.ahead.next == live.ahead.directions.len()
+        );
         out
     }
 
@@ -456,10 +487,10 @@ impl<'e> BatchPlan<'e> {
     fn vector<'l>(&self, live: &'l mut Live, id: usize) -> &'l [f64] {
         if live.slots[id].is_none() {
             let config = &self.encoder.config;
-            let mut v = live.buffer(config.dim);
-            match &self.recipes[id] {
-                Recipe::Direction(label) => seeded_direction(label, config.seed, &mut v),
+            let v = match &self.recipes[id] {
+                Recipe::Direction => live.ahead.take(id, &mut live.spare),
                 Recipe::Concept { own, terms } => {
+                    let mut v = live.buffer(config.dim);
                     v.copy_from_slice(self.vector(live, *own));
                     live.release(*own);
                     for &(dir, w) in terms {
@@ -467,10 +498,12 @@ impl<'e> BatchPlan<'e> {
                         live.release(dir);
                     }
                     normalize(&mut v);
+                    v
                 }
                 Recipe::Token {
                     grams, semantic, ..
                 } => {
+                    let mut v = live.buffer(config.dim);
                     let mut surface = live.buffer(config.dim);
                     surface.fill(0.0);
                     for &g in grams {
@@ -497,8 +530,9 @@ impl<'e> BatchPlan<'e> {
                         }
                     }
                     live.spare.push(surface);
+                    v
                 }
-            }
+            };
             live.slots[id] = Some(v);
         }
         live.slots[id].as_deref().expect("evaluated above")
@@ -511,6 +545,54 @@ struct Live {
     uses: Vec<u32>,
     /// Buffers of dropped vectors, reused for the next evaluation.
     spare: Vec<Vec<f64>>,
+    ahead: Lookahead,
+}
+
+/// The seeded directions of one evaluation, generated ahead of their
+/// first use in ascending id order, a pool-dealt batch at a time.
+struct Lookahead {
+    /// `(id, label)` of every direction, ascending, shared with the
+    /// workers: the labels stay the caller's.
+    directions: Arc<[(usize, String)]>,
+    /// Index into `directions` of the next one to generate.
+    next: usize,
+    /// Generated directions not used yet, ascending id.
+    ready: VecDeque<(usize, Vec<f64>)>,
+    /// Directions per batch: `LOOKAHEAD_BYTES` of them.
+    batch: usize,
+    dim: usize,
+    seed: u64,
+}
+
+impl Lookahead {
+    /// The direction of recipe `id`, at its first use. Uses arrive in
+    /// ascending id order, so it is the oldest one generated; when none
+    /// is left, the next batch is generated into buffers from `spare`.
+    fn take(&mut self, id: usize, spare: &mut Vec<Vec<f64>>) -> Vec<f64> {
+        if self.ready.is_empty() {
+            let (start, end) = (
+                self.next,
+                (self.next + self.batch).min(self.directions.len()),
+            );
+            let batch: Vec<(usize, Option<Vec<f64>>)> =
+                (start..end).map(|i| (i, spare.pop())).collect();
+            let (directions, seed, dim) = (Arc::clone(&self.directions), self.seed, self.dim);
+            let vectors = pool::global().split(batch, move |(i, buffer)| {
+                let mut v = buffer.unwrap_or_else(|| vec![0.0; dim]);
+                seeded_direction(&directions[i].1, seed, &mut v);
+                v
+            });
+            let ids = self.directions[start..end].iter().map(|&(id, _)| id);
+            self.ready.extend(ids.zip(vectors));
+            self.next = end;
+        }
+        let (next, v) = self
+            .ready
+            .pop_front()
+            .expect("every direction is planned before its first use");
+        assert_eq!(next, id, "directions are first used in ascending id order");
+        v
+    }
 }
 
 impl Live {
@@ -647,6 +729,43 @@ mod tests {
                 bits(e.encode_batch(&texts).as_slice()),
                 bits(out[0].as_slice())
             );
+        }
+    }
+
+    #[test]
+    fn catalog_batch_rows_equal_single_encodes_across_lookahead_batches() {
+        // OC3-FO's element texts as one catalog batch: hundreds of
+        // directions, so many look-ahead batches at 768-d and two at 64-d,
+        // each dealt to the pool. Every row must be the bits of its
+        // text encoded alone.
+        let catalog = cs_datasets::oc3_fo().catalog;
+        let opts = cs_schema::SerializeOptions::default();
+        let texts: Vec<Vec<String>> = (0..catalog.schema_count())
+            .map(|k| cs_schema::serialize::serialize_schema_elements(&catalog, k, &opts))
+            .collect();
+        let lists: Vec<&[String]> = texts.iter().map(Vec::as_slice).collect();
+        for dim in [64, 768] {
+            let e = SignatureEncoder::new(
+                EncoderConfig {
+                    dim,
+                    ..EncoderConfig::default()
+                },
+                Lexicon::default_lexicon(),
+            );
+            let plan = BatchPlan::new(&e, &lists);
+            let batch = LOOKAHEAD_BYTES / (8 * dim);
+            assert!(
+                plan.directions.len() > batch,
+                "{dim}-d: more than one batch"
+            );
+            let ids: Vec<usize> = plan.directions.iter().map(|&(id, _)| id).collect();
+            assert!(ids.windows(2).all(|w| w[0] < w[1]), "ascending ids");
+            let out = plan.encode();
+            for (list, m) in lists.iter().zip(&out) {
+                for (i, text) in list.iter().enumerate() {
+                    assert_eq!(bits(m.row(i)), bits(&e.encode(text)), "{dim}-d {text:?}");
+                }
+            }
         }
     }
 

@@ -16,6 +16,20 @@
 //! [`gram_rows`] sweeps only the panels on and above the diagonal and
 //! mirrors the rest.
 //!
+//! # Dealt row blocks
+//!
+//! A product of at least `SPLIT_MIN` (4M) multiply-adds, started outside
+//! any pool batch, is cut into one block of whole micro-tile rows per
+//! worker of [`crate::pool::global`] and dealt with
+//! [`ThreadPool::split`]. The Gram's blocks are balanced by area, since a
+//! row tile at `i0` sweeps only the panels from `i0` on. Each block packs
+//! its own panels and sweeps its own rows; the blocks are assembled in
+//! row order. Inside a batch (a local model trained on a pool worker, or
+//! under `ExecPolicy::Sequential`) the pool runs the product inline, as
+//! it does below the threshold. The operands reach the workers as
+//! `Arc<Matrix>`: a caller that owns one passes it shared and pays no
+//! copy (`Operand`).
+//!
 //! # Bit-identity contract (DESIGN.md §8)
 //!
 //! Every product cell is [`dot`](crate::matrix::dot) of a row of `a` and
@@ -30,6 +44,8 @@
 //! - [`gram_rows`] mirrors its upper triangle; `dot(x, y)` and
 //!   `dot(y, x)` multiply the same pairs in the same order, so the mirror
 //!   is exact, not approximate.
+//! - A cell's chain does not depend on the tile or the block it lands
+//!   in, so dealing rows to workers changes no bit.
 //!
 //! An i-k-j `a · b` loop that seeds at `+0.0` and skips `a == 0.0` terms
 //! agrees with this contract on finite operands unless every term of a
@@ -49,6 +65,10 @@
 //! `cs-core/tests/determinism.rs`) pins these equivalences with exact
 //! bit comparisons.
 
+use std::ops::Range;
+use std::sync::Arc;
+
+use crate::pool::{self, ThreadPool};
 use crate::Matrix;
 
 /// Rows of `a` per micro-tile.
@@ -57,94 +77,228 @@ const MR: usize = 4;
 /// Output columns per packed panel: the lanes of one micro-tile row.
 const NR: usize = 4;
 
+/// Multiply-adds from which a product is dealt to the pool in row blocks.
+/// Below it the product runs on the calling thread: a dealt batch costs
+/// tens of microseconds, 4M multiply-adds about a millisecond.
+const SPLIT_MIN: usize = 1 << 22;
+
+/// A product operand. A dealt product hands its workers an
+/// `Arc<Matrix>`: an operand already shared is handed over as it is, a
+/// borrowed one is copied once into a fresh `Arc`.
+pub(crate) trait Operand {
+    /// The matrix itself.
+    fn matrix(&self) -> &Matrix;
+    /// The matrix as the workers share it.
+    fn share(&self) -> Arc<Matrix>;
+}
+
+impl Operand for Matrix {
+    fn matrix(&self) -> &Matrix {
+        self
+    }
+
+    fn share(&self) -> Arc<Matrix> {
+        Arc::new(self.clone())
+    }
+}
+
+impl Operand for Arc<Matrix> {
+    fn matrix(&self) -> &Matrix {
+        self
+    }
+
+    fn share(&self) -> Arc<Matrix> {
+        Arc::clone(self)
+    }
+}
+
+/// Which product a sweep computes, and so which packer feeds it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Shape {
+    /// `a · b`: panels hold columns of `b`.
+    Plain,
+    /// `a · bᵀ`: panels hold rows of `b`.
+    Transposed,
+    /// `a · aᵀ` (with `b = a`): the `a · bᵀ` panels, each swept only down
+    /// to the diagonal.
+    Gram,
+}
+
+impl Shape {
+    /// Output columns of the product with right operand `b`.
+    fn cols(self, b: &Matrix) -> usize {
+        match self {
+            Shape::Plain => b.cols(),
+            Shape::Transposed | Shape::Gram => b.rows(),
+        }
+    }
+}
+
 /// `a · b` through the micro-kernel: cell `(i, j)` is
 /// [`dot`](crate::matrix::dot)`(a.row(i), &b.col(j))`, bit for bit. Backs
 /// [`Matrix::matmul`], which checks the shapes. Packing columns of `b`
 /// here, rather than transposing `b` for the `a · bᵀ` packer, saves a
 /// strided copy of `b` that costs a quarter to a half of the product at
 /// the `vt_rows` and autoencoder-layer shapes.
-pub(crate) fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
-    tiled(a, b.cols(), false, columns_packer(b))
+pub(crate) fn matmul(a: &impl Operand, b: &impl Operand) -> Matrix {
+    product(a, b, Shape::Plain, pool::global())
 }
 
 /// `a · bᵀ` through the micro-kernel: cell `(i, j)` is
 /// [`dot`](crate::matrix::dot)`(a.row(i), b.row(j))`, bit for bit. Backs
 /// [`Matrix::matmul_transposed`].
-pub(crate) fn matmul_transposed(a: &Matrix, b: &Matrix) -> Matrix {
+pub(crate) fn matmul_transposed(a: &impl Operand, b: &impl Operand) -> Matrix {
+    let (a_shape, b_shape) = (a.matrix().shape(), b.matrix().shape());
     assert_eq!(
-        a.cols(),
-        b.cols(),
-        "matmul_transposed shape mismatch: {:?} · {:?}ᵀ",
-        a.shape(),
-        b.shape()
+        a_shape.1, b_shape.1,
+        "matmul_transposed shape mismatch: {a_shape:?} · {b_shape:?}ᵀ"
     );
-    tiled(a, b.rows(), false, rows_packer(b))
+    product(a, b, Shape::Transposed, pool::global())
 }
 
 /// The Gram matrix of the rows of `a` — `a · aᵀ` — computed as the upper
 /// triangle plus an exact mirror, bit-identical to
 /// `a.matmul_transposed(a)` at roughly half the flops.
 pub fn gram_rows(a: &Matrix) -> Matrix {
-    let mut out = tiled(a, a.rows(), true, rows_packer(a));
-    let n = a.rows();
-    let out_data = out.as_mut_slice();
-    // Mirror the strict upper triangle. dot(x, y) multiplies the same
-    // pairs in the same order as dot(y, x), so this is exact.
-    for i in 1..n {
-        for j in 0..i {
-            out_data[i * n + j] = out_data[j * n + i];
+    gram(a)
+}
+
+/// [`gram_rows`] of any operand; a shared one is dealt without a copy.
+pub(crate) fn gram(a: &impl Operand) -> Matrix {
+    product(a, a, Shape::Gram, pool::global())
+}
+
+/// Runs one product on `pool`: inline when it is small or the pool
+/// cannot deal it (one worker, or inside a batch), otherwise as one
+/// [`ThreadPool::split`] slot per row block. Every cell is the same chain
+/// either way, so the bits do not depend on the blocks.
+fn product(a: &impl Operand, b: &impl Operand, shape: Shape, pool: &ThreadPool) -> Matrix {
+    let (n, d) = a.matrix().shape();
+    let m = shape.cols(b.matrix());
+    let blocks = row_blocks(n, m, d, shape, pool.split_width());
+    let mut out = if blocks.len() <= 1 {
+        Matrix::from_vec(n, m, tile_rows(a.matrix(), b.matrix(), shape, 0..n))
+    } else {
+        let (a, b) = if shape == Shape::Gram {
+            let a = a.share();
+            (Arc::clone(&a), a)
+        } else {
+            (a.share(), b.share())
+        };
+        let parts = pool.split(blocks, move |rows| tile_rows(&a, &b, shape, rows));
+        // The first block grows into the whole output, so the assembly
+        // never holds a second whole copy of it.
+        let mut parts = parts.into_iter();
+        let mut data = parts.next().unwrap_or_default();
+        data.reserve_exact(n * m - data.len());
+        for part in parts {
+            data.extend_from_slice(&part);
+        }
+        Matrix::from_vec(n, m, data)
+    };
+    if shape == Shape::Gram {
+        // Mirror the strict upper triangle. dot(x, y) multiplies the same
+        // pairs in the same order as dot(y, x), so this is exact.
+        let out_data = out.as_mut_slice();
+        for i in 1..n {
+            for j in 0..i {
+                out_data[i * n + j] = out_data[j * n + i];
+            }
         }
     }
     out
 }
 
-/// The `a · b` packer: `panel[k·NR + l] = b[k][j0 + l]`.
-fn columns_packer(b: &Matrix) -> impl Fn(&mut [f64], usize, usize) + '_ {
-    |panel, j0, width| {
-        for (lanes, b_row) in panel.chunks_exact_mut(NR).zip(b.rows_iter()) {
-            lanes[..width].copy_from_slice(&b_row[j0..j0 + width]);
+/// Cuts the `n` output rows into at most `parts` contiguous blocks of
+/// whole micro-tiles with about equal work; one block when the product
+/// has fewer than [`SPLIT_MIN`] multiply-adds. A Gram row tile at `i0`
+/// sweeps only the panels from `i0` on, so its blocks are balanced by
+/// area, the top ones shorter.
+fn row_blocks(n: usize, m: usize, d: usize, shape: Shape, parts: usize) -> Vec<Range<usize>> {
+    let panels = m.div_ceil(NR);
+    let tile_panels = |i0: usize| {
+        if shape == Shape::Gram {
+            panels.saturating_sub(i0 / NR)
+        } else {
+            panels
+        }
+    };
+    let tiles: Vec<usize> = (0..n).step_by(MR).collect();
+    let total: usize = tiles.iter().map(|&i0| tile_panels(i0)).sum();
+    if parts <= 1 || tiles.len() <= 1 || total * MR * NR * d < SPLIT_MIN {
+        return std::iter::once(0..n).collect();
+    }
+    let parts = parts.min(tiles.len());
+    let mut blocks = Vec::with_capacity(parts);
+    let (mut start, mut done) = (0, 0);
+    for &i0 in &tiles {
+        done += tile_panels(i0);
+        let end = (i0 + MR).min(n);
+        // Close block `k` once its share of the work is done.
+        if done * parts >= total * (blocks.len() + 1) && blocks.len() + 1 < parts {
+            blocks.push(start..end);
+            start = end;
         }
     }
+    blocks.push(start..n);
+    blocks
 }
 
-/// The `a · bᵀ` packer: `panel[k·NR + l] = b[j0 + l][k]`.
-fn rows_packer(b: &Matrix) -> impl Fn(&mut [f64], usize, usize) + '_ {
-    |panel, j0, width| {
-        for l in 0..width {
-            for (k, &x) in b.row(j0 + l).iter().enumerate() {
-                panel[k * NR + l] = x;
+/// Packs lanes `0..width` of `panel` with output columns `j0..j0 + width`
+/// as `panel[k·NR + l]` over the inner dimension `k`:
+///
+/// - `a · b` packs columns of `b`: `panel[k·NR + l] = b[k][j0 + l]`;
+/// - `a · bᵀ` and the Gram pack rows: `panel[k·NR + l] = b[j0 + l][k]`.
+fn pack(b: &Matrix, shape: Shape, panel: &mut [f64], j0: usize, width: usize) {
+    match shape {
+        Shape::Plain => {
+            for (lanes, b_row) in panel.chunks_exact_mut(NR).zip(b.rows_iter()) {
+                lanes[..width].copy_from_slice(&b_row[j0..j0 + width]);
+            }
+        }
+        Shape::Transposed | Shape::Gram => {
+            for l in 0..width {
+                for (k, &x) in b.row(j0 + l).iter().enumerate() {
+                    panel[k * NR + l] = x;
+                }
             }
         }
     }
 }
 
-/// Sweeps `m` output columns in packed panels of [`NR`] and `a` in
-/// micro-tiles of [`MR`] rows. `pack(panel, j0, width)` writes lanes
-/// `0..width` of the panel for output columns `j0..j0 + width`, as
-/// `panel[k·NR + l]` over the inner dimension `k`. With `upper` (a square
-/// `a · aᵀ`) each panel stops at the diagonal: every cell on or above it
-/// is written, and the cells below it that a diagonal tile also covers
-/// are left for the caller's mirror.
-fn tiled(a: &Matrix, m: usize, upper: bool, pack: impl Fn(&mut [f64], usize, usize)) -> Matrix {
-    let (n, d) = a.shape();
-    let mut out = Matrix::zeros(n, m);
-    let out_data = out.as_mut_slice();
+/// Output rows `rows` of the product, row-major: sweeps the output
+/// columns in packed panels of [`NR`] and the rows in micro-tiles of
+/// [`MR`]. For the Gram each panel stops at the diagonal: every cell on
+/// or above it is written, and the cells below it that a diagonal tile
+/// also covers are left for the caller's mirror.
+fn tile_rows(a: &Matrix, b: &Matrix, shape: Shape, rows: Range<usize>) -> Vec<f64> {
+    let d = a.cols();
+    let m = shape.cols(b);
+    let mut out = vec![0.0; rows.len() * m];
     let mut panel = vec![0.0; d * NR];
     for j0 in (0..m).step_by(NR) {
         let width = NR.min(m - j0);
+        let end = if shape == Shape::Gram {
+            rows.end.min(j0 + width)
+        } else {
+            rows.end
+        };
+        if end <= rows.start {
+            continue;
+        }
         // In a ragged last panel the lanes past `width` keep stale
         // values; their cells are never stored.
-        pack(&mut panel, j0, width);
-        let rows = if upper { n.min(j0 + width) } else { n };
-        for i0 in (0..rows).step_by(MR) {
-            let height = MR.min(rows - i0);
+        pack(b, shape, &mut panel, j0, width);
+        for i0 in (rows.start..end).step_by(MR) {
+            let height = MR.min(end - i0);
             // A ragged last tile repeats its final row; the repeats'
             // cells are discarded.
             let row = |r: usize| a.row(i0 + r.min(height - 1));
             let tile = micro_tile([row(0), row(1), row(2), row(3)], &panel);
+            let first = i0 - rows.start;
             for (r, lanes) in tile.iter().enumerate().take(height) {
-                let at = (i0 + r) * m + j0;
-                out_data[at..at + width].copy_from_slice(&lanes[..width]);
+                let at = (first + r) * m + j0;
+                out[at..at + width].copy_from_slice(&lanes[..width]);
             }
         }
     }
@@ -176,6 +330,7 @@ mod tests {
     use super::*;
     use crate::check::run;
     use crate::matrix::dot;
+    use crate::pool::ThreadPool;
     use crate::Xoshiro256;
 
     /// A textbook i-k-j `a · b` loop, seeded at `+0.0` and skipping
@@ -355,6 +510,103 @@ mod tests {
             (130, 130, 2, 13),
         ] {
             assert_products_match_dot(&planted(n, d, seed, true), m, seed);
+        }
+    }
+
+    /// Ragged shapes whose products, the Gram included, pass
+    /// [`SPLIT_MIN`]: row counts, inner widths and column counts that are
+    /// not multiples of the micro-tile.
+    const DEALT_SHAPES: [(usize, usize, usize); 2] = [(177, 301, 93), (211, 199, 130)];
+
+    /// The three products of `a` on `pool`, each checked against per-cell
+    /// `dot`, and the number of row blocks the pool was dealt.
+    fn assert_dealt_products_match_dot(a: &Matrix, m: usize, pool: &ThreadPool) -> usize {
+        let (n, d) = a.shape();
+        let before = pool.batches_dispatched();
+        let b = random(m, d, (n * m) as u64);
+        let what = format!("{n}x{d} · ({m}x{d})ᵀ on {} workers", pool.workers());
+        let got = product(a, &b, Shape::Transposed, pool);
+        assert_bits_equal(&got, &dot_matmul_transposed(a, &b), &what);
+        let bt = b.transpose();
+        let what = format!("{n}x{d} · {d}x{m} on {} workers", pool.workers());
+        assert_bits_equal(
+            &product(a, &bt, Shape::Plain, pool),
+            &dot_matmul(a, &bt),
+            &what,
+        );
+        let shared = Arc::new(a.clone());
+        let g = product(&shared, &shared, Shape::Gram, pool);
+        let what = format!("gram {n}x{d} on {} workers", pool.workers());
+        assert_bits_equal(&g, &dot_matmul_transposed(a, a), &what);
+        assert_exactly_symmetric(&g, &what);
+        pool.batches_dispatched() - before
+    }
+
+    #[test]
+    fn dealt_products_match_per_cell_dot_on_every_pool() {
+        for (n, d, m) in DEALT_SHAPES {
+            assert!(n * m * d >= SPLIT_MIN && n * n * d / 2 >= SPLIT_MIN);
+            let a = planted(n, d, (n + d + m) as u64, true);
+            for workers in [1usize, 2, 3, 8] {
+                let pool = ThreadPool::with_threads(workers);
+                let dealt = assert_dealt_products_match_dot(&a, m, &pool);
+                let want = if workers > 1 { 3 } else { 0 };
+                assert_eq!(dealt, want, "{n}x{d}x{m} on {workers} workers");
+            }
+        }
+    }
+
+    #[test]
+    fn products_inside_a_pool_job_run_inline_with_the_same_bits() {
+        let pool: &'static ThreadPool = Box::leak(Box::new(ThreadPool::with_threads(2)));
+        let dealt = pool
+            .run_slots(2, move |i| {
+                let (n, d, m) = DEALT_SHAPES[i];
+                assert_dealt_products_match_dot(&planted(n, d, i as u64, true), m, pool)
+            })
+            .unwrap();
+        assert_eq!(dealt, vec![0, 0], "a nested product is not dealt");
+    }
+
+    #[test]
+    fn row_blocks_tile_the_rows_and_balance_the_work() {
+        let whole = |n: usize| std::iter::once(0..n).collect::<Vec<_>>();
+        assert_eq!(row_blocks(40, 40, 8, Shape::Plain, 2), whole(40), "small");
+        assert_eq!(row_blocks(3, 1 << 20, 8, Shape::Plain, 2), whole(3));
+        for shape in [Shape::Plain, Shape::Gram] {
+            for parts in [2usize, 3, 8] {
+                for n in [157usize, 211, 472] {
+                    let blocks = row_blocks(n, n, 768, shape, parts);
+                    assert_eq!(blocks.len(), parts, "{shape:?} {n} in {parts}");
+                    assert_eq!(blocks[0].start, 0);
+                    assert_eq!(blocks[parts - 1].end, n);
+                    for w in blocks.windows(2) {
+                        assert_eq!(w[0].end, w[1].start);
+                        assert_eq!(w[1].start % MR, 0, "whole micro-tiles");
+                    }
+                    // A block's work: its rows times the columns each one
+                    // sweeps; within a tile and a panel of an even share.
+                    let work = |r: &Range<usize>| -> usize {
+                        r.clone()
+                            .map(|i| {
+                                if shape == Shape::Gram {
+                                    n - i / MR * MR
+                                } else {
+                                    n
+                                }
+                            })
+                            .sum()
+                    };
+                    let total: usize = blocks.iter().map(work).sum();
+                    for block in &blocks {
+                        let slack = 2 * MR * n;
+                        assert!(
+                            work(block).abs_diff(total / parts) <= slack,
+                            "{shape:?} {n} in {parts}: {blocks:?}"
+                        );
+                    }
+                }
+            }
         }
     }
 

@@ -272,6 +272,9 @@ impl Pca {
                 *x -= m;
             }
         }
+        // Shared, so the Gram's and `vt_rows`' dealt row blocks read it
+        // without a copy.
+        let centered = std::sync::Arc::new(centered);
         let eig = GramEigen::new(&centered)?;
         let explained_variance_ratio = variance_ratios(&eig.singular_values);
         let components = eig.vt_rows(&centered, kept_rows(target, &explained_variance_ratio));

@@ -4,11 +4,22 @@
 //! Every embarrassingly parallel fan-out over an index range `0..k` runs
 //! here: cs-core's per-schema training (Algorithm 1), per-schema
 //! assessment (Algorithm 2) and `v`-grid sweep, and cs-match's ANN query
-//! fan-out. One pool of long-lived workers (sized by the `CS_THREADS` env
-//! knob or the machine's available parallelism) is shared by every
-//! invocation. The pool lives in cs-linalg, below both users in the crate
-//! DAG, next to the [`crate::config`] and [`crate::sanitize`] modules it
-//! depends on.
+//! fan-out ([`ThreadPool::run_slots`]). Work that is serial outside those
+//! batches splits itself across the same workers
+//! ([`ThreadPool::split`]): the large products of [`crate::kernels`] and
+//! the encoder's seeded directions. One pool of long-lived workers (sized
+//! by the `CS_THREADS` env knob or the machine's available parallelism)
+//! is shared by every invocation. The pool lives in cs-linalg, below both
+//! users in the crate DAG, next to the [`crate::config`] and
+//! [`crate::sanitize`] modules it depends on.
+//!
+//! # Nested batches run inline
+//!
+//! A batch started from inside a batch — on a pool worker, or inside an
+//! inline run such as [`ExecPolicy::Sequential`]'s — runs inline on the
+//! calling thread, on any pool. A worker never waits on jobs queued
+//! behind it, so nesting cannot deadlock, and `Sequential` still means
+//! no pool thread touches the work.
 //!
 //! # Determinism contract (DESIGN.md §8)
 //!
@@ -41,7 +52,8 @@
 //! across `CS_THREADS` settings. Off (the default), each instrumented
 //! site costs one relaxed atomic load.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::cell::Cell;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -69,8 +81,9 @@ impl std::error::Error for WorkerPanicked {}
 /// by the `cs-fault` harness to prove that worker panics surface as
 /// [`WorkerPanicked`] from every entry point.
 ///
-/// The hook fires at the start of every chunk (pooled and inline alike)
-/// with a [`FaultSite`] describing where execution is; an armed closure
+/// The hook fires at the start of every [`ThreadPool::run_slots`] chunk
+/// (pooled and inline alike; never in a [`ThreadPool::split`]) with a
+/// [`FaultSite`] describing where execution is; an armed closure
 /// that panics is caught by the pool's normal `catch_unwind` machinery, so
 /// the pool itself stays panic-free. The hook is process-global but
 /// gated: [`armed`] holds an exclusive lock for the guard's lifetime, so
@@ -170,6 +183,28 @@ pub const MAX_THREADS: usize = 256;
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
+thread_local! {
+    /// Set on pool workers, and on any thread while it runs a batch
+    /// inline: a batch started where this is set runs inline.
+    static IN_BATCH: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Marks the calling thread as inside a batch until dropped, then
+/// restores the previous mark.
+struct BatchMark(bool);
+
+impl BatchMark {
+    fn enter() -> Self {
+        BatchMark(IN_BATCH.with(|mark| mark.replace(true)))
+    }
+}
+
+impl Drop for BatchMark {
+    fn drop(&mut self) {
+        IN_BATCH.with(|mark| mark.set(self.0));
+    }
+}
+
 /// A fixed-size pool of persistent worker threads with deterministic
 /// chunk-deal scheduling.
 ///
@@ -243,7 +278,8 @@ impl ThreadPool {
 
     /// Runs `work(i)` for every `i in 0..k`, dealing contiguous chunks to
     /// the workers and assembling the results **in index order** into a
-    /// pre-sized slot vector.
+    /// pre-sized slot vector. Inside a batch, or with one chunk, it runs
+    /// inline on the caller thread.
     ///
     /// Determinism: chunk boundaries depend only on `(k, workers)`, each
     /// chunk evaluates its indices in ascending order, and slots are
@@ -262,29 +298,90 @@ impl ThreadPool {
         if k == 0 {
             return Ok(Vec::new());
         }
-        let chunks = self.workers().min(k);
+        let chunks = self.split_width().min(k);
         if chunks <= 1 {
             // Inline sequential path: same ascending index order, still
             // panic-safe so `CS_THREADS=0` matches pool semantics.
             return run_inline(k, &work, Some(self.tag));
         }
+        self.deal((0..k).collect(), chunks, work, true)
+    }
+
+    /// Maps `work` over `inputs`, which move into the workers, and returns
+    /// the outputs in input order. The inputs are dealt like
+    /// [`Self::run_slots`]' indices: in contiguous chunks, inline inside a
+    /// batch. It serves work that is serial outside any batch — a large
+    /// product's row blocks, a run of seeded directions filling the
+    /// caller's buffers — so it is not a [`fault`] site, and a panic in
+    /// `work` resumes on the caller with the worker's message.
+    pub fn split<I, T, F>(&self, inputs: Vec<I>, work: F) -> Vec<T>
+    where
+        I: Send + 'static,
+        T: Send + 'static,
+        F: Fn(I) -> T + Send + Sync + 'static,
+    {
+        let chunks = self.split_width().min(inputs.len());
+        if chunks <= 1 {
+            let _mark = BatchMark::enter();
+            return inputs.into_iter().map(work).collect();
+        }
+        self.deal(inputs, chunks, work, false)
+            .unwrap_or_else(|panicked| resume_unwind(Box::new(panicked.detail)))
+    }
+
+    /// How many chunks a batch started here is dealt in at most: the
+    /// worker count, or 1 inside a batch or on a poolless pool. A caller
+    /// that shapes its work to the width (balanced row blocks) asks this
+    /// first.
+    pub(crate) fn split_width(&self) -> usize {
+        if IN_BATCH.with(Cell::get) {
+            1
+        } else {
+            self.workers().max(1)
+        }
+    }
+
+    /// Deals `inputs` to the workers in `chunks` contiguous runs, maps
+    /// each through `work` in order, and reassembles the outputs by chunk
+    /// index. `fault` makes every chunk a [`fault`] site.
+    fn deal<I, T, F>(
+        &self,
+        inputs: Vec<I>,
+        chunks: usize,
+        work: F,
+        fault: bool,
+    ) -> Result<Vec<T>, WorkerPanicked>
+    where
+        I: Send + 'static,
+        T: Send + 'static,
+        F: Fn(I) -> T + Send + Sync + 'static,
+    {
         self.batches.fetch_add(1, Ordering::Relaxed);
 
+        let k = inputs.len();
+        let mut inputs = inputs.into_iter();
         let work = Arc::new(work);
         let pool_tag = self.tag;
         let (tx, rx) = channel::<(usize, ChunkResult<T>)>();
         for (chunk_idx, range) in chunk_ranges(k, chunks).into_iter().enumerate() {
+            let chunk: Vec<I> = inputs.by_ref().take(range.len()).collect();
             let work = Arc::clone(&work);
             let tx = tx.clone();
             let job: Job = Box::new(move || {
                 let result = catch_unwind(AssertUnwindSafe(|| {
-                    fault::fire(fault::FaultSite {
-                        pool: Some(pool_tag),
-                        chunk: chunk_idx,
-                    });
-                    range.clone().map(|i| work(i)).collect::<Vec<T>>()
+                    if fault {
+                        fault::fire(fault::FaultSite {
+                            pool: Some(pool_tag),
+                            chunk: chunk_idx,
+                        });
+                    }
+                    chunk.into_iter().map(|x| work(x)).collect::<Vec<T>>()
                 }))
                 .map_err(|payload| panic_message(&*payload));
+                // Drop the closure before reporting, so the caller holds
+                // the last reference to whatever it shares by `Arc` once
+                // every chunk has reported.
+                drop(work);
                 // A worker that failed to send has lost its caller; the
                 // value is simply dropped.
                 let _ = tx.send((chunk_idx, result));
@@ -341,6 +438,8 @@ impl Drop for ThreadPool {
 type ChunkResult<T> = Result<Vec<T>, String>;
 
 fn worker_loop(receiver: &Mutex<Receiver<Job>>) {
+    // Every job a worker runs is a batch chunk.
+    IN_BATCH.with(|mark| mark.set(true));
     loop {
         // A poisoned lock only means another worker panicked while
         // holding it; the receiver itself is still valid.
@@ -370,6 +469,7 @@ where
     F: Fn(usize) -> T,
 {
     sanitize::record_probe();
+    let _mark = BatchMark::enter();
     catch_unwind(AssertUnwindSafe(|| {
         fault::fire(fault::FaultSite { pool, chunk: 0 });
         (0..k).map(work).collect::<Vec<T>>()
@@ -634,6 +734,104 @@ mod tests {
             ExecPolicy::Sequential.run_slots(2, |i| i).unwrap(),
             vec![0, 1]
         );
+    }
+
+    /// Runs `f` on a fresh thread and fails the test if it has not
+    /// finished within ten seconds: a deadlocked batch fails instead of
+    /// hanging the suite.
+    fn finishes<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+        let (tx, rx) = channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(f());
+        });
+        rx.recv_timeout(std::time::Duration::from_secs(10))
+            .expect("nested batches deadlocked")
+    }
+
+    #[test]
+    fn nested_batches_run_inline_and_finish() {
+        // Both workers start a batch on their own pool from inside a job.
+        // Dealt, each would wait on jobs queued behind the other; inline,
+        // both finish.
+        let pool: &'static ThreadPool = Box::leak(Box::new(ThreadPool::with_threads(2)));
+        let got = finishes(move || {
+            let before = pool.batches_dispatched();
+            let sums = pool
+                .run_slots(2, move |i| {
+                    assert_eq!(pool.split_width(), 1, "a worker is inside a batch");
+                    let inner = pool.run_slots(4, move |j| i * 10 + j).unwrap();
+                    let split = pool.split(vec![0, 1, 2], move |j: usize| i + j);
+                    inner.iter().sum::<usize>() + split.iter().sum::<usize>()
+                })
+                .unwrap();
+            (sums, pool.batches_dispatched() - before)
+        });
+        assert_eq!(got.0, vec![6 + 3, 46 + 6]);
+        assert_eq!(got.1, 1, "only the outer batch is dealt");
+    }
+
+    #[test]
+    fn sequential_runs_nested_batches_inline() {
+        let pool = Arc::new(ThreadPool::with_threads(2));
+        let inner = Arc::clone(&pool);
+        let widths = ExecPolicy::Sequential
+            .run_slots(3, move |i| {
+                let split = inner.split((0..5).collect(), move |j: usize| i * j);
+                (inner.split_width(), split.iter().sum::<usize>())
+            })
+            .unwrap();
+        assert_eq!(widths, vec![(1, 0), (1, 10), (1, 20)]);
+        assert_eq!(pool.batches_dispatched(), 0, "Sequential used no pool");
+        assert_eq!(pool.split_width(), 2, "the mark ends with the batch");
+    }
+
+    #[test]
+    fn split_maps_owned_inputs_in_order_and_counts_a_batch() {
+        for workers in [0usize, 1, 2, 3, 8] {
+            let pool = ThreadPool::with_threads(workers);
+            assert_eq!(pool.split_width(), workers.max(1));
+            // Owned inputs move in and come back mapped, in order.
+            let buffers: Vec<Vec<usize>> = (0..23).map(|i| vec![i; 2]).collect();
+            let got = pool.split(buffers, |mut b: Vec<usize>| {
+                b.push(b[0] * 3);
+                b
+            });
+            let want: Vec<Vec<usize>> = (0..23).map(|i| vec![i, i, i * 3]).collect();
+            assert_eq!(got, want);
+            let dealt = usize::from(workers > 1);
+            assert_eq!(pool.batches_dispatched(), dealt, "{workers} workers");
+            assert!(pool.split(Vec::<usize>::new(), |i| i).is_empty());
+        }
+    }
+
+    #[test]
+    fn split_is_not_a_fault_site_and_resumes_panics() {
+        let pool = ThreadPool::with_threads(2);
+        let target = pool.tag();
+        {
+            let _guard = fault::armed(move |site| {
+                if site.pool == Some(target) {
+                    panic!("injected fault: split");
+                }
+            });
+            assert_eq!(
+                pool.split((0..6).collect(), |i: usize| i),
+                vec![0, 1, 2, 3, 4, 5]
+            );
+        }
+        let payload = catch_unwind(AssertUnwindSafe(|| {
+            pool.split((0..6).collect(), |i: usize| {
+                assert!(i != 4, "boom in split at {i}");
+                i
+            })
+        }))
+        .expect_err("the worker's panic resumes on the caller");
+        let detail = payload
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_default();
+        assert!(detail.contains("boom in split at 4"), "detail: {detail}");
+        assert_eq!(pool.split(vec![0, 1], |i: usize| i), vec![0, 1]);
     }
 
     #[test]

@@ -123,7 +123,10 @@ impl TruncatedProjection {
     pub fn project_rows(&self, m: &Matrix) -> Matrix {
         assert_eq!(m.cols(), self.in_dim, "projection input dim mismatch");
         match &self.basis {
-            Some((mean, basis)) => m.sub_row_vector(mean).matmul_transposed(basis),
+            Some((mean, basis)) => {
+                let centered = std::sync::Arc::new(m.sub_row_vector(mean));
+                crate::kernels::matmul_transposed(&centered, basis)
+            }
             None => Matrix::from_fn(m.rows(), self.out_dim, |i, j| m[(i, j)]),
         }
     }

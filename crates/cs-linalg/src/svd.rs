@@ -42,13 +42,19 @@
 //! eigenvalue, and a sweep for eigenvalue `l` rotates at most `n − 1 − l`
 //! pairs, so the log holds at most `30·n(n − 1)/2` rotations of 16 bytes.
 //! In practice it holds far fewer: about `0.72·n²` (2.5 MB) on a 472-side
-//! Gram of 768-d signatures. A values-only QL pass counts the rotations
-//! first, so the log is allocated at its exact length with no growth
-//! slack. Non-finite input stays within the same bound.
+//! Gram of 768-d signatures. QL runs once, and the log fills chunks as it
+//! goes, 256 entries first and doubling up to `LOG_CHUNK` (4,096 entries,
+//! 64 KB): nothing it holds is ever copied or reallocated, and it holds
+//! at most one chunk more than it logged. A doubling `Vec` would copy the
+//! log and leave up to half of it as slack. Non-finite input stays within
+//! the same bound.
 //!
 //! Tests in `pca.rs` pin the two paths to agree, and the `cs-bench` solver
 //! group times them.
 
+use std::sync::Arc;
+
+use crate::kernels::Operand;
 use crate::matrix::dot;
 use crate::vecops::total_cmp_f64;
 use crate::Matrix;
@@ -221,14 +227,16 @@ impl GramEigen {
     /// Eigendecomposes the smaller Gram side of `a`.
     /// [`crate::kernels::gram_rows`] sweeps only the upper triangle with
     /// the register-tiled `a · bᵀ` kernel and is bit-identical to the
-    /// plain product.
-    pub(crate) fn new(a: &Matrix) -> Result<GramEigen, SvdError> {
-        validate(a)?;
-        let rows_side = a.rows() <= a.cols();
+    /// plain product. A shared `a` reaches the product's workers without
+    /// a copy.
+    pub(crate) fn new(a: &impl Operand) -> Result<GramEigen, SvdError> {
+        let m = a.matrix();
+        validate(m)?;
+        let rows_side = m.rows() <= m.cols();
         let g = if rows_side {
-            crate::kernels::gram_rows(a)
+            crate::kernels::gram(a)
         } else {
-            crate::kernels::gram_rows(&a.transpose())
+            crate::kernels::gram(&Arc::new(m.transpose()))
         };
         let eigen = Eigensystem::new(g);
         Ok(GramEigen {
@@ -242,12 +250,12 @@ impl GramEigen {
     /// eigenvector `i`; on the rows side it is `u_iᵀ·A / σ_i` (zero where
     /// `σ_i ≤ EPS`), one [`Matrix::matmul`] whose every entry is the
     /// same `dot` over the rows of `A` whatever `keep` is.
-    pub(crate) fn vt_rows(&self, a: &Matrix, keep: usize) -> Matrix {
+    pub(crate) fn vt_rows(&self, a: &impl Operand, keep: usize) -> Matrix {
         let top = self.eigen.vectors(keep).transpose();
         if !self.rows_side {
             return top;
         }
-        let mut vt = top.matmul(a);
+        let mut vt = crate::kernels::matmul(&top, a);
         for (slot, &sigma) in self.singular_values[..keep].iter().enumerate() {
             let row = vt.row_mut(slot);
             if sigma > crate::EPS {
@@ -307,28 +315,16 @@ struct Eigensystem {
 struct QlLog {
     /// `(l, m)` of each implicit QL sweep; sweep `(l, m)` rotated the
     /// coordinate pairs `(i, i + 1)` for `i` from `m − 1` down to `l`.
-    sweeps: Vec<(usize, usize)>,
+    sweeps: ChunkLog<(usize, usize)>,
     /// `(c, s)` of every rotation, sweep after sweep.
-    rotations: Vec<(f64, f64)>,
+    rotations: ChunkLog<(f64, f64)>,
 }
 
 impl QlLog {
-    /// Runs [`tql2`] on `(d, e)` and logs its rotations. A values-only
-    /// run on copies counts them first, so both logs are allocated at
-    /// their exact length: the log holds at most
-    /// `MAX_QL_ITERS·n(n − 1)/2` rotations of 16 bytes.
+    /// Runs [`tql2`] on `(d, e)` and logs its rotations, at most
+    /// `MAX_QL_ITERS·n(n − 1)/2` of them.
     fn record(d: &mut [f64], e: &mut [f64]) -> QlLog {
-        let (mut sweeps, mut rotations) = (0, 0);
-        tql2(
-            &mut d.to_vec(),
-            &mut e.to_vec(),
-            |_, _| sweeps += 1,
-            |_, _| rotations += 1,
-        );
-        let mut log = QlLog {
-            sweeps: Vec::with_capacity(sweeps),
-            rotations: Vec::with_capacity(rotations),
-        };
+        let mut log = QlLog::default();
         tql2(
             d,
             e,
@@ -336,6 +332,49 @@ impl QlLog {
             |c, s| log.rotations.push((c, s)),
         );
         log
+    }
+}
+
+/// Entries of a [`ChunkLog`]'s first chunk: 4 KB of rotations.
+const LOG_FIRST: usize = 256;
+
+/// Entries per [`ChunkLog`] chunk once the log has grown: 64 KB of
+/// rotations.
+const LOG_CHUNK: usize = 4096;
+
+/// An append-only log kept in chunks that double from [`LOG_FIRST`] up to
+/// [`LOG_CHUNK`] entries, so a small eigensolve's log stays small. A full
+/// chunk is never touched again, so nothing logged is copied, and the
+/// capacity stays within one chunk of the length.
+struct ChunkLog<T> {
+    chunks: Vec<Vec<T>>,
+}
+
+impl<T> Default for ChunkLog<T> {
+    fn default() -> Self {
+        ChunkLog { chunks: Vec::new() }
+    }
+}
+
+impl<T> ChunkLog<T> {
+    fn push(&mut self, entry: T) {
+        match self.chunks.last_mut() {
+            Some(chunk) if chunk.len() < chunk.capacity() => chunk.push(entry),
+            last => {
+                let size = last.map_or(LOG_FIRST, |full| (2 * full.len()).min(LOG_CHUNK));
+                let mut chunk = Vec::with_capacity(size);
+                chunk.push(entry);
+                self.chunks.push(chunk);
+            }
+        }
+    }
+
+    /// The entries, newest first.
+    fn iter_rev(&self) -> impl Iterator<Item = &T> {
+        self.chunks
+            .iter()
+            .rev()
+            .flat_map(|chunk| chunk.iter().rev())
     }
 }
 
@@ -393,10 +432,9 @@ impl Eigensystem {
         let p = panel.as_mut_slice();
         // G_1⋯G_T applied right to left: the last sweep first, and
         // within a sweep its rotations from row l up.
-        let mut end = self.log.rotations.len();
-        for &(l, m) in self.log.sweeps.iter().rev() {
-            let start = end - (m - l);
-            for (i, &(c, s)) in (l..m).zip(self.log.rotations[start..end].iter().rev()) {
+        let mut rotations = self.log.rotations.iter_rev();
+        for &(l, m) in self.log.sweeps.iter_rev() {
+            for (i, &(c, s)) in (l..m).zip(rotations.by_ref().take(m - l)) {
                 let (head, tail) = p.split_at_mut((i + 1) * keep);
                 // Row i is final for this sweep; row i + 1 is flushed
                 // as the next rotation's row i.
@@ -406,7 +444,6 @@ impl Eigensystem {
                     *y = c * yv - s * xv;
                 }
             }
-            end = start;
         }
         // Q = P_{n−1}⋯P_1 applied right to left: P_1 first. Each column's
         // `g` is `dot(u_k, column)`, accumulated a row at a time.
@@ -843,12 +880,35 @@ mod tests {
         }
     }
 
+    /// Every chunk but the last is full, the chunks double from
+    /// `LOG_FIRST` up to `LOG_CHUNK`, and the capacity is within one chunk
+    /// of the length. Returns the length.
+    fn assert_chunked<T>(log: &ChunkLog<T>, what: &str) -> usize {
+        let len: usize = log.chunks.iter().map(Vec::len).sum();
+        let capacity: usize = log.chunks.iter().map(Vec::capacity).sum();
+        if let Some((_, full)) = log.chunks.split_last() {
+            for (i, chunk) in full.iter().enumerate() {
+                let size = (LOG_FIRST << i.min(8)).min(LOG_CHUNK);
+                assert_eq!(chunk.len(), size, "{what}: chunk {i}");
+                assert_eq!(chunk.capacity(), size, "{what}: chunk {i}");
+            }
+        }
+        assert!(log.chunks.iter().all(|c| !c.is_empty()), "{what}");
+        assert!(capacity <= len + LOG_CHUNK, "{what}: {capacity} for {len}");
+        assert!(
+            capacity <= 2 * len + LOG_FIRST,
+            "{what}: small logs stay small"
+        );
+        len
+    }
+
     #[test]
-    fn rotation_log_is_bounded_and_sized_exactly() {
-        // The log holds at most MAX_QL_ITERS·n(n − 1)/2 rotations, with no
-        // growth slack, on healthy input and on NaN or inf, which must
-        // still terminate within the bound.
-        let n = 64;
+    fn rotation_log_is_bounded_and_chunked() {
+        // The log holds at most MAX_QL_ITERS·n(n − 1)/2 rotations, within
+        // one chunk of its length, on healthy input and on NaN or inf,
+        // which must still terminate within the bound. At n = 160 it
+        // spans several chunks.
+        let n = 160;
         let bound = MAX_QL_ITERS * n * (n - 1) / 2;
         for bad in [None, Some(f64::NAN), Some(f64::INFINITY)] {
             let mut m = random_matrix(n, n, 64);
@@ -859,17 +919,14 @@ mod tests {
             }
             let eigen = Eigensystem::new(m);
             let log = &eigen.log;
-            assert!(
-                log.rotations.len() <= bound,
-                "{bad:?}: {}",
-                log.rotations.len()
-            );
-            assert_eq!(log.rotations.capacity(), log.rotations.len(), "{bad:?}");
-            assert_eq!(log.sweeps.capacity(), log.sweeps.len(), "{bad:?}");
-            let logged: usize = log.sweeps.iter().map(|&(l, m)| m - l).sum();
-            assert_eq!(logged, log.rotations.len(), "{bad:?}");
+            let what = format!("{bad:?}");
+            let rotations = assert_chunked(&log.rotations, &what);
+            assert_chunked(&log.sweeps, &what);
+            assert!(rotations <= bound, "{what}: {rotations}");
+            let logged: usize = log.sweeps.iter_rev().map(|&(l, m)| m - l).sum();
+            assert_eq!(logged, rotations, "{what}");
             if bad.is_none() {
-                assert!(logged >= n - 1, "a dense matrix needs rotations");
+                assert!(rotations > 2 * LOG_CHUNK, "several chunks: {rotations}");
             }
             assert_eq!(eigen.vectors(n).shape(), (n, n));
         }

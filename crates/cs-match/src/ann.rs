@@ -155,11 +155,11 @@ fn select_with_ties(scored: &mut Vec<(usize, f64)>, limit: usize) {
 /// projection, exact full-dimension rerank of the candidate budget.
 #[derive(Debug, Clone)]
 pub struct AnnIndex {
-    /// The indexed rows in full dimension, for the exact rerank.
-    full: Matrix,
-    /// The prefilter projection; `None` hashes in full dimension.
-    projection: Option<TruncatedProjection>,
-    /// The LSH over the projected rows (`full` itself without a
+    /// The prefilter projection and the full-dimension rows it projected,
+    /// for the exact rerank; `None` hashes the full rows themselves, and
+    /// then the LSH's data serves the rerank too, one copy of the rows.
+    projected: Option<(TruncatedProjection, Matrix)>,
+    /// The LSH over the projected rows (the full rows without a
     /// projection); its data is the prefilter's space, and its stored
     /// bands and rows serve the self-queries.
     lsh: HyperplaneLsh,
@@ -175,16 +175,16 @@ impl AnnIndex {
     pub fn build(data: Matrix, config: AnnConfig) -> Self {
         config.validate();
         let band_bits = config.resolve_band_bits(data.rows());
-        let projection = (config.prefilter_dims > 0 && config.prefilter_dims < data.cols())
-            .then(|| TruncatedProjection::fit(&data, config.prefilter_dims));
-        let hashed = match &projection {
-            Some(p) => p.project_rows(&data),
-            None => data.clone(),
-        };
+        let (hashed, projected) =
+            if config.prefilter_dims > 0 && config.prefilter_dims < data.cols() {
+                let projection = TruncatedProjection::fit(&data, config.prefilter_dims);
+                (projection.project_rows(&data), Some((projection, data)))
+            } else {
+                (data, None)
+            };
         let lsh = HyperplaneLsh::build(hashed, config.tables, band_bits, config.seed ^ 0x5EED);
         Self {
-            full: data,
-            projection,
+            projected,
             lsh,
             config,
         }
@@ -192,23 +192,28 @@ impl AnnIndex {
 
     /// Number of indexed vectors.
     pub fn len(&self) -> usize {
-        self.full.rows()
+        self.data().rows()
     }
 
     /// True if nothing is indexed.
     pub fn is_empty(&self) -> bool {
-        self.full.rows() == 0
+        self.len() == 0
     }
 
     /// The full-dimension vectors the index holds.
     pub fn data(&self) -> &Matrix {
-        &self.full
+        match &self.projected {
+            Some((_, full)) => full,
+            None => self.lsh.data(),
+        }
     }
 
     /// True when the prefilter runs on PCA components (vs coordinate
     /// truncation or no projection at all).
     pub fn prefilter_is_pca(&self) -> bool {
-        self.projection.as_ref().is_some_and(|p| !p.is_coordinate())
+        self.projected
+            .as_ref()
+            .is_some_and(|(p, _)| !p.is_coordinate())
     }
 
     /// Top-`k` rows by exact distance among rows passing `keep`, ties at
@@ -227,10 +232,10 @@ impl AnnIndex {
     ) -> Vec<(usize, f64)> {
         assert_eq!(
             query.len(),
-            self.full.cols(),
+            self.data().cols(),
             "query dimensionality mismatch"
         );
-        let projected_query = self.projection.as_ref().map(|p| p.project(query));
+        let projected_query = self.projected.as_ref().map(|(p, _)| p.project(query));
         let hash_query: &[f64] = projected_query.as_deref().unwrap_or(query);
         self.search_hashed(query, hash_query, &self.lsh.hash(hash_query), k, keep)
     }
@@ -242,7 +247,7 @@ impl AnnIndex {
     /// hits are too.
     fn search_row(&self, row: usize, k: usize, keep: impl Fn(usize) -> bool) -> Vec<(usize, f64)> {
         self.search_hashed(
-            self.full.row(row),
+            self.data().row(row),
             self.lsh.data().row(row),
             self.lsh.row_bands(row),
             k,
@@ -270,14 +275,14 @@ impl AnnIndex {
         let mut kept = self.lsh.banded_candidates(bands, budget);
         kept.retain(|&i| keep(i));
         if kept.len() < k {
-            kept = (0..self.full.rows()).filter(|&i| keep(i)).collect();
+            kept = (0..self.len()).filter(|&i| keep(i)).collect();
         }
         if kept.len() > budget {
             let mut scored = sq_euclidean_rows(hash_query, self.lsh.data(), &kept);
             select_with_ties(&mut scored, budget);
             kept = scored.into_iter().map(|(i, _)| i).collect();
         }
-        let mut reranked = sq_euclidean_rows(query, &self.full, &kept);
+        let mut reranked = sq_euclidean_rows(query, self.data(), &kept);
         select_with_ties(&mut reranked, k);
         reranked.sort_unstable_by(by_score_then_index);
         reranked
@@ -836,5 +841,52 @@ mod tests {
             ElementSet::full(1, Matrix::zeros(2, 5)),
         ];
         AnnMatcher::new(1).match_pairs(&sets);
+    }
+
+    /// Every answer of an index without a projection, folded into one
+    /// digest: filtered and unfiltered searches for every row and for
+    /// fresh queries, duplicate rows and ties included.
+    fn no_projection_answers_digest(index: &AnnIndex, data: &Matrix) -> u64 {
+        let mut rng = Xoshiro256::seed_from(77);
+        let fresh: Vec<Vec<f64>> = (0..20)
+            .map(|_| (0..data.cols()).map(|_| rng.next_gaussian()).collect())
+            .collect();
+        let queries = data.rows_iter().map(<[f64]>::to_vec).chain(fresh);
+        let mut h = cs_linalg::Fnv1a::default();
+        for (q, query) in queries.enumerate() {
+            for k in [1, 5, 40] {
+                let filtered = index.search_filtered(&query, k, |i| i % 4 != q % 4);
+                for (i, d) in filtered.into_iter().chain(index.search(&query, k)) {
+                    h.write(&(i as u64).to_le_bytes());
+                    h.write(&d.to_bits().to_le_bytes());
+                }
+            }
+        }
+        h.finish()
+    }
+
+    #[test]
+    fn no_projection_index_holds_one_copy_and_answers_as_before() {
+        let mut rng = Xoshiro256::seed_from(53);
+        let mut data = Matrix::from_fn(160, 12, |_, _| rng.next_gaussian());
+        let twin = data.row(9).to_vec();
+        data.row_mut(100).copy_from_slice(&twin);
+        let config = AnnConfig {
+            prefilter_dims: 0,
+            candidate_budget: 16,
+            ..AnnConfig::with_k(5)
+        };
+        let index = AnnIndex::build(data.clone(), config);
+        assert!(!index.prefilter_is_pca());
+        assert_eq!(index.data(), &data);
+        assert!(
+            std::ptr::eq(index.data(), index.lsh.data()),
+            "the rerank reads the hashed rows"
+        );
+        // The digest of the two-copy index this one replaced.
+        assert_eq!(
+            no_projection_answers_digest(&index, &data),
+            0xc2f5_7c8e_29fd_eedd
+        );
     }
 }

@@ -101,8 +101,8 @@ done
 echo "==> cargo test -q --offline"
 cargo test -q --workspace --offline
 
-echo "==> cs-linalg, cs-nn, cs-match and cs-core tests in release (the kernel's bit-identity, the prefilter oracle and the run-vs-sweep bit-equality oracles must hold under vectorised codegen)"
-cargo test -q --release --offline -p cs-linalg -p cs-nn -p cs-match -p cs-core
+echo "==> cs-linalg, cs-nn, cs-match, cs-core and cs-embed tests in release (the kernel's bit-identity, the dealt products, the prefilter oracle, the run-vs-sweep bit-equality oracles and the encoder's look-ahead must hold under vectorised codegen)"
+cargo test -q --release --offline -p cs-linalg -p cs-nn -p cs-match -p cs-core -p cs-embed
 
 echo "==> root property tests in release (ANN ⊆ flat, recall and permutation properties under vectorised codegen)"
 cargo test -q --release --offline -p collaborative-scoping --test properties
